@@ -230,6 +230,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.param == "seed":
+        raise ParseError("--param", 1, "seeds are swept with --seeds, not --param seed")
     cfg = _load_train_config(args)
     scenes = [read_scene(str(p)) for p in _scene_paths(args.data)]
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -327,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory of .dgn scene files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; execution is single-threaded")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="sweep one config key over a value grid")

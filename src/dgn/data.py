@@ -7,14 +7,17 @@ Scene files use the text format ``dgn/1``:
     sparse <m>                          (optional trailer)
     index class                         (m lines)
 
-Floats are written with ``repr`` so round-trips are lossless. When the
-trailer is absent, the sparse set defaults to every point whose label
-column is >= 0.
+Floats are written with ``repr`` so round-trips are lossless. Labels,
+indices and classes are integer literals (``2.0`` is rejected), and no
+field has digit-group underscores or non-ASCII digits. When the trailer
+is absent, the sparse set defaults to every point whose label column is
+>= 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +264,47 @@ def _parse_err(path: str, line_no: int, reason: str) -> ParseError:
     return ParseError(str(path), line_no, reason)
 
 
+_SPARSE_ROW = np.dtype([("index", np.int64), ("class", np.int64)])
+
+
+def _parse_rows(path, lines, first_line, count, row, width_reason, check=None):
+    """Parse ``lines`` as ``count`` records of dtype ``row`` with one
+    ``np.loadtxt`` call. ``lines[0]`` is line ``first_line`` of the file;
+    fewer than ``count`` lines mean the file ended early.
+
+    ``check(records, line_no)``, when given, raises for the first record
+    it rejects; ``line_no`` is the line of ``records[0]``. If the one-call
+    parse fails, a scan of the lines raises the ParseError of the first
+    faulty one: a field count other than ``row``'s (``width_reason``
+    formatted with ``got``), a field ``loadtxt`` cannot convert, a
+    rejected record, or a missing line.
+    """
+    if len(lines) == count:
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on empty input: no rows, or only blank lines
+                warnings.simplefilter("ignore", UserWarning)
+                records = np.loadtxt(lines, dtype=row, comments=None, ndmin=1)
+        except ValueError:
+            records = None
+        if records is not None and len(records) == count:
+            if check:
+                check(records, first_line)
+            return records
+    fields = sum(int(np.prod(row[name].shape)) for name in row.names)
+    for line_no, line in enumerate(lines, start=first_line):
+        got = len(line.split())
+        if got != fields:
+            raise _parse_err(path, line_no, width_reason.format(got=got))
+        try:
+            record = np.loadtxt([line], dtype=row, comments=None, ndmin=1)
+        except ValueError:
+            raise _parse_err(path, line_no, "malformed number") from None
+        if check:
+            check(record, line_no)
+    raise _parse_err(path, first_line + len(lines), "unexpected end of file")
+
+
 def read_scene(path: str) -> SceneBatch:
     """Parse a dgn/1 scene file; raises ParseError with a line number."""
     with open(path) as fh:
@@ -277,28 +321,24 @@ def read_scene(path: str) -> SceneBatch:
     if n < 1 or d_extra < 0 or num_classes < 1:
         raise _parse_err(path, 1, "header counts out of range")
 
-    coords = np.empty((n, 3))
-    feats = np.empty((n, d_extra))
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        line_no = i + 2
-        if i + 1 >= len(lines):
-            raise _parse_err(path, line_no, "unexpected end of file")
-        toks = lines[i + 1].split()
-        if len(toks) != 3 + d_extra + 1:
-            raise _parse_err(
-                path, line_no, f"expected {3 + d_extra + 1} fields, got {len(toks)}"
-            )
-        try:
-            values = [float(tok) for tok in toks[:-1]]
-            label = int(toks[-1])
-        except ValueError:
-            raise _parse_err(path, line_no, "malformed number") from None
-        if label < -1 or label >= num_classes:
-            raise _parse_err(path, line_no, f"label {label} out of range")
-        coords[i] = values[:3]
-        feats[i] = values[3:]
-        labels[i] = label
+    body = np.dtype([
+        ("coords", np.float64, (3,)),
+        ("feats", np.float64, (d_extra,)),
+        ("label", np.int64),
+    ])
+
+    def check_labels(records, line_no):
+        labels = records["label"]
+        bad = np.flatnonzero((labels < -1) | (labels >= num_classes))
+        if bad.size:
+            first = int(bad[0])
+            raise _parse_err(path, line_no + first, f"label {labels[first]} out of range")
+
+    rows = _parse_rows(
+        path, lines[1 : n + 1], 2, n, body,
+        f"expected {3 + d_extra + 1} fields, got {{got}}", check_labels,
+    )
+    coords, feats, labels = rows["coords"], rows["feats"], rows["label"]
 
     cursor = n + 1
     if cursor < len(lines) and lines[cursor].strip():
@@ -309,20 +349,13 @@ def read_scene(path: str) -> SceneBatch:
             m = int(toks[1])
         except ValueError:
             raise _parse_err(path, cursor + 1, "sparse count must be an integer") from None
-        idx = np.empty(m, dtype=np.int64)
-        cls = np.empty(m, dtype=np.int64)
-        for j in range(m):
-            line_no = cursor + 2 + j
-            if cursor + 1 + j >= len(lines):
-                raise _parse_err(path, line_no, "unexpected end of file")
-            toks = lines[cursor + 1 + j].split()
-            if len(toks) != 2:
-                raise _parse_err(path, line_no, "expected 'index class'")
-            try:
-                idx[j], cls[j] = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise _parse_err(path, line_no, "malformed number") from None
-        sparse = SparseLabels(idx, cls)
+        if m < 0:
+            raise _parse_err(path, cursor + 1, "sparse count out of range")
+        pairs = _parse_rows(
+            path, lines[cursor + 1 : cursor + 1 + m], cursor + 2, m, _SPARSE_ROW,
+            "expected 'index class'",
+        )
+        sparse = SparseLabels(pairs["index"], pairs["class"])
     else:
         keep = labels >= 0
         sparse = SparseLabels(np.flatnonzero(keep), labels[keep])

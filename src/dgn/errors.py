@@ -33,10 +33,6 @@ class DegenerateCluster(DgnError):
         super().__init__(message or f"cluster {cluster} has vanishing weighted mass")
 
 
-class EmptyCluster(DegenerateCluster):
-    """A hard-assignment cluster received no points."""
-
-
 class EmptyLabelSet(DgnError):
     """A supervised loss was called with zero labeled points."""
 
@@ -55,14 +51,6 @@ class ShapeMismatch(DgnError):
 
 class StaleCache(DgnError):
     """A forward cache does not correspond to the given parameters."""
-
-
-class DegenerateMean(DgnError):
-    """Labeled embeddings of a class cancel to a zero sum."""
-
-    def __init__(self, cluster: int):
-        self.cluster = cluster
-        super().__init__(f"labeled embedding sum for class {cluster} has norm <= 1e-12")
 
 
 class EmptyScene(DgnError):

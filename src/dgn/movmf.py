@@ -195,10 +195,14 @@ def posterior(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
         raise DegenerateRow("all mixture weights are zero")
     if theta.kappa == 0.0:
         return np.tile(alphas / total, (V.shape[0], 1))
+    q = V @ theta.means.T
+    q *= theta.kappa
     with np.errstate(divide="ignore"):
-        scores = np.log(alphas)[None, :] + theta.kappa * (V @ theta.means.T)
-    scores -= scores.max(axis=1, keepdims=True)
-    q = np.exp(scores)
+        q += np.log(alphas)
+    # row max column by column: over k columns this is several times
+    # faster than a row reduce, and max is exact
+    q -= np.maximum.reduce(tuple(q.T))[:, None]
+    np.exp(q, out=q)
     q /= q.sum(axis=1, keepdims=True)
     return q
 

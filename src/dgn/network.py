@@ -6,6 +6,12 @@ with no activation so the feature space keeps its orientation. Logits are
 positive scaling of the feature vector. Forward/backward are written by
 hand; all arithmetic is float64.
 
+Forward and backward write their per-point arrays into a ``Workspace``
+instead of allocating them. Aliasing rule: a ``ForwardCache`` built on a
+shared workspace is valid until the next ``forward`` on that workspace,
+which overwrites it; ``backward`` reuses only its own buffers, so it may
+follow the ``forward`` whose cache it reads.
+
 Checkpoint container (binary, little-endian):
 
     magic   8 bytes  b"DGNCK001"
@@ -95,11 +101,32 @@ def init_params(layer_dims, num_classes: int, seed: int) -> ModelParams:
     return ModelParams(tuple(weights), tuple(biases), head)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax with max subtraction."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+class Workspace:
+    """Scratch arrays reused across ``forward``/``backward`` calls.
+
+    Each key owns one flat float64 buffer that grows to the largest
+    request seen; ``take`` returns a C-contiguous (rows, cols) view of its
+    leading part, so batches of any size and width share it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, key: str, rows: int, cols: int) -> np.ndarray:
+        size = rows * cols
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(rows, cols)
+
+
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax with max subtraction, written into ``out`` when given."""
+    # row max column by column, as in movmf.posterior
+    z = np.subtract(logits, np.maximum.reduce(tuple(logits.T))[:, None], out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def softmax_backward(dP: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -113,29 +140,40 @@ class ForwardCache:
     """Everything the backward pass needs, plus the network outputs."""
 
     inputs: np.ndarray                   # (n, d_in)
-    pre_acts: tuple[np.ndarray, ...]     # affine outputs per layer
+    acts: tuple[np.ndarray, ...]         # rectified output per hidden layer
     features: np.ndarray                 # (n, feat_dim)
     logits: np.ndarray                   # (n, num_classes)
     probs: np.ndarray                    # (n, num_classes) row-stochastic
 
 
-def forward(params: ModelParams, points: np.ndarray) -> ForwardCache:
-    """Run the MLP and head on a batch of points."""
+def forward(
+    params: ModelParams, points: np.ndarray, workspace: Workspace | None = None
+) -> ForwardCache:
+    """Run the MLP and head on a batch of points.
+
+    Every array of the returned cache except ``inputs`` lives in
+    ``workspace`` (a fresh one when omitted).
+    """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionMismatch(
             f"points {x.shape} incompatible with input dim {params.input_dim}"
         )
-    pre_acts = []
+    ws = Workspace() if workspace is None else workspace
+    n = x.shape[0]
+    acts = []
     a = x
     last = len(params.layer_weights) - 1
     for i, (w, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
-        z = a @ w.T + b
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
-    features = a
-    logits = features @ params.head_weights.T
-    return ForwardCache(x, tuple(pre_acts), features, logits, softmax(logits))
+        a = np.matmul(a, w.T, out=ws.take(f"act{i}", n, w.shape[0]))
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+            acts.append(a)
+    k = params.num_classes
+    logits = np.matmul(a, params.head_weights.T, out=ws.take("logits", n, k))
+    probs = softmax(logits, out=ws.take("probs", n, k))
+    return ForwardCache(x, tuple(acts), a, logits, probs)
 
 
 def backward(
@@ -143,43 +181,53 @@ def backward(
     cache: ForwardCache,
     d_features: np.ndarray,
     d_logits: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> ModelParams:
     """Exact reverse-mode gradients for all parameters.
 
     Accumulates the feature-path gradient (alignment losses, already
     chained through normalization) and the logit-path gradient (head
-    losses). Returns a ModelParams-shaped gradient container.
+    losses). Returns a ModelParams-shaped gradient container; the
+    per-point gradients in between live in ``workspace``.
     """
     d_features = np.asarray(d_features, dtype=np.float64)
     d_logits = np.asarray(d_logits, dtype=np.float64)
     n = cache.inputs.shape[0]
-    if cache.pre_acts[-1].shape[1] != params.feature_dim or cache.inputs.shape[
-        1
-    ] != params.input_dim:
+    num_layers = len(params.layer_weights)
+    if (
+        len(cache.acts) != num_layers - 1
+        or cache.features.shape[1] != params.feature_dim
+        or cache.inputs.shape[1] != params.input_dim
+    ):
         raise StaleCache("cache does not match the parameters")
     if d_features.shape != cache.features.shape or d_logits.shape != cache.logits.shape:
         raise StaleCache(
             f"upstream gradients {d_features.shape}/{d_logits.shape} do not match "
             f"the cached batch of {n} points"
         )
+    ws = Workspace() if workspace is None else workspace
 
     d_head = d_logits.T @ cache.features
-    d_act = d_features + d_logits @ params.head_weights
+    # dz of each layer is formed in place in its upstream-gradient buffer;
+    # two buffers alternate so a layer's input gradient never overwrites
+    # it. Float addition commutes exactly, so the sum below is bitwise
+    # d_features + d_logits @ head.
+    dz = ws.take("grad0", n, params.feature_dim)
+    np.matmul(d_logits, params.head_weights, out=dz)
+    dz += d_features
 
-    num_layers = len(params.layer_weights)
+    below = (cache.inputs, *cache.acts)
     d_weights: list[np.ndarray | None] = [None] * num_layers
     d_biases: list[np.ndarray | None] = [None] * num_layers
     for i in range(num_layers - 1, -1, -1):
-        dz = d_act if i == num_layers - 1 else d_act * (cache.pre_acts[i] > 0)
-        below = (
-            cache.inputs
-            if i == 0
-            else np.maximum(cache.pre_acts[i - 1], 0.0)
-        )
-        d_weights[i] = dz.T @ below
+        if i < num_layers - 1:
+            dz *= cache.acts[i] > 0
+        d_weights[i] = dz.T @ below[i]
         d_biases[i] = dz.sum(axis=0)
         if i:
-            d_act = dz @ params.layer_weights[i]
+            w = params.layer_weights[i]
+            key = f"grad{(num_layers - i) % 2}"
+            dz = np.matmul(dz, w, out=ws.take(key, n, w.shape[1]))
     return ModelParams(tuple(d_weights), tuple(d_biases), d_head)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,11 +145,16 @@ def train_step(
     cfg: TrainConfig,
     epoch: int,
     opt_state: network.AdamState | None = None,
+    workspace: network.Workspace | None = None,
 ) -> StepResult:
-    """One forward/cluster/backward/update cycle on a single scene."""
+    """One forward/cluster/backward/update cycle on a single scene.
+
+    ``workspace`` holds the network's per-point arrays; a fresh one is
+    used when it is omitted.
+    """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    cache = network.forward(params, scene.network_input())
+    cache = network.forward(params, scene.network_input(), workspace)
     labels = scene.sparse
 
     d_features = np.zeros_like(cache.features)
@@ -249,7 +254,7 @@ def train_step(
         use_dis=cfg.use_dis and aligned,
         use_con=cfg.use_con and aligned,
     )
-    grads = network.backward(params, cache, d_features, d_logits)
+    grads = network.backward(params, cache, d_features, d_logits, workspace)
     if cfg.optimizer == "adam":
         if opt_state is None:
             opt_state = network.init_adam_state(params)
@@ -261,16 +266,20 @@ def train_step(
     )
 
 
-def predict(params: network.ModelParams, scene: SceneBatch) -> np.ndarray:
+def predict(
+    params: network.ModelParams,
+    scene: SceneBatch,
+    workspace: network.Workspace | None = None,
+) -> np.ndarray:
     """Head-only inference: argmax of the class probabilities."""
-    cache = network.forward(params, scene.network_input())
+    cache = network.forward(params, scene.network_input(), workspace)
     return np.argmax(cache.probs, axis=1)
 
 
-def _eval_miou(params: network.ModelParams, scenes) -> float:
+def _eval_miou(params: network.ModelParams, scenes, workspace: network.Workspace) -> float:
     if not scenes:
         return float("nan")
-    preds = np.concatenate([predict(params, s) for s in scenes])
+    preds = np.concatenate([predict(params, s, workspace) for s in scenes])
     gts = np.concatenate([s.gt_labels for s in scenes])
     return miou(preds, gts, scenes[0].num_classes).miou
 
@@ -311,13 +320,16 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     prototype_bank = bank_mod.empty_bank(num_classes, cfg.feat_dim, cfg.bank_momentum)
 
     reports: list[EpochReport] = []
+    workspace = network.Workspace()
     opt_state = network.init_adam_state(params) if cfg.optimizer == "adam" else None
     for epoch in range(cfg.epochs):
         acc = {"tce": 0.0, "vmf": 0.0, "dis": 0.0, "con": 0.0, "total": 0.0}
         em_iters = 0
         degenerate = 0
         for scene in train_scenes:
-            step = train_step(scene, params, prototype_bank, cfg, epoch, opt_state)
+            step = train_step(
+                scene, params, prototype_bank, cfg, epoch, opt_state, workspace
+            )
             params, prototype_bank, opt_state = step.params, step.bank, step.opt_state
             for key in acc:
                 acc[key] += getattr(step.report, key)
@@ -328,8 +340,8 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
             EpochReport(
                 epoch=epoch,
                 losses=losses.LossReport(**{k: v / n for k, v in acc.items()}),
-                train_miou=_eval_miou(params, train_scenes),
-                val_miou=_eval_miou(params, val_scenes),
+                train_miou=_eval_miou(params, train_scenes, workspace),
+                val_miou=_eval_miou(params, val_scenes, workspace),
                 em_converged_iters=em_iters,
                 degenerate_clusters=degenerate,
             )

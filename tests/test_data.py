@@ -208,16 +208,104 @@ def test_truncated_file_parse_error(tmp_path):
     assert err.value.line == 6
 
 
-def test_malformed_line_names_line(tmp_path):
+def _with_field(index, token):
+    def edit(line):
+        toks = line.split()
+        toks[index] = token
+        return " ".join(toks)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: "not a number at all",
+        lambda line: "",
+        _with_field(0, "#"),
+        _with_field(-1, "#"),
+        _with_field(-1, "2.0"),
+        _with_field(-1, "1e0"),
+        _with_field(-1, "9"),
+        lambda line: line + " 0",
+        # digit-group underscores are not part of the format
+        _with_field(0, "1_0"),
+    ],
+    ids=["words", "blank", "hash-coord", "hash-label", "label-2.0", "label-1e0",
+         "label-range", "extra-field", "underscore"],
+)
+def test_malformed_line_names_line(tmp_path, edit):
     scene = data.gen_scene(_spec())
     path = tmp_path / "scene.dgn"
     data.write_scene(str(path), scene)
     lines = path.read_text().splitlines()
-    lines[6] = "not a number at all"
+    lines[6] = edit(lines[6])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
         data.read_scene(str(path))
     assert err.value.line == 7
+
+
+def test_first_fault_wins_over_later_faults(tmp_path):
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    lines = path.read_text().splitlines()
+    lines[4] = _with_field(-1, "9")(lines[4])
+    lines[9] = "not a number at all"
+    path.write_text("\n".join(lines[:20]) + "\n")
+    with pytest.raises(ParseError, match="label 9 out of range") as err:
+        data.read_scene(str(path))
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "cut, edit, line_from_end",
+    [
+        (2, None, 1),                     # short trailer: first missing line
+        (0, lambda line: "5", 0),         # one field
+        (0, lambda line: "5 x", 0),       # malformed number
+        (0, lambda line: "", 0),          # blank line inside the trailer
+    ],
+    ids=["missing-lines", "one-field", "malformed", "blank"],
+)
+def test_sparse_trailer_fault_names_line(tmp_path, cut, edit, line_from_end):
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    lines = path.read_text().splitlines()
+    if edit is not None:
+        lines[-1] = edit(lines[-1])
+    kept = lines[: len(lines) - cut]
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ParseError) as err:
+        data.read_scene(str(path))
+    assert err.value.line == len(lines) - line_from_end
+
+
+def test_negative_sparse_count_parse_error(tmp_path):
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    lines = path.read_text().splitlines()
+    trailer = scene.num_points + 1
+    lines[trailer] = "sparse -1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        data.read_scene(str(path))
+    assert err.value.line == trailer + 1
+
+
+def test_crlf_file_parses(tmp_path):
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = data.read_scene(str(path))
+    np.testing.assert_array_equal(loaded.coords, scene.coords)
+    np.testing.assert_array_equal(loaded.extra_feats, scene.extra_feats)
+    np.testing.assert_array_equal(loaded.gt_labels, scene.gt_labels)
+    np.testing.assert_array_equal(loaded.sparse.indices, scene.sparse.indices)
 
 
 def test_negative_label_excluded_from_sparse(tmp_path):

@@ -119,6 +119,18 @@ def test_posterior_kappa_zero_equals_alphas_bitwise(rng):
     assert np.array_equal(q, np.tile(alphas, (11, 1)))
 
 
+def test_posterior_bitwise_equals_reference(rng):
+    # the one-buffer evaluation does the same float operations as this
+    # allocating form, so the results must agree bit for bit
+    alphas = np.array([0.1, 0.0, 0.3, 0.2, 0.15, 0.05, 0.12, 0.08])
+    theta = _theta(alphas, 10.0, random_unit_rows(rng, 8, 16))
+    V = random_unit_rows(rng, 500, 16)
+    with np.errstate(divide="ignore"):
+        scores = np.log(alphas)[None, :] + theta.kappa * (V @ theta.means.T)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    assert np.array_equal(movmf.posterior(V, theta), e / e.sum(axis=1, keepdims=True))
+
+
 def test_posterior_dimension_mismatch():
     theta = _theta([1.0], 1.0, [[1.0, 0.0]])
     with pytest.raises(DimensionMismatch):

@@ -145,6 +145,72 @@ def test_backward_stale_cache(rng):
 
 
 # ---------------------------------------------------------------------------
+# shared workspace against the allocating reference
+
+def _reference_forward(params, x):
+    """Forward pass with a fresh array for every intermediate."""
+    pre_acts = []
+    a = x
+    last = len(params.layer_weights) - 1
+    for i, (w, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+        z = a @ w.T + b
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0) if i < last else z
+    logits = a @ params.head_weights.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return pre_acts, a, logits, e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_backward(params, x, pre_acts, d_features, d_logits):
+    d_head = d_logits.T @ pre_acts[-1]
+    d_act = d_features + d_logits @ params.head_weights
+    num_layers = len(params.layer_weights)
+    d_weights, d_biases = [None] * num_layers, [None] * num_layers
+    for i in range(num_layers - 1, -1, -1):
+        dz = d_act if i == num_layers - 1 else d_act * (pre_acts[i] > 0)
+        below = x if i == 0 else np.maximum(pre_acts[i - 1], 0.0)
+        d_weights[i] = dz.T @ below
+        d_biases[i] = dz.sum(axis=0)
+        if i:
+            d_act = dz @ params.layer_weights[i]
+    return (*d_weights, *d_biases, d_head)
+
+
+def test_shared_workspace_matches_allocating_reference():
+    # batches shrink and grow, and two models of different widths share
+    # the buffers, so a stale row or a wrongly shaped view would show
+    models = [
+        network.init_params([7, 32, 32, 16], num_classes=8, seed=4),
+        network.init_params([7, 12, 5], num_classes=3, seed=5),
+    ]
+    ws = network.Workspace()
+    rng = np.random.default_rng(4)
+    for step, n in enumerate((50, 20, 80, 20, 0, 33)):
+        params = models[step % 2]
+        x = rng.standard_normal((n, params.input_dim))
+        d_feat = rng.standard_normal((n, params.feature_dim))
+        d_logit = rng.standard_normal((n, params.num_classes))
+        pre_acts, features, logits, probs = _reference_forward(params, x)
+        cache = network.forward(params, x, ws)
+        np.testing.assert_array_equal(cache.features, features)
+        np.testing.assert_array_equal(cache.logits, logits)
+        np.testing.assert_array_equal(cache.probs, probs)
+        grads = network.backward(params, cache, d_feat, d_logit, ws)
+        got = (*grads.layer_weights, *grads.layer_biases, grads.head_weights)
+        want = _reference_backward(params, x, pre_acts, d_feat, d_logit)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_backward_stale_cache_layer_count(rng):
+    deep = network.init_params([3, 4, 4], 2, seed=0)
+    shallow = network.init_params([3, 4], 2, seed=0)
+    cache = network.forward(deep, rng.standard_normal((5, 3)))
+    with pytest.raises(StaleCache):
+        network.backward(shallow, cache, np.zeros((5, 4)), np.zeros((5, 2)))
+
+
+# ---------------------------------------------------------------------------
 # sgd
 
 def test_sgd_zero_grads_no_change():
