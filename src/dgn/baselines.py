@@ -199,18 +199,6 @@ def _gmm_floored_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
     )
 
 
-def gmm_expected_objective(F: np.ndarray, Q: np.ndarray, params: GMMParams) -> float:
-    """Q-weighted expected complete-data log-likelihood of the isotropic GMM."""
-    F = np.asarray(F, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.shape != (F.shape[0], params.num_clusters):
-        raise DimensionMismatch(
-            f"posterior {Q.shape} != ({F.shape[0]}, {params.num_clusters})"
-        )
-    per_point = (Q * _gmm_floored_scores(F, params)).sum(axis=1)
-    return float(per_point.sum())
-
-
 def gmm_nll_loss(
     F: np.ndarray, Q: np.ndarray, params: GMMParams
 ) -> tuple[float, np.ndarray]:

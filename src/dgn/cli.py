@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     EmptyScene,
     InvalidBeta,
+    InvalidGrid,
     LengthMismatch,
     NonUnitInput,
     ParseError,
@@ -45,7 +47,7 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_DATA = 3
 
-_PARSE_ERRORS = (ParseError, InvalidBeta)
+_PARSE_ERRORS = (ParseError, InvalidBeta, InvalidGrid)
 _DATA_ERRORS = (
     DimensionMismatch,
     LengthMismatch,
@@ -60,29 +62,45 @@ CLUSTER_VARIANTS = ("soft", "hard", "gmm", "proto-euclid", "proto-cosine")
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    """Whitespace-separated floats, one row per line."""
-    rows = []
-    width = None
+    """Whitespace-separated floats, one row per line; blank lines are skipped.
+
+    The text is parsed with one ``np.loadtxt`` call. Only when that call
+    fails does a scan of the lines raise the ParseError of the first faulty
+    line: a malformed number, or a row whose width differs from the first
+    row's. Numbers are those ``np.loadtxt`` reads: unlike ``float()``, it
+    rejects digit-group underscores (``1_0``) and non-ASCII digits.
+    """
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            toks = stripped.split()
-            try:
-                row = [float(t) for t in toks]
-            except ValueError:
-                raise ParseError(str(path), line_no, "malformed number")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(
-                    str(path), line_no, f"expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on empty input: no lines, or only blank ones
+                warnings.simplefilter("ignore", UserWarning)
+                matrix = np.loadtxt(fh, comments=None, ndmin=2)
+        except ValueError:
+            fh.seek(0)
+            raise _matrix_fault(path, fh) from None
+    if not matrix.shape[0]:
         raise ParseError(str(path), 1, "empty matrix file")
-    return np.asarray(rows)
+    return matrix
+
+
+def _matrix_fault(path: str, lines) -> ParseError:
+    """The ParseError of the first faulty line of a rejected matrix file."""
+    width = None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = np.loadtxt([line], comments=None, ndmin=1)
+        except ValueError:
+            return ParseError(str(path), line_no, "malformed number")
+        if width is None:
+            width = row.size
+        elif row.size != width:
+            return ParseError(
+                str(path), line_no, f"expected {width} columns, got {row.size}"
+            )
+    return ParseError(str(path), 1, "malformed matrix")
 
 
 def _read_labels(path: str, n: int) -> np.ndarray:
@@ -108,6 +126,12 @@ def _write_lines(path: str, lines) -> None:
 
 def _fmt6(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _format_rows(matrix: np.ndarray) -> list[str]:
+    """One line per row of ``matrix``, each value as ``_fmt6`` prints it."""
+    row = " ".join(["%.6g"] * matrix.shape[1])
+    return [row % tuple(values) for values in matrix.tolist()]
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -189,11 +213,8 @@ def cmd_cluster(args) -> int:
         posterior = movmf.one_hot(assignment, k)
 
     prefix = args.out_prefix or args.input
-    _write_lines(prefix + ".assignments", [str(int(c)) for c in assignment])
-    _write_lines(
-        prefix + ".posteriors",
-        [" ".join(_fmt6(v) for v in row) for row in posterior],
-    )
+    _write_lines(prefix + ".assignments", map(str, assignment.tolist()))
+    _write_lines(prefix + ".posteriors", _format_rows(posterior))
     print(f"wrote {prefix}.assignments and {prefix}.posteriors")
     return EXIT_OK
 
@@ -261,9 +282,7 @@ def cmd_explain(args) -> int:
     scene = read_scene(args.scene)
     params, _ = network.load_checkpoint(args.checkpoint)
     posterior = trainer.explain(scene, params, cfg)
-    _write_lines(
-        args.out, [" ".join(_fmt6(v) for v in row) for row in posterior]
-    )
+    _write_lines(args.out, _format_rows(posterior))
     print(f"wrote per-point posteriors to {args.out}")
     return EXIT_OK
 

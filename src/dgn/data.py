@@ -243,19 +243,22 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> IoUReport:
     return IoUReport(per_class, present, float(np.mean(per_class[present])))
 
 
-def _fmt_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
 def write_scene(path: str, scene: SceneBatch) -> None:
-    """Write a scene in the dgn/1 text format, including the sparse trailer."""
-    lines = [f"dgn/1 {scene.num_points} {scene.extra_feats.shape[1]} {scene.num_classes}"]
-    for i in range(scene.num_points):
-        row = _fmt_floats(scene.coords[i]) + " " + _fmt_floats(scene.extra_feats[i])
-        lines.append(f"{row} {int(scene.gt_labels[i])}")
+    """Write a scene in the dgn/1 text format, including the sparse trailer.
+
+    Floats go through ``%r``, which is ``repr`` of the Python float, and
+    labels through ``%d`` (labels are exact in float64). The coordinates
+    and the extra features are joined by one space each side, so rows
+    without extra features carry two spaces before the label.
+    """
+    d_extra = scene.extra_feats.shape[1]
+    row = "%r %r %r " + " ".join(["%r"] * d_extra) + " %d"
+    table = np.hstack([scene.coords, scene.extra_feats, scene.gt_labels[:, None]])
+    lines = [f"dgn/1 {scene.num_points} {d_extra} {scene.num_classes}"]
+    lines += [row % tuple(values) for values in table.tolist()]
     lines.append(f"sparse {scene.sparse.size}")
-    for idx, cls in zip(scene.sparse.indices, scene.sparse.classes):
-        lines.append(f"{int(idx)} {int(cls)}")
+    pairs = zip(scene.sparse.indices.tolist(), scene.sparse.classes.tolist())
+    lines += ["%d %d" % pair for pair in pairs]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

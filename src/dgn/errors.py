@@ -41,6 +41,10 @@ class InvalidBeta(DgnError):
     """Truncation threshold outside (0, 1]."""
 
 
+class InvalidGrid(DgnError):
+    """An ablation grid names a key that cannot be swept."""
+
+
 class SingleCluster(DgnError):
     """An operation requiring >= 2 clusters got fewer."""
 

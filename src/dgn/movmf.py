@@ -1,9 +1,10 @@
 """Mixtures of von Mises-Fisher distributions on the unit hypersphere.
 
-Provides the density, posterior (soft assignment), the expected
-complete-data objective, soft/hard EM fitting with shared concentration,
-and a rejection sampler used by synthetic-data oracles. All computation
-is float64 and log-space where overflow is possible.
+Provides the posterior (soft assignment), the expected complete-data
+objective and soft/hard EM fitting with a shared concentration kappa.
+Under a shared kappa the normalising constant C_d(kappa) cancels in the
+posterior and only shifts the objectives, so it is never computed. All
+computation is float64 and log-space where overflow is possible.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ive
 
 from .errors import (
     DegenerateRow,
@@ -54,7 +54,6 @@ class MoVMFParams:
     alphas: np.ndarray          # (k,) nonnegative, sums to 1
     kappa: float                # shared concentration, >= 0
     means: np.ndarray           # (k, d) unit rows
-    log_norm_const: float | None = None  # log C_d(kappa) when computed
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -109,53 +108,6 @@ class EMResult:
     iterations: int
     converged: bool
     degenerate: tuple[int, ...] = field(default_factory=tuple)
-
-
-def log_norm_const(kappa: float, dim: int) -> float:
-    """log C_d(kappa) for the vMF density on the (dim-1)-sphere.
-
-    Uses the exponentially scaled Bessel function so large kappa does not
-    overflow; kappa = 0 falls back to the closed-form uniform density
-    (reciprocal surface area).
-    """
-    if dim < 2:
-        raise DimensionMismatch("vMF requires dim >= 2")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    half = dim / 2.0
-    if kappa <= ZERO_NORM:
-        return float(-np.log(2.0) - half * np.log(np.pi) + gammaln(half))
-    nu = half - 1.0
-    # log I_nu(k) = log(ive(nu, k)) + k
-    log_bessel = float(np.log(ive(nu, kappa)) + kappa)
-    return float(nu * np.log(kappa) - half * np.log(2.0 * np.pi) - log_bessel)
-
-
-def vmf_log_density(
-    v: np.ndarray,
-    u: np.ndarray,
-    kappa: float,
-    include_const: bool = False,
-) -> float:
-    """Log of the vMF density kernel at ``v`` with mean direction ``u``.
-
-    Returns kappa * dot(u, v), plus log C_d(kappa) when ``include_const``
-    is set; without the constant the value is exact up to a term that does
-    not depend on v or u.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if v.shape != u.shape or v.ndim != 1:
-        raise DimensionMismatch(f"v {v.shape} vs u {u.shape}")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    for name, vec in (("v", v), ("u", u)):
-        if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_ATOL:
-            raise NonUnitInput(f"{name} has norm {np.linalg.norm(vec)!r}")
-    out = kappa * float(u @ v)
-    if include_const:
-        out += log_norm_const(kappa, v.shape[0])
-    return out
 
 
 def _check_dims(V: np.ndarray, theta: MoVMFParams) -> None:
@@ -350,61 +302,3 @@ def incomplete_log_likelihood(V: np.ndarray, theta: MoVMFParams) -> float:
         scores = np.log(theta.alphas)[None, :] + theta.kappa * (V @ theta.means.T)
     m = scores.max(axis=1, keepdims=True)
     return float((m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))).sum())
-
-
-def sample_vmf(u: np.ndarray, kappa: float, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. unit vectors from vMF(u, kappa), deterministically per seed.
-
-    Uses the standard rejection scheme for the cosine under the
-    tangent-normal decomposition (Wood 1994), a uniform draw on the
-    orthogonal subsphere, and a Householder rotation onto ``u``.
-    kappa = 0 reduces to the uniform distribution on the sphere.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.shape[0] < 2:
-        raise DimensionMismatch("mean direction must be a d-vector with d >= 2")
-    if abs(float(np.linalg.norm(u)) - 1.0) > UNIT_ATOL:
-        raise NonUnitInput(f"u has norm {np.linalg.norm(u)!r}")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    d = u.shape[0]
-    rng = np.random.default_rng(seed)
-    if kappa == 0.0:
-        x = rng.standard_normal((n, d))
-        return normalize_rows(x)
-
-    dim = d - 1
-    b = dim / (2.0 * kappa + np.sqrt(4.0 * kappa**2 + dim**2))
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + dim * np.log(1.0 - x0**2)
-
-    cosines = np.empty(n)
-    filled = 0
-    while filled < n:
-        todo = n - filled
-        z = rng.beta(dim / 2.0, dim / 2.0, size=todo)
-        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        accept = kappa * w + dim * np.log1p(-x0 * w) - c >= np.log(
-            rng.uniform(size=todo)
-        )
-        taken = w[accept]
-        cosines[filled : filled + taken.size] = taken
-        filled += taken.size
-
-    tangent = rng.standard_normal((n, dim))
-    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
-    sines = np.sqrt(np.maximum(1.0 - cosines**2, 0.0))
-    samples = np.concatenate([cosines[:, None], sines[:, None] * tangent], axis=1)
-
-    # Householder reflection mapping e1 onto u.
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    axis = e1 - u
-    norm = np.linalg.norm(axis)
-    if norm > ZERO_NORM:
-        axis /= norm
-        samples = samples - 2.0 * np.outer(samples @ axis, axis)
-    return samples

@@ -20,7 +20,7 @@ import numpy as np
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
 from .data import SceneBatch, SparseLabels, miou, sample_sparse_labels, with_sparse
-from .errors import DegenerateCluster, DimensionMismatch
+from .errors import DegenerateCluster, DimensionMismatch, InvalidGrid
 
 EM_VARIANTS = ("soft", "hard")
 DIS_GRAD_MODES = ("through_means", "frozen_means")
@@ -363,9 +363,18 @@ def explain(scene: SceneBatch, params: network.ModelParams, cfg: TrainConfig) ->
 
 def ablate(dataset, base_cfg: TrainConfig, grid: dict, seeds=None) -> list[AblationRow]:
     """Run ``fit`` over the cartesian product of the grid, once per seed,
-    and report mean/stderr of the final validation mIoU per cell."""
+    and report mean/stderr of the final validation mIoU per cell.
+
+    Raises InvalidGrid for a ``seed`` key (seeds are swept with ``seeds=``)
+    and for keys that are not TrainConfig fields.
+    """
     if not grid:
         raise ValueError("grid must be non-empty")
+    if "seed" in grid:
+        raise InvalidGrid("seeds are swept with seeds=, not a 'seed' grid key")
+    unknown = sorted(set(grid) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise InvalidGrid(f"unknown config key {unknown[0]!r}")
     if base_cfg.epochs < 1:
         raise ValueError("ablation needs at least one epoch")
     seeds = [base_cfg.seed] if seeds is None else list(seeds)

@@ -10,6 +10,19 @@ from dgn.errors import DimensionMismatch
 from dgn.movmf import EMConfig
 
 
+def gmm_expected_objective(F, Q, params):
+    """Q-weighted expected complete-data log-likelihood of the isotropic GMM
+    (test oracle for the M step)."""
+    F = np.asarray(F, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.shape != (F.shape[0], params.num_clusters):
+        raise DimensionMismatch(
+            f"posterior {Q.shape} != ({F.shape[0]}, {params.num_clusters})"
+        )
+    per_point = (Q * baselines._gmm_floored_scores(F, params)).sum(axis=1)
+    return float(per_point.sum())
+
+
 # ---------------------------------------------------------------------------
 # prototype assignment
 
@@ -156,8 +169,8 @@ def test_gmm_m_step_improves_expected_objective(seed):
     before = baselines.gmm_em(F, init, EMConfig(1, 0.0, 0.0))
     q = baselines.gmm_posterior(F, before.params)
     after = baselines.gmm_em(F, init, EMConfig(2, 0.0, 0.0))
-    assert baselines.gmm_expected_objective(F, q, after.params) >= (
-        baselines.gmm_expected_objective(F, q, before.params) - 1e-9
+    assert gmm_expected_objective(F, q, after.params) >= (
+        gmm_expected_objective(F, q, before.params) - 1e-9
     )
 
 

@@ -1,4 +1,15 @@
-from dgn import cli, data
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dgn
+from dgn import cli, data, movmf, network, trainer
+from dgn.errors import ParseError
 
 
 def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
@@ -13,3 +24,208 @@ def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
     assert "--seeds" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_import_does_not_load_scipy():
+    # every dgn command pays for what `import dgn.cli` loads
+    src = os.path.dirname(os.path.dirname(dgn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, dgn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# writers: each output equals the bytes of the per-value writers they replaced
+
+def _old_format_rows(matrix):
+    return [" ".join(f"{v:.6g}" for v in row) for row in matrix]
+
+
+def _old_lines(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(st.floats(), min_size=k, max_size=k), max_size=8)
+    .map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, k))
+))
+def test_format_rows_equals_per_value_format(matrix):
+    assert cli._format_rows(matrix) == _old_format_rows(matrix)
+
+
+def test_format_rows_special_values():
+    matrix = np.array([
+        [np.nan, np.inf, -np.inf, -0.0, 0.0],
+        [1e-300, 5e-324, 1.7976931348623157e308, 0.1234565, 123456789.0],
+    ])
+    assert cli._format_rows(matrix) == _old_format_rows(matrix)
+    assert cli._format_rows(matrix)[0] == "nan inf -inf -0 0"
+
+
+def test_cluster_outputs_equal_per_value_writers(tmp_path):
+    scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=4))
+    X = scene.network_input()
+    path = tmp_path / "matrix.txt"
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in X.tolist()))
+    code = cli.main(["cluster", str(path), "--classes", "3", "--seed", "2",
+                     "--out-prefix", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+
+    V = movmf.normalize_rows(X)
+    init = cli._cluster_init_means(V, 3, 2, None)
+    result = movmf.soft_movmf_em(V, init, movmf.EMConfig(10, 1e-6, 10.0))
+    assignments = [str(int(c)) for c in result.assignment]
+    assert (tmp_path / "out.assignments").read_bytes() == _old_lines(assignments)
+    posteriors = _old_format_rows(result.posterior)
+    assert (tmp_path / "out.posteriors").read_bytes() == _old_lines(posteriors)
+
+
+def test_explain_output_equals_per_value_writer(tmp_path):
+    scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=6))
+    scene_path = str(tmp_path / "scene.dgn")
+    data.write_scene(scene_path, scene)
+    params = network.init_params([7, 8, 4], 3, seed=1)
+    ckpt = str(tmp_path / "model.ckpt")
+    network.save_checkpoint(ckpt, params)
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", scene_path, "--checkpoint", ckpt,
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+
+    posterior = trainer.explain(data.read_scene(scene_path), params, trainer.TrainConfig())
+    assert out.read_bytes() == _old_lines(_old_format_rows(posterior))
+
+
+# ---------------------------------------------------------------------------
+# _read_matrix: the contract of the per-line float() loop it replaced
+
+def _old_read_matrix(path):
+    rows = []
+    width = None
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            toks = stripped.split()
+            try:
+                row = [float(t) for t in toks]
+            except ValueError:
+                raise ParseError(str(path), line_no, "malformed number")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(
+                    str(path), line_no, f"expected {width} columns, got {len(row)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise ParseError(str(path), 1, "empty matrix file")
+    return np.asarray(rows)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1 2\n3 x\n", 2),
+        ("1 2\n3 4\n5\n", 3),
+        ("1 2\n\n3 4 5\n", 3),
+        ("1 2\n3 # 4\n", 2),
+        ("1 2 x\n3\n", 1),         # a malformed number is named before the width
+        ("", 1),
+        ("\n  \n\t\n", 1),
+    ],
+    ids=["malformed", "ragged", "ragged-after-blank", "hash", "malformed-first",
+         "empty", "blank-only"],
+)
+def test_read_matrix_parse_error_equals_old_loop(tmp_path, text, line):
+    path = str(tmp_path / "m.txt")
+    _write(path, text)
+    with pytest.raises(ParseError) as err:
+        cli._read_matrix(path)
+    assert err.value.line == line
+    assert str(err.value) == _outcome(_old_read_matrix, path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\n1 2\n\n  \n3 4\n\n", "1 2\r\n3 4\r\n", "1 2\r3 4\r", "1\n2\n", "1 2 3"],
+    ids=["blank-lines", "crlf", "cr", "one-column", "no-final-newline"],
+)
+def test_read_matrix_accepts_what_old_loop_accepted(tmp_path, text):
+    path = str(tmp_path / "m.txt")
+    _write(path, text)
+    got = cli._read_matrix(path)
+    assert got.dtype == np.float64 and got.ndim == 2
+    np.testing.assert_array_equal(got, _old_read_matrix(path))
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"],
+                         ids=["underscore", "arabic-indic-digit", "fullwidth-digit"])
+def test_read_matrix_rejects_what_loadtxt_cannot_read(tmp_path, token):
+    # float() accepts these; the format does not
+    path = str(tmp_path / "m.txt")
+    _write(path, f"1 2\n3 {token}\n")
+    with pytest.raises(ParseError, match="malformed number") as err:
+        cli._read_matrix(path)
+    assert err.value.line == 2
+
+
+# repr writes every NaN as "nan", which reads back as the canonical NaN
+_FLOATS = st.floats(allow_nan=False) | st.just(float("nan"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(_FLOATS, min_size=k, max_size=k), min_size=1, max_size=8)
+))
+def test_read_matrix_round_trips_repr(tmp_path_factory, rows):
+    path = str(tmp_path_factory.mktemp("m") / "m.txt")
+    _write(path, "".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    got = cli._read_matrix(path)
+    want = np.array(rows, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_PIECES = st.sampled_from([
+    "1", "-0.5", "1e3", "nan", "-inf", "+2.", ".5", "1e", "0x1", "#", "_", "1_0",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028",
+    "\xa0", "\x00", "\u0663", "x", ",",
+])
+
+
+def _is_digit_off_ascii(ch):
+    return ch.isdecimal() and not ch.isascii()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_PIECES, st.text(max_size=2)), max_size=24).map("".join))
+def test_read_matrix_arbitrary_text_matches_old_loop(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("m") / "m.txt")
+    _write(path, text)
+    new = _outcome(cli._read_matrix, path)     # anything but ParseError escapes
+    old = _outcome(_old_read_matrix, path)
+    if isinstance(new, np.ndarray):
+        assert isinstance(old, np.ndarray)
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+    elif "_" in text or any(_is_digit_off_ascii(ch) for ch in text):
+        pass  # float() reads these numbers, loadtxt does not
+    else:
+        assert new == old

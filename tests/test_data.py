@@ -197,6 +197,51 @@ def test_roundtrip_100_random_scenes(tmp_path):
         assert loaded.num_classes == scene.num_classes
 
 
+def _old_write_scene(path, scene):
+    # the per-row writer write_scene replaced: its bytes are the format's
+    lines = [f"dgn/1 {scene.num_points} {scene.extra_feats.shape[1]} {scene.num_classes}"]
+    for i in range(scene.num_points):
+        row = " ".join(repr(float(v)) for v in scene.coords[i])
+        row += " " + " ".join(repr(float(v)) for v in scene.extra_feats[i])
+        lines.append(f"{row} {int(scene.gt_labels[i])}")
+    lines.append(f"sparse {scene.sparse.size}")
+    for idx, cls in zip(scene.sparse.indices, scene.sparse.classes):
+        lines.append(f"{int(idx)} {int(cls)}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _assert_same_bytes_as_old_writer(tmp_path, scene):
+    new, old = tmp_path / "new.dgn", tmp_path / "old.dgn"
+    data.write_scene(str(new), scene)
+    _old_write_scene(str(old), scene)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("d_extra", [0, 4])
+@pytest.mark.parametrize("sparse", ["all", "some", "none"])
+def test_write_scene_equals_per_row_writer(tmp_path, d_extra, sparse):
+    values = [0.0, -0.0, 1e-300, -5e-324, 1.7976931348623157e308, -1e308, 0.1, 1 / 3,
+              2.0**52 + 1, -123456.789, 3.0, 7e22]
+    n = 9
+    rng = np.random.default_rng(d_extra)
+    coords = rng.choice(values, size=(n, 3))
+    feats = rng.choice(values, size=(n, d_extra))
+    labels = np.array([0, 1, -1, 2, 2, -1, 0, 1, 2])
+    labeled = np.flatnonzero(labels >= 0)
+    indices = {"all": labeled, "some": labeled[::2], "none": labeled[:0]}[sparse]
+    scene = data.SceneBatch(
+        coords, feats, labels, data.SparseLabels(indices, labels[indices]), 3
+    )
+    _assert_same_bytes_as_old_writer(tmp_path, scene)
+
+
+def test_write_scene_random_scenes_equal_per_row_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        _assert_same_bytes_as_old_writer(tmp_path, _random_scene(rng))
+
+
 def test_truncated_file_parse_error(tmp_path):
     scene = data.gen_scene(_spec())
     path = tmp_path / "scene.dgn"

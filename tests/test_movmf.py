@@ -5,10 +5,121 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, ive
 
 from conftest import perturb_direction, random_unit_rows
 from dgn import movmf
 from dgn.errors import DimensionMismatch, NonUnitInput, ZeroVectorRow
+
+
+# ---------------------------------------------------------------------------
+# test oracles: the vMF density with its normalising constant, and a sampler.
+# dgn never needs either: with a shared kappa the constant cancels in the
+# posterior, and synthetic data comes from data.gen_scene.
+
+def log_norm_const(kappa: float, dim: int) -> float:
+    """log C_d(kappa) for the vMF density on the (dim-1)-sphere.
+
+    Uses the exponentially scaled Bessel function so large kappa does not
+    overflow; kappa = 0 falls back to the closed-form uniform density
+    (reciprocal surface area).
+    """
+    if dim < 2:
+        raise DimensionMismatch("vMF requires dim >= 2")
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    half = dim / 2.0
+    if kappa <= movmf.ZERO_NORM:
+        return float(-np.log(2.0) - half * np.log(np.pi) + gammaln(half))
+    nu = half - 1.0
+    # log I_nu(k) = log(ive(nu, k)) + k
+    log_bessel = float(np.log(ive(nu, kappa)) + kappa)
+    return float(nu * np.log(kappa) - half * np.log(2.0 * np.pi) - log_bessel)
+
+
+def vmf_log_density(
+    v: np.ndarray,
+    u: np.ndarray,
+    kappa: float,
+    include_const: bool = False,
+) -> float:
+    """Log of the vMF density kernel at ``v`` with mean direction ``u``.
+
+    Returns kappa * dot(u, v), plus log C_d(kappa) when ``include_const``
+    is set; without the constant the value is exact up to a term that does
+    not depend on v or u.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if v.shape != u.shape or v.ndim != 1:
+        raise DimensionMismatch(f"v {v.shape} vs u {u.shape}")
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    for name, vec in (("v", v), ("u", u)):
+        if abs(float(np.linalg.norm(vec)) - 1.0) > movmf.UNIT_ATOL:
+            raise NonUnitInput(f"{name} has norm {np.linalg.norm(vec)!r}")
+    out = kappa * float(u @ v)
+    if include_const:
+        out += log_norm_const(kappa, v.shape[0])
+    return out
+
+
+def sample_vmf(u: np.ndarray, kappa: float, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. unit vectors from vMF(u, kappa), deterministically per seed.
+
+    Uses the standard rejection scheme for the cosine under the
+    tangent-normal decomposition (Wood 1994), a uniform draw on the
+    orthogonal subsphere, and a Householder rotation onto ``u``.
+    kappa = 0 reduces to the uniform distribution on the sphere.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1 or u.shape[0] < 2:
+        raise DimensionMismatch("mean direction must be a d-vector with d >= 2")
+    if abs(float(np.linalg.norm(u)) - 1.0) > movmf.UNIT_ATOL:
+        raise NonUnitInput(f"u has norm {np.linalg.norm(u)!r}")
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+    d = u.shape[0]
+    rng = np.random.default_rng(seed)
+    if kappa == 0.0:
+        x = rng.standard_normal((n, d))
+        return movmf.normalize_rows(x)
+
+    dim = d - 1
+    b = dim / (2.0 * kappa + np.sqrt(4.0 * kappa**2 + dim**2))
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + dim * np.log(1.0 - x0**2)
+
+    cosines = np.empty(n)
+    filled = 0
+    while filled < n:
+        todo = n - filled
+        z = rng.beta(dim / 2.0, dim / 2.0, size=todo)
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        accept = kappa * w + dim * np.log1p(-x0 * w) - c >= np.log(
+            rng.uniform(size=todo)
+        )
+        taken = w[accept]
+        cosines[filled : filled + taken.size] = taken
+        filled += taken.size
+
+    tangent = rng.standard_normal((n, dim))
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    sines = np.sqrt(np.maximum(1.0 - cosines**2, 0.0))
+    samples = np.concatenate([cosines[:, None], sines[:, None] * tangent], axis=1)
+
+    # Householder reflection mapping e1 onto u.
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    axis = e1 - u
+    norm = np.linalg.norm(axis)
+    if norm > movmf.ZERO_NORM:
+        axis /= norm
+        samples = samples - 2.0 * np.outer(samples @ axis, axis)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -41,28 +152,28 @@ def test_normalize_reports_first_bad_row():
 
 def test_log_density_aligned():
     u = np.array([1.0, 0.0, 0.0])
-    assert movmf.vmf_log_density(u, u, 10.0) == pytest.approx(10.0, abs=1e-12)
+    assert vmf_log_density(u, u, 10.0) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_log_density_orthogonal():
     v = np.array([0.0, 1.0, 0.0])
     u = np.array([1.0, 0.0, 0.0])
-    assert movmf.vmf_log_density(v, u, 10.0) == pytest.approx(0.0, abs=1e-12)
+    assert vmf_log_density(v, u, 10.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_density_rejects_off_sphere():
     u = np.array([1.0, 0.0, 0.0])
     with pytest.raises(NonUnitInput):
-        movmf.vmf_log_density(1.001 * u, u, 1.0)
+        vmf_log_density(1.001 * u, u, 1.0)
     with pytest.raises(NonUnitInput):
-        movmf.vmf_log_density(u, 0.99 * u, 1.0)
+        vmf_log_density(u, 0.99 * u, 1.0)
 
 
 def test_log_density_with_constant_integrates_to_one_on_2sphere():
     # independent oracle: quadrature of the density over S^2 must give 1
     u = np.array([1.0, 0.0, 0.0])
     kappa = 1.0
-    log_c = movmf.vmf_log_density(u, u, kappa, include_const=True) - kappa
+    log_c = vmf_log_density(u, u, kappa, include_const=True) - kappa
 
     def integrand(theta):
         return math.exp(log_c + kappa * math.cos(theta)) * 2.0 * math.pi * math.sin(theta)
@@ -76,7 +187,7 @@ def test_log_density_with_constant_integrates_to_one_on_2sphere():
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 10.0, 200.0])
 def test_log_norm_const_continuous_and_finite(d, kappa):
-    value = movmf.log_norm_const(kappa, d)
+    value = log_norm_const(kappa, d)
     assert np.isfinite(value)
     if kappa == 0.0:
         # reciprocal surface area of the unit sphere
@@ -85,8 +196,8 @@ def test_log_norm_const_continuous_and_finite(d, kappa):
 
 
 def test_log_norm_const_small_kappa_limit():
-    assert movmf.log_norm_const(1e-9, 4) == pytest.approx(
-        movmf.log_norm_const(0.0, 4), abs=1e-6
+    assert log_norm_const(1e-9, 4) == pytest.approx(
+        log_norm_const(0.0, 4), abs=1e-6
     )
 
 
@@ -215,8 +326,8 @@ def test_soft_em_recovers_two_orthogonal_components(rng):
     u0 = np.zeros(6); u0[0] = 1.0
     u1 = np.zeros(6); u1[1] = 1.0
     V = np.vstack([
-        movmf.sample_vmf(u0, 50.0, 200, seed=11),
-        movmf.sample_vmf(u1, 50.0, 200, seed=12),
+        sample_vmf(u0, 50.0, 200, seed=11),
+        sample_vmf(u1, 50.0, 200, seed=12),
     ])
     init = np.vstack([
         perturb_direction(rng, u0, 0.15),
@@ -260,8 +371,8 @@ def test_hard_em_matches_soft_on_separable_data(rng):
     u0 = np.array([1.0, 0.0, 0.0])
     u1 = np.array([0.0, 0.0, 1.0])
     V = np.vstack([
-        movmf.sample_vmf(u0, 80.0, 150, seed=3),
-        movmf.sample_vmf(u1, 80.0, 150, seed=4),
+        sample_vmf(u0, 80.0, 150, seed=3),
+        sample_vmf(u1, 80.0, 150, seed=4),
     ])
     init = np.vstack([perturb_direction(rng, u0, 0.1), perturb_direction(rng, u1, 0.1)])
     cfg = movmf.EMConfig(30, 1e-10, 40.0)
@@ -283,7 +394,7 @@ def test_hard_em_tie_breaks_to_lower_index():
 
 
 def test_hard_em_empty_cluster_flagged(rng):
-    V = movmf.sample_vmf(np.array([1.0, 0.0, 0.0]), 100.0, 50, seed=5)
+    V = sample_vmf(np.array([1.0, 0.0, 0.0]), 100.0, 50, seed=5)
     init = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     res = movmf.hard_movmf_em(V, init, movmf.EMConfig(5, 1e-10, 50.0))
     assert 1 in res.degenerate
@@ -365,14 +476,14 @@ def test_cross_iteration_objective_sequence_is_monotone():
 # sampler
 
 def test_sampler_uniform_at_kappa_zero():
-    X = movmf.sample_vmf(np.array([0.0, 0.0, 1.0]), 0.0, 10000, seed=7)
+    X = sample_vmf(np.array([0.0, 0.0, 1.0]), 0.0, 10000, seed=7)
     np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
     assert np.linalg.norm(X.mean(axis=0)) < 0.1
 
 
 def test_sampler_concentrates_at_large_kappa():
     u = np.array([0.0, 1.0, 0.0, 0.0])
-    X = movmf.sample_vmf(u, 200.0, 1000, seed=8)
+    X = sample_vmf(u, 200.0, 1000, seed=8)
     mean = X.mean(axis=0)
     mean /= np.linalg.norm(mean)
     assert 1.0 - mean @ u < 0.02
@@ -380,12 +491,12 @@ def test_sampler_concentrates_at_large_kappa():
 
 def test_sampler_deterministic():
     u = np.array([0.6, 0.8])
-    a = movmf.sample_vmf(u, 25.0, 64, seed=123)
-    b = movmf.sample_vmf(u, 25.0, 64, seed=123)
+    a = sample_vmf(u, 25.0, 64, seed=123)
+    b = sample_vmf(u, 25.0, 64, seed=123)
     np.testing.assert_array_equal(a, b)
 
 
 def test_sampler_2d_supported():
-    X = movmf.sample_vmf(np.array([1.0, 0.0]), 30.0, 500, seed=9)
+    X = sample_vmf(np.array([1.0, 0.0]), 30.0, 500, seed=9)
     np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
     assert X[:, 0].mean() > 0.9

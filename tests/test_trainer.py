@@ -3,6 +3,7 @@ import pytest
 
 from dgn import data, network, trainer
 from dgn import bank as bank_mod
+from dgn.errors import InvalidGrid
 
 
 def _scenes(count=5):
@@ -74,3 +75,13 @@ def test_predict_workspace_is_bitwise_neutral():
             trainer.predict(params, scene), trainer.predict(params, scene, ws)
         )
 
+
+
+@pytest.mark.parametrize(
+    "grid, match",
+    [({"seed": [1, 2]}, "seeds="), ({"kappa": [1.0], "no_such_key": [1]}, "no_such_key")],
+    ids=["seed", "unknown-key"],
+)
+def test_ablate_rejects_grid_keys_it_cannot_sweep(grid, match):
+    with pytest.raises(InvalidGrid, match=match):
+        trainer.ablate(_scenes(count=2), _cfg(epochs=1), grid, seeds=[1])
