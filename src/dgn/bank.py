@@ -110,6 +110,22 @@ def init_centers(
     return InitCenters(centers, tuple(provenance))
 
 
+def euclidean_init_means(
+    F: np.ndarray, V: np.ndarray, labels: SparseLabels, bank: MemoryBank, seed: int = 0
+) -> np.ndarray:
+    """Euclidean analogue of ``init_centers`` for the raw features F with
+    unit rows V: the labeled raw mean where a class has labels, else its
+    ``init_centers`` direction scaled to the mean row norm of F."""
+    F = np.asarray(F, dtype=np.float64)
+    means = init_centers(V, labels, bank, seed=seed).centers
+    means *= float(np.mean(np.linalg.norm(F, axis=1)))
+    for c in range(bank.num_classes):
+        mask = labels.classes == c
+        if np.any(mask):
+            means[c] = F[labels.indices[mask]].mean(axis=0)
+    return means
+
+
 def update_bank(
     bank: MemoryBank, means: np.ndarray, present_classes
 ) -> MemoryBank:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import EMConfig, normalize_rows
+from .movmf import EMConfig, _softmax_rows, normalize_rows
 
 VARIANCE_FLOOR = 1e-6
 WEIGHT_FLOOR = 1e-12
@@ -93,29 +93,45 @@ def prototype_assign(F: np.ndarray, protos: PrototypeSet) -> np.ndarray:
     return np.argmin(dists, axis=1)
 
 
-def _gmm_log_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
-    d = F.shape[1]
-    sq = (
-        np.einsum("nd,nd->n", F, F)[:, None]
-        - 2.0 * F @ params.means.T
-        + np.einsum("kd,kd->k", params.means, params.means)[None, :]
-    )
-    with np.errstate(divide="ignore"):
-        log_w = np.log(params.weights)[None, :]
+def _sq_dists(F: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every row of F to every mean, (n, k)."""
     return (
-        log_w
+        np.einsum("nd,nd->n", F, F)[:, None]
+        - 2.0 * F @ means.T
+        + np.einsum("kd,kd->k", means, means)[None, :]
+    )
+
+
+def _gmm_log_scores(sq: np.ndarray, log_w: np.ndarray, params: GMMParams) -> np.ndarray:
+    # the one GMM score path: log weight + log isotropic density, from the
+    # squared distances to the means
+    d = params.means.shape[1]
+    return (
+        log_w[None, :]
         - 0.5 * d * np.log(2.0 * np.pi * params.variances)[None, :]
         - 0.5 * sq / params.variances[None, :]
     )
 
 
-def gmm_posterior(F: np.ndarray, params: GMMParams) -> np.ndarray:
-    """Log-space responsibilities with per-row max subtraction."""
-    scores = _gmm_log_scores(np.asarray(F, dtype=np.float64), params)
-    scores -= scores.max(axis=1, keepdims=True)
-    q = np.exp(scores)
-    q /= q.sum(axis=1, keepdims=True)
-    return q
+def _gmm_floored_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
+    # weight log floored at 1e-12 so one-hot Q at a dead component stays finite
+    log_w = np.log(np.maximum(params.weights, WEIGHT_FLOOR))
+    return _gmm_log_scores(_sq_dists(F, params.means), log_w, params)
+
+
+def gmm_posterior(
+    F: np.ndarray, params: GMMParams, sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Log-space responsibilities with per-row max subtraction.
+
+    ``sq`` holds the squared distances of F to ``params.means`` when the
+    caller already has them.
+    """
+    if sq is None:
+        sq = _sq_dists(np.asarray(F, dtype=np.float64), params.means)
+    with np.errstate(divide="ignore"):
+        scores = _gmm_log_scores(sq, np.log(params.weights), params)
+    return _softmax_rows(scores, out=scores)
 
 
 def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
@@ -155,8 +171,9 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
     degenerate: set[int] = set()
     iterations = 0
     converged = False
+    sq = _sq_dists(F, init_means)
     for _ in range(cfg.max_iters):
-        q = gmm_posterior(F, params)
+        q = gmm_posterior(F, params, sq)
         mass = q.sum(axis=0)
         dead = mass <= 1e-12
         degenerate.update(int(c) for c in np.flatnonzero(dead))
@@ -166,9 +183,8 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
         variances = params.variances.copy()
         alive = ~dead
         means[alive] = (q.T @ F)[alive] / mass[alive, None]
-        sq = np.einsum("nd,nd->n", F, F)[:, None] - 2.0 * F @ means.T + np.einsum(
-            "kd,kd->k", means, means
-        )[None, :]
+        # the next E step scores against these means, so it reuses sq
+        sq = _sq_dists(F, means)
         variances[alive] = np.maximum(
             (q * sq).sum(axis=0)[alive] / (d * mass[alive]), VARIANCE_FLOOR
         )
@@ -179,24 +195,9 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
             converged = True
             break
 
-    q = gmm_posterior(F, params)
+    q = gmm_posterior(F, params, sq)
     labels = np.argmax(q, axis=1)
     return GMMResult(q, labels, params, iterations, converged, tuple(sorted(degenerate)))
-
-
-def _gmm_floored_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
-    # weight log floored at 1e-12 so one-hot Q at a dead component stays finite
-    d = F.shape[1]
-    sq = (
-        np.einsum("nd,nd->n", F, F)[:, None]
-        - 2.0 * F @ params.means.T
-        + np.einsum("kd,kd->k", params.means, params.means)[None, :]
-    )
-    return (
-        np.log(np.maximum(params.weights, WEIGHT_FLOOR))[None, :]
-        - 0.5 * d * np.log(2.0 * np.pi * params.variances)[None, :]
-        - 0.5 * sq / params.variances[None, :]
-    )
 
 
 def gmm_nll_loss(

@@ -151,17 +151,6 @@ def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
-def _cluster_init_means(
-    X_unit: np.ndarray, k: int, seed: int, labels: np.ndarray | None
-) -> np.ndarray:
-    if labels is None:
-        return movmf.normalize_rows(_kmeanspp_init(X_unit, k, seed))
-    keep = labels >= 0
-    sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
-    fresh = bank_mod.empty_bank(k, X_unit.shape[1], 0.9)
-    return bank_mod.init_centers(X_unit, sparse, fresh, seed=seed).centers
-
-
 def cmd_cluster(args) -> int:
     X = _read_matrix(args.input)
     k = args.classes
@@ -172,45 +161,34 @@ def cmd_cluster(args) -> int:
         raise DimensionMismatch("label file contains classes >= --classes")
     cfg = movmf.EMConfig(max_iters=args.iters, tol=args.tol, kappa=args.kappa)
 
-    if args.variant in ("soft", "hard"):
-        V = movmf.normalize_rows(X)
-        init = _cluster_init_means(V, k, args.seed, labels)
-        run = movmf.soft_movmf_em if args.variant == "soft" else movmf.hard_movmf_em
-        result = run(V, init, cfg)
-        assignment, posterior = result.assignment, result.posterior
-    elif args.variant == "gmm":
-        if labels is None:
-            init = _kmeanspp_init(X, k, args.seed)
-        else:
-            V = movmf.normalize_rows(X)
-            dirs = _cluster_init_means(V, k, args.seed, labels)
-            init = dirs * float(np.mean(np.linalg.norm(X, axis=1)))
-            for c in range(k):
-                mask = labels == c
-                if np.any(mask):
-                    init[c] = X[mask].mean(axis=0)
-        result = baselines.gmm_em(X, init, cfg)
-        assignment, posterior = result.assignment, result.posterior
+    # init: k-means++ seeding without labels, labeled means with them; the
+    # Euclidean variants work on the raw rows, the others on unit rows
+    euclidean = args.variant in ("gmm", "proto-euclid")
+    V = None if euclidean and labels is None else movmf.normalize_rows(X)
+    if labels is None and euclidean:
+        init = _kmeanspp_init(X, k, args.seed)
+    elif labels is None:
+        init = movmf.normalize_rows(_kmeanspp_init(V, k, args.seed))
     else:
-        metric = "euclidean" if args.variant == "proto-euclid" else "cosine"
-        if metric == "cosine":
-            space = movmf.normalize_rows(X)
-            protos = _cluster_init_means(space, k, args.seed, labels)
+        keep = labels >= 0
+        sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
+        fresh = bank_mod.empty_bank(k, X.shape[1], 0.9)
+        if euclidean:
+            init = bank_mod.euclidean_init_means(X, V, sparse, fresh, seed=args.seed)
         else:
-            space = X
-            if labels is None:
-                protos = _kmeanspp_init(X, k, args.seed)
-            else:
-                V = movmf.normalize_rows(X)
-                protos = _cluster_init_means(V, k, args.seed, labels) * float(
-                    np.mean(np.linalg.norm(X, axis=1))
-                )
-                for c in range(k):
-                    mask = labels == c
-                    if np.any(mask):
-                        protos[c] = X[mask].mean(axis=0)
-        assignment = baselines.prototype_assign(X, baselines.PrototypeSet(metric, protos))
+            init = bank_mod.init_centers(V, sparse, fresh, seed=args.seed).centers
+
+    if args.variant.startswith("proto-"):
+        protos = baselines.PrototypeSet("euclidean" if euclidean else "cosine", init)
+        assignment = baselines.prototype_assign(X, protos)
         posterior = movmf.one_hot(assignment, k)
+    else:
+        if args.variant == "gmm":
+            result = baselines.gmm_em(X, init, cfg)
+        else:
+            run = movmf.soft_movmf_em if args.variant == "soft" else movmf.hard_movmf_em
+            result = run(V, init, cfg)
+        assignment, posterior = result.assignment, result.posterior
 
     prefix = args.out_prefix or args.input
     _write_lines(prefix + ".assignments", map(str, assignment.tolist()))

@@ -69,23 +69,6 @@ def _labeled_probs(P: np.ndarray, labels: SparseLabels) -> np.ndarray:
     return P[labels.indices, labels.classes]
 
 
-def pce_loss(P: np.ndarray, labels: SparseLabels) -> tuple[float, np.ndarray]:
-    """Partial cross-entropy over labeled points: -(1/m) sum log p_i^{y_i}.
-
-    The gradient wrt P is zero on unlabeled rows.
-    """
-    P = _check_prob_matrix(P)
-    p = _labeled_probs(P, labels)
-    p_f = np.maximum(p, PROB_FLOOR)
-    value = float(-np.mean(np.log(p_f)))
-    grad = np.zeros_like(P)
-    m = labels.size
-    grad[labels.indices, labels.classes] = np.where(
-        p > PROB_FLOOR, -1.0 / (m * p_f), 0.0
-    )
-    return value, grad
-
-
 def tce_loss(
     P: np.ndarray, labels: SparseLabels, beta: float
 ) -> tuple[float, np.ndarray]:
@@ -93,7 +76,7 @@ def tce_loss(
 
     The per-point value and gradient are capped once the predicted
     probability of the annotated class exceeds beta; the gradient there is
-    exactly zero. beta = 1 reproduces ``pce_loss`` bitwise.
+    exactly zero. beta = 1 gives the partial cross-entropy.
     """
     if not 0.0 < beta <= 1.0:
         raise InvalidBeta(f"beta must be in (0, 1], got {beta!r}")
@@ -128,12 +111,12 @@ def vmf_loss(
     return value, grad
 
 
-def dis_loss(theta: MoVMFParams) -> tuple[float, np.ndarray]:
-    """Mean pairwise inner product of the cluster mean directions over
-    ordered pairs, with its gradient wrt the means (diagnostic; during
-    training the means are EM-produced constants unless recomputed via
-    ``dis_loss_through_means``)."""
-    means = theta.means
+def dis_loss(means: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean pairwise inner product of the (k, d) unit mean directions over
+    ordered pairs, with its gradient wrt the means (value only in training,
+    where the means are EM-produced constants; ``dis_loss_through_means``
+    is the form whose gradient reaches the features)."""
+    means = np.asarray(means, dtype=np.float64)
     k = means.shape[0]
     if k < 2:
         raise SingleCluster("discriminative loss needs at least two clusters")

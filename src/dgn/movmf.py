@@ -119,6 +119,25 @@ def _check_dims(V: np.ndarray, theta: MoVMFParams) -> None:
         )
 
 
+def _scores(V: np.ndarray, theta: MoVMFParams, log_alphas: np.ndarray) -> np.ndarray:
+    # the one moVMF score path: log(alpha_c) + kappa * dot(u_c, v_i)
+    q = V @ theta.means.T
+    q *= theta.kappa
+    q += log_alphas
+    return q
+
+
+def _softmax_rows(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax with per-row max subtraction, written into ``out`` (which
+    may be ``scores`` itself) or a fresh array."""
+    # row max column by column: over k columns this is several times
+    # faster than a row reduce, and max is exact
+    z = np.subtract(scores, np.maximum.reduce(tuple(scores.T))[:, None], out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def log_scores(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
     """Per-point per-cluster log(alpha_c) + kappa * dot(u_c, v_i).
 
@@ -127,9 +146,7 @@ def log_scores(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
     at 1e-12 inside the log so one-hot targets stay finite.
     """
     _check_dims(V, theta)
-    return np.log(np.maximum(theta.alphas, ALPHA_FLOOR))[None, :] + theta.kappa * (
-        V @ theta.means.T
-    )
+    return _scores(V, theta, np.log(np.maximum(theta.alphas, ALPHA_FLOOR)))
 
 
 def posterior(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
@@ -147,25 +164,14 @@ def posterior(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
         raise DegenerateRow("all mixture weights are zero")
     if theta.kappa == 0.0:
         return np.tile(alphas / total, (V.shape[0], 1))
-    q = V @ theta.means.T
-    q *= theta.kappa
     with np.errstate(divide="ignore"):
-        q += np.log(alphas)
-    # row max column by column: over k columns this is several times
-    # faster than a row reduce, and max is exact
-    q -= np.maximum.reduce(tuple(q.T))[:, None]
-    np.exp(q, out=q)
-    q /= q.sum(axis=1, keepdims=True)
-    return q
+        q = _scores(V, theta, np.log(alphas))
+    return _softmax_rows(q, out=q)
 
 
 def movmf_objective(V: np.ndarray, Q: np.ndarray, theta: MoVMFParams) -> float:
     """Q-weighted expected complete-data log-likelihood, without the
-    kappa-only constant n * log C_d(kappa).
-
-    With a one-hot Q this equals ``movmf_hard_objective`` at the argmax
-    labels, bitwise.
-    """
+    kappa-only constant n * log C_d(kappa)."""
     V = np.asarray(V, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape != (V.shape[0], theta.num_clusters):
@@ -174,17 +180,6 @@ def movmf_objective(V: np.ndarray, Q: np.ndarray, theta: MoVMFParams) -> float:
         )
     per_point = (Q * log_scores(V, theta)).sum(axis=1)
     return float(per_point.sum())
-
-
-def movmf_hard_objective(V: np.ndarray, labels: np.ndarray, theta: MoVMFParams) -> float:
-    """Complete-data log-likelihood of a hard assignment (same constant
-    omitted as in ``movmf_objective``)."""
-    V = np.asarray(V, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.shape != (V.shape[0],):
-        raise DimensionMismatch(f"labels shape {labels.shape} != ({V.shape[0]},)")
-    scores = log_scores(V, theta)
-    return float(scores[np.arange(V.shape[0]), labels].sum())
 
 
 def one_hot(labels: np.ndarray, num_clusters: int) -> np.ndarray:
@@ -290,15 +285,3 @@ def hard_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMRes
     returned posterior is one-hot. Empty clusters keep their previous mean
     and take weight from their (zero) counts."""
     return _run_em(V, init_means, cfg, hard=True)
-
-
-def incomplete_log_likelihood(V: np.ndarray, theta: MoVMFParams) -> float:
-    """Observed-data log-likelihood sum_i log sum_c alpha_c exp(kappa u_c.v_i),
-    up to the same kappa-only constant omitted everywhere else. This is the
-    quantity EM is guaranteed not to decrease."""
-    V = np.asarray(V, dtype=np.float64)
-    _check_dims(V, theta)
-    with np.errstate(divide="ignore"):
-        scores = np.log(theta.alphas)[None, :] + theta.kappa * (V @ theta.means.T)
-    m = scores.max(axis=1, keepdims=True)
-    return float((m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))).sum())

@@ -32,6 +32,7 @@ import numpy as np
 
 from .bank import MemoryBank
 from .errors import DimensionMismatch, ParseError, ShapeMismatch, StaleCache
+from .movmf import _softmax_rows
 
 MAGIC = b"DGNCK001"
 
@@ -122,11 +123,7 @@ class Workspace:
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row softmax with max subtraction, written into ``out`` when given."""
-    # row max column by column, as in movmf.posterior
-    z = np.subtract(logits, np.maximum.reduce(tuple(logits.T))[:, None], out=out)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+    return _softmax_rows(logits, out=out)
 
 
 def softmax_backward(dP: np.ndarray, P: np.ndarray) -> np.ndarray:

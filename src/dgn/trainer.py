@@ -19,19 +19,29 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
-from .data import SceneBatch, SparseLabels, miou, sample_sparse_labels, with_sparse
+from .data import SceneBatch, miou, sample_sparse_labels, with_sparse
 from .errors import DegenerateCluster, DimensionMismatch, InvalidGrid
 
 EM_VARIANTS = ("soft", "hard")
-DIS_GRAD_MODES = ("through_means", "frozen_means")
-ALIGNMENTS = ("movmf", "gmm", "proto_euclid", "proto_cosine")
+ALIGNMENTS = ("movmf", "gmm")
 OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """All knobs for one training run. Defaults follow the reference
-    operating point: kappa 10, 10 clustering iterations, beta 0.8."""
+    operating point: kappa 10, 10 clustering iterations, beta 0.8.
+
+    ``alignment`` picks the mixture family fitted to each scene's features
+    after warmup: ``movmf`` (spherical, soft or hard EM by ``em_variant``,
+    shared concentration ``kappa``) or ``gmm`` (isotropic Gaussian, soft
+    EM; ``em_variant`` and ``kappa`` do not apply). For either family
+    ``use_vmf`` adds the family's alignment loss (``losses.vmf_loss`` or
+    ``baselines.gmm_nll_loss``), ``use_dis`` the separation of the
+    posterior-weighted mean directions and ``use_con`` the cross-entropy
+    from the posterior to the head; each backpropagates into the network.
+    ``feat_dim`` and every ``hidden_dims`` width must be at least 1.
+    """
 
     kappa: float = 10.0
     em_iters: int = 10
@@ -47,7 +57,6 @@ class TrainConfig:
     use_con: bool = True
     seed: int = 0
     em_variant: str = "soft"
-    dis_grad_mode: str = "through_means"
     alignment: str = "movmf"
     optimizer: str = "adam"
     bank_momentum: float = 0.9
@@ -60,10 +69,10 @@ class TrainConfig:
             raise ValueError(f"em_variant must be one of {EM_VARIANTS}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.dis_grad_mode not in DIS_GRAD_MODES:
-            raise ValueError(f"dis_grad_mode must be one of {DIS_GRAD_MODES}")
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}")
+        if self.feat_dim < 1 or any(width < 1 for width in self.hidden_dims):
+            raise ValueError("feat_dim and every hidden_dims width must be >= 1")
         if self.epochs < 0 or self.warmup_epochs < 0 or self.em_iters < 0:
             raise ValueError("epoch and iteration counts must be >= 0")
         if self.lr <= 0:
@@ -116,26 +125,32 @@ def _safe_unit_rows(features: np.ndarray) -> np.ndarray:
     return features / np.maximum(norms, 1e-12)
 
 
-def _gmm_init_means(
-    features: np.ndarray,
-    labels: SparseLabels,
-    prototype_bank: bank_mod.MemoryBank,
-    seed: int,
-) -> np.ndarray:
-    """Euclidean analogue of the spherical initialization: labeled raw
-    means where available, bank directions scaled to the scene's mean
-    feature norm elsewhere."""
-    k = prototype_bank.num_classes
-    scale = float(np.mean(np.linalg.norm(features, axis=1)))
-    directions = bank_mod.init_centers(
-        _safe_unit_rows(features), labels, prototype_bank, seed=seed
-    )
-    means = directions.centers * max(scale, 1e-6)
-    for c in range(k):
-        mask = labels.classes == c
-        if np.any(mask):
-            means[c] = features[labels.indices[mask]].mean(axis=0)
-    return means
+def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
+    return movmf.EMConfig(max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa)
+
+
+# One fit per mixture family: (features, labels, bank, cfg) -> (EM result,
+# unit mean directions for the bank, alignment loss). The result carries the
+# posterior, the fitted params the loss takes, and the EM diagnostics. Layer
+# functions are looked up at call time, so a wrapped binding is the one called.
+
+def _fit_movmf(features, labels, prototype_bank, cfg):
+    V = _safe_unit_rows(features)
+    centers = bank_mod.init_centers(V, labels, prototype_bank, seed=cfg.seed)
+    run = movmf.soft_movmf_em if cfg.em_variant == "soft" else movmf.hard_movmf_em
+    result = run(V, centers.centers, _em_config(cfg))
+    return result, result.params.means, losses.vmf_loss
+
+
+def _fit_gmm(features, labels, prototype_bank, cfg):
+    V = _safe_unit_rows(features)
+    init = bank_mod.euclidean_init_means(features, V, labels, prototype_bank, cfg.seed)
+    result = baselines.gmm_em(features, init, _em_config(cfg))
+    # the Euclidean counterpart of the spherical alignment loss
+    return result, _safe_unit_rows(result.params.means), baselines.gmm_nll_loss
+
+
+_FITS = {"movmf": _fit_movmf, "gmm": _fit_gmm}
 
 
 def train_step(
@@ -169,80 +184,28 @@ def train_step(
 
     aligned = epoch >= cfg.warmup_epochs and (cfg.use_vmf or cfg.use_dis or cfg.use_con)
     if aligned:
-        V = _safe_unit_rows(cache.features)
+        result, means, align_loss = _FITS[cfg.alignment](
+            cache.features, labels, prototype_bank, cfg
+        )
+        Q = result.posterior
+        em_iterations = result.iterations
+        degenerate = len(result.degenerate)
+        if cfg.use_vmf:
+            vmf_val, grad = align_loss(cache.features, Q, result.params)
+            d_features += grad
+        if cfg.use_dis:
+            try:
+                dis_val, grad, _ = losses.dis_loss_through_means(cache.features, Q)
+                d_features += grad
+            except DegenerateCluster:
+                dis_val, _ = losses.dis_loss(means)
+        if cfg.use_con:
+            con_val, grad = losses.con_loss(cache.probs, Q)
+            d_logits += grad
         present = np.unique(labels.classes)
-        if cfg.alignment in ("movmf", "proto_cosine", "proto_euclid"):
-            centers = bank_mod.init_centers(V, labels, prototype_bank, seed=cfg.seed)
-
-        if cfg.alignment == "movmf":
-            em_cfg = movmf.EMConfig(
-                max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa
-            )
-            run = movmf.soft_movmf_em if cfg.em_variant == "soft" else movmf.hard_movmf_em
-            result = run(V, centers.centers, em_cfg)
-            em_iterations = result.iterations
-            degenerate = len(result.degenerate)
-            if cfg.use_vmf:
-                vmf_val, grad = losses.vmf_loss(cache.features, result.posterior, result.params)
-                d_features += grad
-            if cfg.use_dis:
-                if cfg.dis_grad_mode == "through_means":
-                    try:
-                        dis_val, grad, _ = losses.dis_loss_through_means(
-                            cache.features, result.posterior
-                        )
-                        d_features += grad
-                    except DegenerateCluster:
-                        dis_val, _ = losses.dis_loss(result.params)
-                else:
-                    dis_val, _ = losses.dis_loss(result.params)
-            if cfg.use_con:
-                con_val, grad = losses.con_loss(cache.probs, result.posterior)
-                d_logits += grad
-            prototype_bank = bank_mod.update_bank(
-                prototype_bank, result.params.means, present
-            )
-        elif cfg.alignment == "gmm":
-            init_means = _gmm_init_means(cache.features, labels, prototype_bank, cfg.seed)
-            em_cfg = movmf.EMConfig(max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa)
-            result = baselines.gmm_em(cache.features, init_means, em_cfg)
-            em_iterations = result.iterations
-            degenerate = len(result.degenerate)
-            if cfg.use_vmf:
-                # the Euclidean counterpart of the spherical alignment loss
-                vmf_val, grad = baselines.gmm_nll_loss(
-                    cache.features, result.posterior, result.params
-                )
-                d_features += grad
-            if cfg.use_dis:
-                mean_dirs = _safe_unit_rows(result.params.means)
-                gram = mean_dirs @ mean_dirs.T
-                k = mean_dirs.shape[0]
-                dis_val = float((gram.sum() - np.trace(gram)) / (k * (k - 1)))
-            if cfg.use_con:
-                con_val, grad = losses.con_loss(cache.probs, result.posterior)
-                d_logits += grad
-            present_means = _safe_unit_rows(result.params.means)
-            ok = [c for c in present if np.linalg.norm(present_means[c]) > 0.5]
-            prototype_bank = bank_mod.update_bank(prototype_bank, present_means, ok)
-        else:
-            # prototype descriptors: no mixture fit, no per-point alignment
-            # or consistency form; only the separation term applies
-            if cfg.use_dis and centers.centers.shape[0] >= 2:
-                theta_like = movmf.MoVMFParams(
-                    np.full(centers.centers.shape[0], 1.0 / centers.centers.shape[0]),
-                    cfg.kappa,
-                    centers.centers,
-                )
-                dis_val, _ = losses.dis_loss(theta_like)
-            scene_classes = [
-                c
-                for c, src in enumerate(centers.provenance)
-                if src == bank_mod.PROVENANCE_SCENE
-            ]
-            prototype_bank = bank_mod.update_bank(
-                prototype_bank, centers.centers, scene_classes
-            )
+        # a gmm mean at the origin has no direction to store
+        present = present[np.linalg.norm(means[present], axis=1) > 0.5]
+        prototype_bank = bank_mod.update_bank(prototype_bank, means, present)
 
     report = losses.total_loss(
         tce=tce_val,
@@ -353,12 +316,9 @@ def explain(scene: SceneBatch, params: network.ModelParams, cfg: TrainConfig) ->
     """Posterior over classes for every point of a scene, from one
     clustering pass on the frozen embeddings."""
     cache = network.forward(params, scene.network_input())
-    V = _safe_unit_rows(cache.features)
     fresh = bank_mod.empty_bank(scene.num_classes, params.feature_dim, cfg.bank_momentum)
-    centers = bank_mod.init_centers(V, scene.sparse, fresh, seed=cfg.seed)
-    em_cfg = movmf.EMConfig(max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa)
-    run = movmf.soft_movmf_em if cfg.em_variant == "soft" else movmf.hard_movmf_em
-    return run(V, centers.centers, em_cfg).posterior
+    result, _, _ = _FITS[cfg.alignment](cache.features, scene.sparse, fresh, cfg)
+    return result.posterior
 
 
 def ablate(dataset, base_cfg: TrainConfig, grid: dict, seeds=None) -> list[AblationRow]:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgn
-from dgn import cli, data, movmf, network, trainer
+from dgn import baselines, cli, data, movmf, network, trainer
+from dgn import bank as bank_mod
 from dgn.errors import ParseError
 
 
@@ -24,6 +25,24 @@ def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
     assert "--seeds" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["hidden_dims = 0", "hidden_dims = 8, 0", "feat_dim = 0", "feat_dim = -1",
+     "alignment = proto_euclid", "alignment = proto_cosine",
+     "dis_grad_mode = frozen_means"],
+)
+def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
+    scene = data.gen_scene(data.SceneSpec(num_classes=2, points_per_class=(5, 5)))
+    data.write_scene(str(tmp_path / "scene_000.dgn"), scene)
+    (tmp_path / "bad.cfg").write_text(text + "\n")
+    code = cli.main(["train", "--config", str(tmp_path / "bad.cfg"),
+                     "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_does_not_load_scipy():
@@ -66,22 +85,93 @@ def test_format_rows_special_values():
     assert cli._format_rows(matrix)[0] == "nan inf -inf -0 0"
 
 
-def test_cluster_outputs_equal_per_value_writers(tmp_path):
+def _old_cluster(X, variant, k, seed, labels):
+    """The clustering of `dgn cluster` before its init code was shared,
+    with each variant's init written out in full."""
+    cfg = movmf.EMConfig(10, 1e-6, 10.0)
+
+    def spherical_init(V):
+        if labels is None:
+            return movmf.normalize_rows(cli._kmeanspp_init(V, k, seed))
+        keep = labels >= 0
+        sparse = data.SparseLabels(np.flatnonzero(keep), labels[keep])
+        return bank_mod.init_centers(V, sparse, bank_mod.empty_bank(k, V.shape[1], 0.9),
+                                     seed=seed).centers
+
+    def euclidean_init():
+        if labels is None:
+            return cli._kmeanspp_init(X, k, seed)
+        init = spherical_init(movmf.normalize_rows(X)) * float(
+            np.mean(np.linalg.norm(X, axis=1))
+        )
+        for c in range(k):
+            if np.any(labels == c):
+                init[c] = X[labels == c].mean(axis=0)
+        return init
+
+    if variant in ("soft", "hard"):
+        V = movmf.normalize_rows(X)
+        run = movmf.soft_movmf_em if variant == "soft" else movmf.hard_movmf_em
+        result = run(V, spherical_init(V), cfg)
+    elif variant == "gmm":
+        result = baselines.gmm_em(X, euclidean_init(), cfg)
+    else:
+        if variant == "proto-cosine":
+            init = spherical_init(movmf.normalize_rows(X))
+            protos = baselines.PrototypeSet("cosine", init)
+        else:
+            protos = baselines.PrototypeSet("euclidean", euclidean_init())
+        assignment = baselines.prototype_assign(X, protos)
+        return assignment, movmf.one_hot(assignment, k)
+    return result.assignment, result.posterior
+
+
+def _cluster_input(tmp_path, labeled):
     scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=4))
     X = scene.network_input()
     path = tmp_path / "matrix.txt"
     path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in X.tolist()))
-    code = cli.main(["cluster", str(path), "--classes", "3", "--seed", "2",
+    args = [str(path), "--classes", "3", "--seed", "2"]
+    labels = None
+    if labeled:
+        # class 2 has no labels, so its init comes from the seeded fallback
+        labels = np.full(X.shape[0], -1)
+        labels[[0, 5, 40, 41]] = scene.gt_labels[[0, 5, 40, 41]] % 2
+        (tmp_path / "labels.txt").write_text("".join(f"{c}\n" for c in labels.tolist()))
+        args += ["--labels", str(tmp_path / "labels.txt")]
+    return X, labels, args
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
+def test_cluster_outputs_equal_per_value_writers(tmp_path, variant, labeled):
+    X, labels, args = _cluster_input(tmp_path, labeled)
+    code = cli.main(["cluster", *args, "--variant", variant,
                      "--out-prefix", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
 
-    V = movmf.normalize_rows(X)
-    init = cli._cluster_init_means(V, 3, 2, None)
-    result = movmf.soft_movmf_em(V, init, movmf.EMConfig(10, 1e-6, 10.0))
-    assignments = [str(int(c)) for c in result.assignment]
+    assignment, posterior = _old_cluster(X, variant, 3, 2, labels)
+    assignments = [str(int(c)) for c in assignment]
     assert (tmp_path / "out.assignments").read_bytes() == _old_lines(assignments)
-    posteriors = _old_format_rows(result.posterior)
+    posteriors = _old_format_rows(posterior)
     assert (tmp_path / "out.posteriors").read_bytes() == _old_lines(posteriors)
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
+def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
+    # a zero row has no direction: every variant that normalizes the rows
+    # (all but the unlabeled Euclidean ones) rejects it
+    X, labels, args = _cluster_input(tmp_path, labeled)
+    rows = X.tolist()
+    rows[3] = [0.0] * X.shape[1]
+    text = "".join(" ".join(map(repr, r)) + "\n" for r in rows)
+    (tmp_path / "matrix.txt").write_text(text)
+    code = cli.main(["cluster", *args, "--variant", variant,
+                     "--out-prefix", str(tmp_path / "out")])
+    euclidean = variant in ("gmm", "proto-euclid")
+    assert code == (cli.EXIT_OK if euclidean and not labeled else cli.EXIT_DATA)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_explain_output_equals_per_value_writer(tmp_path):

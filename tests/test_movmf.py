@@ -13,9 +13,10 @@ from dgn.errors import DimensionMismatch, NonUnitInput, ZeroVectorRow
 
 
 # ---------------------------------------------------------------------------
-# test oracles: the vMF density with its normalising constant, and a sampler.
-# dgn never needs either: with a shared kappa the constant cancels in the
-# posterior, and synthetic data comes from data.gen_scene.
+# test oracles: the vMF density with its normalising constant, the hard and
+# the observed-data objectives, and a sampler. dgn never needs them: with a
+# shared kappa the constant cancels in the posterior, EM is checked against
+# the objectives, and synthetic data comes from data.gen_scene.
 
 def log_norm_const(kappa: float, dim: int) -> float:
     """log C_d(kappa) for the vMF density on the (dim-1)-sphere.
@@ -62,6 +63,28 @@ def vmf_log_density(
     if include_const:
         out += log_norm_const(kappa, v.shape[0])
     return out
+
+
+def movmf_hard_objective(V, labels, theta):
+    """Complete-data log-likelihood of a hard assignment (same constant
+    omitted as in ``movmf.movmf_objective``)."""
+    V = np.asarray(V, dtype=np.float64)
+    labels = np.asarray(labels)
+    if labels.shape != (V.shape[0],):
+        raise DimensionMismatch(f"labels shape {labels.shape} != ({V.shape[0]},)")
+    scores = movmf.log_scores(V, theta)
+    return float(scores[np.arange(V.shape[0]), labels].sum())
+
+
+def incomplete_log_likelihood(V, theta):
+    """Observed-data log-likelihood sum_i log sum_c alpha_c exp(kappa u_c.v_i),
+    up to the same kappa-only constant omitted everywhere else. This is the
+    quantity EM is guaranteed not to decrease."""
+    V = np.asarray(V, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        scores = np.log(theta.alphas)[None, :] + theta.kappa * (V @ theta.means.T)
+    m = scores.max(axis=1, keepdims=True)
+    return float((m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))).sum())
 
 
 def sample_vmf(u: np.ndarray, kappa: float, n: int, seed: int) -> np.ndarray:
@@ -293,7 +316,7 @@ def test_objective_one_hot_equals_hard_objective_bitwise(rng):
     theta = _theta(rng.dirichlet(np.ones(4)), 8.0, random_unit_rows(rng, 4, 5))
     labels = rng.integers(0, 4, size=50)
     soft = movmf.movmf_objective(V, movmf.one_hot(labels, 4), theta)
-    hard = movmf.movmf_hard_objective(V, labels, theta)
+    hard = movmf_hard_objective(V, labels, theta)
     assert soft == hard
 
 
@@ -436,12 +459,12 @@ def test_incomplete_log_likelihood_non_decreasing(seed):
     V, means, kappa = _random_instance(seed)
     k = means.shape[0]
     theta = movmf.MoVMFParams(np.full(k, 1.0 / k), kappa, means)
-    prev = movmf.incomplete_log_likelihood(V, theta)
+    prev = incomplete_log_likelihood(V, theta)
     for _ in range(8):
         q = movmf.posterior(V, theta)
         alphas, new_means, _ = movmf.m_step(V, q, theta.means)
         theta = movmf.MoVMFParams(alphas / alphas.sum(), kappa, new_means)
-        ll = movmf.incomplete_log_likelihood(V, theta)
+        ll = incomplete_log_likelihood(V, theta)
         assert ll >= prev - 1e-9
         prev = ll
 

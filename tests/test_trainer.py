@@ -85,3 +85,30 @@ def test_predict_workspace_is_bitwise_neutral():
 def test_ablate_rejects_grid_keys_it_cannot_sweep(grid, match):
     with pytest.raises(InvalidGrid, match=match):
         trainer.ablate(_scenes(count=2), _cfg(epochs=1), grid, seeds=[1])
+
+
+@pytest.mark.parametrize("term", ["use_vmf", "use_dis", "use_con"])
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_every_alignment_term_changes_training(alignment, term):
+    # no silent knob: each term, switched on after warmup, moves the network
+    scenes = _scenes()
+    off = trainer.fit(scenes, _cfg(alignment=alignment, **{term: False}))
+    on = trainer.fit(scenes, _cfg(alignment=alignment, **{term: True}))
+    assert any(
+        not np.array_equal(x, y)
+        for x, y in zip(_param_arrays(off.params), _param_arrays(on.params), strict=True)
+    )
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_explain_fits_the_configured_family(alignment):
+    scene = _scenes(count=1)[0]
+    scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.1, seed=1))
+    cfg = _cfg(alignment=alignment)
+    params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 3, seed=cfg.seed)
+    posterior = trainer.explain(scene, params, cfg)
+    assert posterior.shape == (scene.num_points, 3)
+    np.testing.assert_allclose(posterior.sum(axis=1), 1.0)
+    other = "gmm" if alignment == "movmf" else "movmf"
+    other_posterior = trainer.explain(scene, params, _cfg(alignment=other))
+    assert not np.array_equal(posterior, other_posterior)
