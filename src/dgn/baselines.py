@@ -3,12 +3,12 @@ isotropic Gaussian mixture, used for the distribution-comparison runs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import EMConfig, _softmax_rows, normalize_rows
+from .movmf import EMConfig, EMResult, _softmax_rows, normalize_rows
 
 VARIANCE_FLOOR = 1e-6
 WEIGHT_FLOOR = 1e-12
@@ -62,16 +62,6 @@ class GMMParams:
     @property
     def num_clusters(self) -> int:
         return self.means.shape[0]
-
-
-@dataclass(frozen=True)
-class GMMResult:
-    posterior: np.ndarray
-    assignment: np.ndarray
-    params: GMMParams
-    iterations: int
-    converged: bool
-    degenerate: tuple[int, ...] = field(default_factory=tuple)
 
 
 def prototype_assign(F: np.ndarray, protos: PrototypeSet) -> np.ndarray:
@@ -134,7 +124,7 @@ def gmm_posterior(
     return _softmax_rows(scores, out=scores)
 
 
-def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
+def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
     """EM for an isotropic GMM with the same convergence and tie-break
     contracts as the spherical variant.
 
@@ -156,11 +146,8 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
     if not np.all(np.isfinite(init_means)):
         raise ValueError("init means must be finite")
 
-    nearest = np.argmin(
-        np.einsum("nkd,nkd->nk", F[:, None, :] - init_means[None, :, :],
-                  F[:, None, :] - init_means[None, :, :]),
-        axis=1,
-    )
+    sq = _sq_dists(F, init_means)
+    nearest = np.argmin(sq, axis=1)
     spread = float(np.mean(np.sum((F - init_means[nearest]) ** 2, axis=1))) / d
     params = GMMParams(
         np.full(k, 1.0 / k),
@@ -171,7 +158,6 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
     degenerate: set[int] = set()
     iterations = 0
     converged = False
-    sq = _sq_dists(F, init_means)
     for _ in range(cfg.max_iters):
         q = gmm_posterior(F, params, sq)
         mass = q.sum(axis=0)
@@ -197,7 +183,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> GMMResult:
 
     q = gmm_posterior(F, params, sq)
     labels = np.argmax(q, axis=1)
-    return GMMResult(q, labels, params, iterations, converged, tuple(sorted(degenerate)))
+    return EMResult(q, labels, params, iterations, converged, tuple(sorted(degenerate)))
 
 
 def gmm_nll_loss(

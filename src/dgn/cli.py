@@ -58,7 +58,8 @@ _DATA_ERRORS = (
     DegenerateRow,
 )
 
-CLUSTER_VARIANTS = ("soft", "hard", "gmm", "proto-euclid", "proto-cosine")
+CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
+_INT64 = np.iinfo(np.int64)
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -111,9 +112,12 @@ def _read_labels(path: str, n: int) -> np.ndarray:
             if not stripped:
                 continue
             try:
-                labels.append(int(stripped))
+                label = int(stripped)
             except ValueError:
                 raise ParseError(str(path), line_no, "expected one integer per line")
+            if not _INT64.min <= label <= _INT64.max:
+                raise ParseError(str(path), line_no, "label outside the int64 range")
+            labels.append(label)
     if len(labels) != n:
         raise LengthMismatch(f"{path}: {len(labels)} labels for {n} rows")
     return np.asarray(labels, dtype=np.int64)
@@ -152,6 +156,14 @@ def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def cmd_cluster(args) -> int:
+    # a flag the variant ignores is an error; EMConfig holds the defaults
+    if args.kappa is not None and args.variant not in ("soft", "hard"):
+        raise ValueError("--kappa applies to --variant soft or hard only")
+    if args.variant.startswith("proto-") and (args.iters, args.tol) != (None, None):
+        raise ValueError("--iters and --tol do not apply to the proto-* variants")
+    given = {"max_iters": args.iters, "tol": args.tol, "kappa": args.kappa}
+    cfg = movmf.EMConfig(**{name: v for name, v in given.items() if v is not None})
+
     X = _read_matrix(args.input)
     k = args.classes
     if k < 1:
@@ -159,7 +171,6 @@ def cmd_cluster(args) -> int:
     labels = _read_labels(args.labels, X.shape[0]) if args.labels else None
     if labels is not None and np.any(labels >= k):
         raise DimensionMismatch("label file contains classes >= --classes")
-    cfg = movmf.EMConfig(max_iters=args.iters, tol=args.tol, kappa=args.kappa)
 
     # init: k-means++ seeding without labels, labeled means with them; the
     # Euclidean variants work on the raw rows, the others on unit rows
@@ -313,9 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="text matrix, one row of floats per line")
     p.add_argument("--variant", choices=CLUSTER_VARIANTS, default="soft")
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--kappa", type=float, default=10.0)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--kappa", type=float, help="shared moVMF concentration, soft and "
+                   f"hard only (default {movmf.EMConfig.kappa:g})")
+    p.add_argument("--iters", type=int, help="EM iteration budget, not for proto-* "
+                   f"(default {movmf.EMConfig.max_iters})")
+    p.add_argument("--tol", type=float, help="EM convergence threshold, not for proto-* "
+                   f"(default {movmf.EMConfig.tol:g})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labels", help="optional label file (one int per line, -1 = none)")
     p.add_argument("--out-prefix", help="output prefix (default: the input path)")

@@ -37,20 +37,9 @@ class LossReport:
 
 
 def total_loss(
-    tce: float = 0.0,
-    vmf: float = 0.0,
-    dis: float = 0.0,
-    con: float = 0.0,
-    use_tce: bool = True,
-    use_vmf: bool = True,
-    use_dis: bool = True,
-    use_con: bool = True,
+    tce: float = 0.0, vmf: float = 0.0, dis: float = 0.0, con: float = 0.0
 ) -> LossReport:
-    """Unit-weight sum of the enabled terms; disabled terms drop out exactly."""
-    tce = tce if use_tce else 0.0
-    vmf = vmf if use_vmf else 0.0
-    dis = dis if use_dis else 0.0
-    con = con if use_con else 0.0
+    """Unit-weight sum of the four terms; a disabled term is passed as 0."""
     return LossReport(tce=tce, vmf=vmf, dis=dis, con=con, total=tce + vmf + dis + con)
 
 
@@ -111,30 +100,27 @@ def vmf_loss(
     return value, grad
 
 
-def dis_loss(means: np.ndarray) -> tuple[float, np.ndarray]:
+def dis_loss(means: np.ndarray) -> float:
     """Mean pairwise inner product of the (k, d) unit mean directions over
-    ordered pairs, with its gradient wrt the means (value only in training,
-    where the means are EM-produced constants; ``dis_loss_through_means``
-    is the form whose gradient reaches the features)."""
+    ordered pairs. Value only: the means are EM-produced constants, and
+    ``dis_loss_through_means`` is the form whose gradient reaches the
+    features."""
     means = np.asarray(means, dtype=np.float64)
     k = means.shape[0]
     if k < 2:
         raise SingleCluster("discriminative loss needs at least two clusters")
     gram = means @ means.T
-    denom = k * (k - 1)
-    value = float((gram.sum() - np.trace(gram)) / denom)
-    grad = 2.0 * (means.sum(axis=0)[None, :] - means) / denom
-    return value, grad
+    return float((gram.sum() - np.trace(gram)) / (k * (k - 1)))
 
 
 def dis_loss_through_means(
     features: np.ndarray, Q: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Discriminative loss with means recomputed inside the loss graph.
 
     Each mean is the Q-weighted normalized sum of the normalized features
     (Q constant), so the gradient reaches the raw features through the
-    mean directions. Returns (value, gradient wrt features, means).
+    mean directions. Returns (value, gradient wrt features).
     """
     features = np.asarray(features, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
@@ -150,11 +136,9 @@ def dis_loss_through_means(
     if dead.size:
         raise DegenerateCluster(int(dead[0]))
     means = sums / sum_norms[:, None]
+    value = dis_loss(means)
 
     denom = k * (k - 1)
-    gram = means @ means.T
-    value = float((gram.sum() - np.trace(gram)) / denom)
-
     g_mean = 2.0 * (means.sum(axis=0)[None, :] - means) / denom
     # through u = s/||s||: dL/ds_c = (g - (g.u)u)/||s||
     g_sum = (g_mean - np.einsum("kd,kd->k", g_mean, means)[:, None] * means) / sum_norms[
@@ -163,7 +147,7 @@ def dis_loss_through_means(
     g_v = Q @ g_sum
     feat_norms = np.linalg.norm(features, axis=1, keepdims=True)
     grad = (g_v - np.einsum("nd,nd->n", g_v, V)[:, None] * V) / feat_norms
-    return value, grad, means
+    return value, grad
 
 
 def con_loss(P: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:

@@ -9,6 +9,7 @@ computation is float64 and log-space where overflow is possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,19 +93,20 @@ class EMConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError("tol must be finite and >= 0")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class EMResult:
-    """Posterior, hard assignment, fitted parameters, and run diagnostics."""
+    """Posterior, hard assignment, fitted parameters, and run diagnostics
+    of one EM fit: a moVMF here, an isotropic GMM in ``baselines.gmm_em``."""
 
     posterior: np.ndarray       # (n, k) row-stochastic
     assignment: np.ndarray      # (n,) argmax of posterior, ties to lowest index
-    params: MoVMFParams
+    params: MoVMFParams         # baselines.GMMParams from gmm_em
     iterations: int
     converged: bool
     degenerate: tuple[int, ...] = field(default_factory=tuple)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,7 @@ from . import baselines, losses, movmf, network
 from .data import SceneBatch, miou, sample_sparse_labels, with_sparse
 from .errors import DegenerateCluster, DimensionMismatch, InvalidGrid
 
-EM_VARIANTS = ("soft", "hard")
-ALIGNMENTS = ("movmf", "gmm")
+ALIGNMENTS = ("soft", "hard", "gmm")
 OPTIMIZERS = ("adam", "sgd")
 
 
@@ -32,15 +32,16 @@ class TrainConfig:
     """All knobs for one training run. Defaults follow the reference
     operating point: kappa 10, 10 clustering iterations, beta 0.8.
 
-    ``alignment`` picks the mixture family fitted to each scene's features
-    after warmup: ``movmf`` (spherical, soft or hard EM by ``em_variant``,
-    shared concentration ``kappa``) or ``gmm`` (isotropic Gaussian, soft
-    EM; ``em_variant`` and ``kappa`` do not apply). For either family
-    ``use_vmf`` adds the family's alignment loss (``losses.vmf_loss`` or
-    ``baselines.gmm_nll_loss``), ``use_dis`` the separation of the
-    posterior-weighted mean directions and ``use_con`` the cross-entropy
-    from the posterior to the head; each backpropagates into the network.
-    ``feat_dim`` and every ``hidden_dims`` width must be at least 1.
+    ``alignment`` picks the mixture fitted to each scene's features after
+    warmup: a moVMF (spherical, shared concentration ``kappa``) by ``soft``
+    or ``hard`` EM, or an isotropic ``gmm`` by soft EM, which has no
+    concentration and rejects a ``kappa`` other than the default. For every
+    family ``use_vmf`` adds the family's alignment loss
+    (``losses.vmf_loss`` or ``baselines.gmm_nll_loss``), ``use_dis`` the
+    separation of the posterior-weighted mean directions and ``use_con``
+    the cross-entropy from the posterior to the head; each backpropagates
+    into the network. Floats must be finite, ``feat_dim`` and every
+    ``hidden_dims`` width at least 1.
     """
 
     kappa: float = 10.0
@@ -56,8 +57,7 @@ class TrainConfig:
     use_dis: bool = True
     use_con: bool = True
     seed: int = 0
-    em_variant: str = "soft"
-    alignment: str = "movmf"
+    alignment: str = "soft"
     optimizer: str = "adam"
     bank_momentum: float = 0.9
     hidden_dims: tuple[int, ...] = (32, 32)
@@ -65,16 +65,20 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.em_variant not in EM_VARIANTS:
-            raise ValueError(f"em_variant must be one of {EM_VARIANTS}")
+        for name, spec in _CONFIG_FIELDS.items():
+            if spec.type == "float" and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}")
+        if self.alignment == "gmm" and self.kappa != _CONFIG_FIELDS["kappa"].default:
+            raise ValueError("kappa applies to the moVMF alignments (soft, hard), not gmm")
         if self.feat_dim < 1 or any(width < 1 for width in self.hidden_dims):
             raise ValueError("feat_dim and every hidden_dims width must be >= 1")
         if self.epochs < 0 or self.warmup_epochs < 0 or self.em_iters < 0:
             raise ValueError("epoch and iteration counts must be >= 0")
+        _em_config(self)  # a negative kappa or em_tol fails here, before any work
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not 0.0 < self.label_rate <= 1.0:
@@ -137,7 +141,7 @@ def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
 def _fit_movmf(features, labels, prototype_bank, cfg):
     V = _safe_unit_rows(features)
     centers = bank_mod.init_centers(V, labels, prototype_bank, seed=cfg.seed)
-    run = movmf.soft_movmf_em if cfg.em_variant == "soft" else movmf.hard_movmf_em
+    run = movmf.hard_movmf_em if cfg.alignment == "hard" else movmf.soft_movmf_em
     result = run(V, centers.centers, _em_config(cfg))
     return result, result.params.means, losses.vmf_loss
 
@@ -150,7 +154,7 @@ def _fit_gmm(features, labels, prototype_bank, cfg):
     return result, _safe_unit_rows(result.params.means), baselines.gmm_nll_loss
 
 
-_FITS = {"movmf": _fit_movmf, "gmm": _fit_gmm}
+_FITS = {"soft": _fit_movmf, "hard": _fit_movmf, "gmm": _fit_gmm}
 
 
 def train_step(
@@ -182,8 +186,7 @@ def train_step(
         tce_val, d_prob = losses.tce_loss(cache.probs, labels, cfg.beta)
         d_logits += network.softmax_backward(d_prob, cache.probs)
 
-    aligned = epoch >= cfg.warmup_epochs and (cfg.use_vmf or cfg.use_dis or cfg.use_con)
-    if aligned:
+    if epoch >= cfg.warmup_epochs and (cfg.use_vmf or cfg.use_dis or cfg.use_con):
         result, means, align_loss = _FITS[cfg.alignment](
             cache.features, labels, prototype_bank, cfg
         )
@@ -195,10 +198,10 @@ def train_step(
             d_features += grad
         if cfg.use_dis:
             try:
-                dis_val, grad, _ = losses.dis_loss_through_means(cache.features, Q)
+                dis_val, grad = losses.dis_loss_through_means(cache.features, Q)
                 d_features += grad
             except DegenerateCluster:
-                dis_val, _ = losses.dis_loss(means)
+                dis_val = losses.dis_loss(means)
         if cfg.use_con:
             con_val, grad = losses.con_loss(cache.probs, Q)
             d_logits += grad
@@ -207,16 +210,7 @@ def train_step(
         present = present[np.linalg.norm(means[present], axis=1) > 0.5]
         prototype_bank = bank_mod.update_bank(prototype_bank, means, present)
 
-    report = losses.total_loss(
-        tce=tce_val,
-        vmf=vmf_val,
-        dis=dis_val,
-        con=con_val,
-        use_tce=cfg.use_tce,
-        use_vmf=cfg.use_vmf and aligned,
-        use_dis=cfg.use_dis and aligned,
-        use_con=cfg.use_con and aligned,
-    )
+    report = losses.total_loss(tce=tce_val, vmf=vmf_val, dis=dis_val, con=con_val)
     grads = network.backward(params, cache, d_features, d_logits, workspace)
     if cfg.optimizer == "adam":
         if opt_state is None:

@@ -31,7 +31,8 @@ def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
     "text",
     ["hidden_dims = 0", "hidden_dims = 8, 0", "feat_dim = 0", "feat_dim = -1",
      "alignment = proto_euclid", "alignment = proto_cosine",
-     "dis_grad_mode = frozen_means"],
+     "dis_grad_mode = frozen_means", "em_variant = hard", "alignment = movmf",
+     "alignment = gmm\nkappa = 50", "kappa = nan", "lr = inf", "em_tol = nan"],
 )
 def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
     scene = data.gen_scene(data.SceneSpec(num_classes=2, points_per_class=(5, 5)))
@@ -43,6 +44,84 @@ def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
     assert code == cli.EXIT_PARSE
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _write_scenes(directory, count=1, **spec):
+    for i in range(count):
+        scene = data.gen_scene(data.SceneSpec(**{"num_classes": 2, "points_per_class": (5, 5),
+                                                 "seed": i, **spec}))
+        data.write_scene(str(directory / f"scene_{i:03d}.dgn"), scene)
+
+
+def test_gen_data_writes_scenes_that_read_back(tmp_path, capsys):
+    out = tmp_path / "data"
+    code = cli.main(["gen-data", "--out", str(out), "--scenes", "3", "--classes", "3",
+                     "--points", "4:6", "--label-rate", "0.5", "--seed", "7"])
+    assert code == cli.EXIT_OK
+    paths = sorted(out.glob("*.dgn"))
+    assert [p.name for p in paths] == ["scene_000.dgn", "scene_001.dgn", "scene_002.dgn"]
+    for i, path in enumerate(paths):
+        scene = data.read_scene(str(path))
+        want = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(4, 6), seed=7 + i))
+        assert scene.num_classes == 3
+        np.testing.assert_array_equal(scene.gt_labels, want.gt_labels)
+        assert 0 < scene.sparse.size < scene.num_points
+
+
+def test_gen_data_bad_input_exits_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    code = cli.main(["gen-data", "--out", str(out), "--classes", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(out.glob("*.dgn"))
+
+
+def test_eval_scores_a_prediction_file(tmp_path, capsys):
+    _write_scenes(tmp_path)
+    scene = data.read_scene(str(tmp_path / "scene_000.dgn"))
+    pred = scene.gt_labels.copy()
+    pred[0] = 1 - pred[0]
+    (tmp_path / "pred.txt").write_text("".join(f"{c}\n" for c in pred.tolist()))
+    code = cli.main(["eval", "--pred", str(tmp_path / "pred.txt"),
+                     "--scene", str(tmp_path / "scene_000.dgn")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_OK
+    report = data.miou(pred, scene.gt_labels, 2)
+    assert out == [f"miou={report.miou:.6g}",
+                   *(f"iou_{c}={v:.6g}" for c, v in enumerate(report.per_class_iou))]
+    assert report.miou < 1.0
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [("1\n" * 9, cli.EXIT_DATA, "9 labels for 10 rows"),
+     ("0\n" * 3 + "x\n" + "0\n" * 6, cli.EXIT_PARSE, ":4: expected one integer"),
+     ("0\n" + "99999999999999999999\n" + "0\n" * 8, cli.EXIT_PARSE,
+      ":2: label outside the int64 range")],
+    ids=["short", "not-an-integer", "int64-overflow"],
+)
+def test_eval_rejects_a_bad_prediction_file(tmp_path, capsys, text, code, message):
+    _write_scenes(tmp_path)
+    (tmp_path / "pred.txt").write_text(text)
+    got = cli.main(["eval", "--pred", str(tmp_path / "pred.txt"),
+                    "--scene", str(tmp_path / "scene_000.dgn")])
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err and "Traceback" not in err
+
+
+def test_ablate_compares_the_three_families(tmp_path, capsys):
+    _write_scenes(tmp_path, count=3, points_per_class=(10, 12))
+    (tmp_path / "base.cfg").write_text("epochs = 2\nwarmup_epochs = 1\nlabel_rate = 0.2\n"
+                                       "hidden_dims = 4\nfeat_dim = 3\n")
+    out = tmp_path / "table.txt"
+    code = cli.main(["ablate", "--config", str(tmp_path / "base.cfg"), "--data", str(tmp_path),
+                     "--param", "alignment", "--values", "soft,hard,gmm", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rows = out.read_text().splitlines()
+    assert [row.split()[0] for row in rows] == [
+        "alignment=soft", "alignment=hard", "alignment=gmm"]
 
 
 def test_import_does_not_load_scipy():
@@ -172,6 +251,37 @@ def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
     euclidean = variant in ("gmm", "proto-euclid")
     assert code == (cli.EXIT_OK if euclidean and not labeled else cli.EXIT_DATA)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "variant, flags",
+    [("gmm", ["--kappa", "5"]), ("proto-euclid", ["--kappa", "10"]),
+     ("proto-cosine", ["--iters", "3"]), ("proto-euclid", ["--tol", "0.1"]),
+     ("soft", ["--kappa", "nan"]), ("hard", ["--kappa", "inf"]),
+     ("soft", ["--tol", "nan"]), ("gmm", ["--tol", "inf"]), ("soft", ["--kappa", "-1"])],
+    ids=["gmm-kappa", "proto-kappa", "proto-iters", "proto-tol", "kappa-nan", "kappa-inf",
+         "tol-nan", "tol-inf", "kappa-negative"],
+)
+def test_cluster_rejects_a_flag_the_variant_cannot_use(tmp_path, capsys, variant, flags):
+    _, _, args = _cluster_input(tmp_path, labeled=False)
+    code = cli.main(["cluster", *args, "--variant", variant, *flags,
+                     "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_cluster_label_outside_int64_is_a_parse_error(tmp_path, capsys):
+    X, _, args = _cluster_input(tmp_path, labeled=False)
+    lines = ["-1"] * X.shape[0]
+    lines[4] = "99999999999999999999"
+    (tmp_path / "labels.txt").write_text("\n".join(lines) + "\n")
+    code = cli.main(["cluster", *args, "--labels", str(tmp_path / "labels.txt"),
+                     "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert "labels.txt:5: label outside the int64 range" in err and "Traceback" not in err
 
 
 def test_explain_output_equals_per_value_writer(tmp_path):
