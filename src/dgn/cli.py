@@ -29,34 +29,17 @@ from .data import (
     write_scene,
 )
 from .errors import (
-    DegenerateRow,
+    EXIT_DATA,
+    EXIT_INTERNAL,
+    EXIT_PARSE,
     DgnError,
     DimensionMismatch,
     EmptyScene,
-    InvalidBeta,
-    InvalidGrid,
     LengthMismatch,
-    NonUnitInput,
     ParseError,
-    ShapeMismatch,
-    ZeroVectorRow,
 )
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_PARSE = 2
-EXIT_DATA = 3
-
-_PARSE_ERRORS = (ParseError, InvalidBeta, InvalidGrid)
-_DATA_ERRORS = (
-    DimensionMismatch,
-    LengthMismatch,
-    EmptyScene,
-    ZeroVectorRow,
-    NonUnitInput,
-    ShapeMismatch,
-    DegenerateRow,
-)
 
 CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
 _INT64 = np.iinfo(np.int64)
@@ -269,27 +252,29 @@ def cmd_ablate(args) -> int:
 def cmd_explain(args) -> int:
     cfg = _load_train_config(args)
     scene = read_scene(args.scene)
-    params, _ = network.load_checkpoint(args.checkpoint)
-    posterior = trainer.explain(scene, params, cfg)
+    params, prototype_bank = network.load_checkpoint(args.checkpoint)
+    posterior = trainer.explain(scene, params, cfg, prototype_bank)
     _write_lines(args.out, _format_rows(posterior))
     print(f"wrote per-point posteriors to {args.out}")
     return EXIT_OK
 
 
 def cmd_gen_data(args) -> int:
+    # every argument is checked before the output directory is made
+    lo, _, hi = args.points.partition(":")
+    spec = SceneSpec(
+        num_classes=args.classes,
+        points_per_class=(int(lo), int(hi or lo)),
+        geometry=args.geometry,
+        noise_sigma=args.noise,
+        seed=args.seed,
+    )
+    if not 0.0 < args.label_rate <= 1.0:
+        raise ValueError("--label-rate must be in (0, 1]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lo, _, hi = args.points.partition(":")
-    points = (int(lo), int(hi or lo))
     for i in range(args.scenes):
-        spec = SceneSpec(
-            num_classes=args.classes,
-            points_per_class=points,
-            geometry=args.geometry,
-            noise_sigma=args.noise,
-            seed=args.seed + i,
-        )
-        scene = gen_scene(spec)
+        scene = gen_scene(dataclasses.replace(spec, seed=args.seed + i))
         if args.label_rate < 1.0:
             scene = with_sparse(
                 scene, sample_sparse_labels(scene, args.label_rate, seed=args.seed + i)
@@ -384,21 +369,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except DgnError as exc:
+        kind = "internal error" if exc.exit_code == EXIT_INTERNAL else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DgnError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

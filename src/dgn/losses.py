@@ -13,14 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SparseLabels
-from .errors import (
-    DegenerateCluster,
-    DimensionMismatch,
-    EmptyLabelSet,
-    InvalidBeta,
-    SingleCluster,
-)
-from .movmf import MoVMFParams, movmf_objective, normalize_rows
+from .errors import DimensionMismatch, EmptyLabelSet, InvalidBeta, SingleCluster
+from .movmf import ZERO_NORM, MoVMFParams, movmf_objective, unit_rows
 
 PROB_FLOOR = 1e-12
 
@@ -81,6 +75,15 @@ def tce_loss(
     return value, grad
 
 
+def _through_unit(g: np.ndarray, U: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Chain a gradient wrt the unit rows U = X / ||X|| back to X:
+    (g - (g.u)u) / ||x|| per row, with ``norms`` as ``unit_rows`` returns
+    them. A zero row of X passes a zero gradient, not g over a floored norm."""
+    tangent = g - np.einsum("nd,nd->n", g, U)[:, None] * U
+    zero = norms <= ZERO_NORM
+    return np.divide(tangent, norms, out=np.zeros_like(tangent), where=~zero)
+
+
 def vmf_loss(
     features: np.ndarray, Q: np.ndarray, theta: MoVMFParams
 ) -> tuple[float, np.ndarray]:
@@ -88,16 +91,14 @@ def vmf_loss(
     evaluated on the row-normalized features.
 
     Takes the pre-normalization features so the gradient can flow through
-    v = f / ||f||; Q and the mixture parameters are constants.
+    v = f / ||f||; Q and the mixture parameters are constants. A zero
+    feature row has no direction: it scores log(alpha) and gets no gradient.
     """
-    features = np.asarray(features, dtype=np.float64)
-    V = normalize_rows(features)
+    V, norms = unit_rows(features)
     value = -movmf_objective(V, Q, theta)
     # dL/dv_i = -kappa * sum_c q_ic u_c, then project through normalization
     g = -theta.kappa * (np.asarray(Q, dtype=np.float64) @ theta.means)
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    grad = (g - np.einsum("nd,nd->n", g, V)[:, None] * V) / norms
-    return value, grad
+    return value, _through_unit(g, V, norms)
 
 
 def dis_loss(means: np.ndarray) -> float:
@@ -114,40 +115,31 @@ def dis_loss(means: np.ndarray) -> float:
 
 
 def dis_loss_through_means(
-    features: np.ndarray, Q: np.ndarray
+    features: np.ndarray, Q: np.ndarray, means: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Discriminative loss with means recomputed inside the loss graph.
 
     Each mean is the Q-weighted normalized sum of the normalized features
     (Q constant), so the gradient reaches the raw features through the
-    mean directions. Returns (value, gradient wrt features).
+    mean directions. A cluster whose weighted sum vanished, such as an
+    empty hard-EM cluster, keeps its row of the fit's (k, d) unit
+    ``means``, as the EM's M step does, and that row is a constant that
+    passes no gradient. Returns (value, gradient wrt features).
     """
-    features = np.asarray(features, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim != 2 or Q.shape[0] != features.shape[0]:
-        raise DimensionMismatch(f"posterior {Q.shape} vs features {features.shape}")
-    k = Q.shape[1]
-    if k < 2:
-        raise SingleCluster("discriminative loss needs at least two clusters")
-    V = normalize_rows(features)
-    sums = Q.T @ V
-    sum_norms = np.linalg.norm(sums, axis=1)
-    dead = np.flatnonzero(sum_norms <= 1e-12)
-    if dead.size:
-        raise DegenerateCluster(int(dead[0]))
-    means = sums / sum_norms[:, None]
-    value = dis_loss(means)
+    means = np.asarray(means, dtype=np.float64)
+    V, feat_norms = unit_rows(features)
+    if Q.ndim != 2 or Q.shape[0] != V.shape[0] or means.shape != (Q.shape[1], V.shape[1]):
+        raise DimensionMismatch(f"posterior {Q.shape}, means {means.shape}, features {V.shape}")
+    U, sum_norms = unit_rows(Q.T @ V)
+    dead = sum_norms[:, 0] <= ZERO_NORM
+    U[dead] = means[dead]
+    value = dis_loss(U)
 
-    denom = k * (k - 1)
-    g_mean = 2.0 * (means.sum(axis=0)[None, :] - means) / denom
-    # through u = s/||s||: dL/ds_c = (g - (g.u)u)/||s||
-    g_sum = (g_mean - np.einsum("kd,kd->k", g_mean, means)[:, None] * means) / sum_norms[
-        :, None
-    ]
-    g_v = Q @ g_sum
-    feat_norms = np.linalg.norm(features, axis=1, keepdims=True)
-    grad = (g_v - np.einsum("nd,nd->n", g_v, V)[:, None] * V) / feat_norms
-    return value, grad
+    k = Q.shape[1]
+    g_mean = 2.0 * (U.sum(axis=0)[None, :] - U) / (k * (k - 1))
+    g_v = Q @ _through_unit(g_mean, U, sum_norms)
+    return value, _through_unit(g_v, V, feat_norms)
 
 
 def con_loss(P: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:

@@ -26,19 +26,33 @@ ZERO_NORM = 1e-12
 ALPHA_FLOOR = 1e-12
 
 
-def normalize_rows(features: np.ndarray) -> np.ndarray:
-    """Project each row of ``features`` onto the unit sphere.
+def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``features`` divided by its norm, and the (n, 1) norms.
 
-    Raises ZeroVectorRow for the first row whose norm is <= 1e-12.
+    The one normaliser for network features: a row whose norm is <= 1e-12
+    stays zero, so it scores equally against every cluster and, through
+    the losses, passes no gradient.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DimensionMismatch(f"expected 2-d matrix, got shape {features.shape}")
-    norms = np.linalg.norm(features, axis=1)
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    zero = norms <= ZERO_NORM  # a nan row is not zero: it stays nan
+    V = np.divide(features, norms, out=np.zeros_like(features), where=~zero)
+    return V, norms
+
+
+def normalize_rows(features: np.ndarray) -> np.ndarray:
+    """Project each row of user input onto the unit sphere.
+
+    Raises ZeroVectorRow for the first row whose norm is <= 1e-12: in user
+    input a zero row is a data error.
+    """
+    V, norms = unit_rows(features)
     bad = np.flatnonzero(norms <= ZERO_NORM)
     if bad.size:
         raise ZeroVectorRow(int(bad[0]))
-    return features / norms[:, None]
+    return V
 
 
 def _check_unit_rows(mat: np.ndarray, what: str, atol: float = UNIT_ATOL) -> None:

@@ -292,9 +292,10 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ModelParams, AdamState]:
-    """One Adam update. The per-parameter step is scale-normalized, which
-    keeps the sum-form alignment losses and the mean-form supervised loss
-    on comparable footing under a single learning rate."""
+    """One Adam update. The per-parameter step is normalized by the
+    gradient's running scale as a whole, not per loss term: the sum-form
+    alignment losses still outweigh the mean-form supervised loss inside
+    that gradient, and one learning rate does not undo that."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     _check_grad_shapes(params, grads)

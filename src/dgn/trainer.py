@@ -21,7 +21,7 @@ import numpy as np
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
 from .data import SceneBatch, miou, sample_sparse_labels, with_sparse
-from .errors import DegenerateCluster, DimensionMismatch, InvalidGrid
+from .errors import DimensionMismatch, InvalidGrid
 
 ALIGNMENTS = ("soft", "hard", "gmm")
 OPTIMIZERS = ("adam", "sgd")
@@ -40,8 +40,8 @@ class TrainConfig:
     (``losses.vmf_loss`` or ``baselines.gmm_nll_loss``), ``use_dis`` the
     separation of the posterior-weighted mean directions and ``use_con``
     the cross-entropy from the posterior to the head; each backpropagates
-    into the network. Floats must be finite, ``feat_dim`` and every
-    ``hidden_dims`` width at least 1.
+    into the network. Floats must be finite, ``beta`` in (0, 1], and
+    ``feat_dim`` and every ``hidden_dims`` width at least 1.
     """
 
     kappa: float = 10.0
@@ -81,6 +81,8 @@ class TrainConfig:
         _em_config(self)  # a negative kappa or em_tol fails here, before any work
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if not 0.0 < self.beta <= 1.0:
+            raise ValueError("beta must be in (0, 1]")
         if not 0.0 < self.label_rate <= 1.0:
             raise ValueError("label_rate must be in (0, 1]")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -122,13 +124,6 @@ class AblationRow:
     per_seed: tuple[float, ...]
 
 
-def _safe_unit_rows(features: np.ndarray) -> np.ndarray:
-    # zero rows stay zero instead of raising; they then score equally
-    # against every cluster, which is the graceful degenerate behavior
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    return features / np.maximum(norms, 1e-12)
-
-
 def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
     return movmf.EMConfig(max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa)
 
@@ -139,7 +134,7 @@ def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
 # functions are looked up at call time, so a wrapped binding is the one called.
 
 def _fit_movmf(features, labels, prototype_bank, cfg):
-    V = _safe_unit_rows(features)
+    V, _ = movmf.unit_rows(features)
     centers = bank_mod.init_centers(V, labels, prototype_bank, seed=cfg.seed)
     run = movmf.hard_movmf_em if cfg.alignment == "hard" else movmf.soft_movmf_em
     result = run(V, centers.centers, _em_config(cfg))
@@ -147,11 +142,11 @@ def _fit_movmf(features, labels, prototype_bank, cfg):
 
 
 def _fit_gmm(features, labels, prototype_bank, cfg):
-    V = _safe_unit_rows(features)
+    V, _ = movmf.unit_rows(features)
     init = bank_mod.euclidean_init_means(features, V, labels, prototype_bank, cfg.seed)
     result = baselines.gmm_em(features, init, _em_config(cfg))
     # the Euclidean counterpart of the spherical alignment loss
-    return result, _safe_unit_rows(result.params.means), baselines.gmm_nll_loss
+    return result, movmf.unit_rows(result.params.means)[0], baselines.gmm_nll_loss
 
 
 _FITS = {"soft": _fit_movmf, "hard": _fit_movmf, "gmm": _fit_gmm}
@@ -197,11 +192,8 @@ def train_step(
             vmf_val, grad = align_loss(cache.features, Q, result.params)
             d_features += grad
         if cfg.use_dis:
-            try:
-                dis_val, grad = losses.dis_loss_through_means(cache.features, Q)
-                d_features += grad
-            except DegenerateCluster:
-                dis_val = losses.dis_loss(means)
+            dis_val, grad = losses.dis_loss_through_means(cache.features, Q, means)
+            d_features += grad
         if cfg.use_con:
             con_val, grad = losses.con_loss(cache.probs, Q)
             d_logits += grad
@@ -306,12 +298,25 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     return FitResult(params, prototype_bank, tuple(reports))
 
 
-def explain(scene: SceneBatch, params: network.ModelParams, cfg: TrainConfig) -> np.ndarray:
+def explain(
+    scene: SceneBatch,
+    params: network.ModelParams,
+    cfg: TrainConfig,
+    prototype_bank: bank_mod.MemoryBank | None = None,
+) -> np.ndarray:
     """Posterior over classes for every point of a scene, from one
-    clustering pass on the frozen embeddings."""
+    clustering pass on the frozen embeddings.
+
+    The fit starts as in training: a class with labels in the scene from
+    their mean, one without from ``prototype_bank`` (the bank a
+    checkpoint saved), and a class the bank has not seen from a seeded
+    direction. Without a bank every unlabeled class takes that last path,
+    so its column need not line up with the head's class.
+    """
     cache = network.forward(params, scene.network_input())
-    fresh = bank_mod.empty_bank(scene.num_classes, params.feature_dim, cfg.bank_momentum)
-    result, _, _ = _FITS[cfg.alignment](cache.features, scene.sparse, fresh, cfg)
+    if prototype_bank is None:
+        prototype_bank = bank_mod.empty_bank(scene.num_classes, params.feature_dim)
+    result, _, _ = _FITS[cfg.alignment](cache.features, scene.sparse, prototype_bank, cfg)
     return result.posterior
 
 

@@ -68,13 +68,46 @@ def test_gen_data_writes_scenes_that_read_back(tmp_path, capsys):
         assert 0 < scene.sparse.size < scene.num_points
 
 
-def test_gen_data_bad_input_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags",
+    [["--classes", "1"], ["--points", "0:5"], ["--points", "x"], ["--noise", "-1"],
+     ["--label-rate", "0"], ["--label-rate", "1.5"]],
+    ids=["classes-1", "points-zero", "points-text", "noise-negative", "rate-zero",
+         "rate-above-1"],
+)
+def test_gen_data_bad_input_exits_2(tmp_path, capsys, flags):
+    # every argument is checked before the output directory is made
     out = tmp_path / "data"
-    code = cli.main(["gen-data", "--out", str(out), "--classes", "1"])
+    code = cli.main(["gen-data", "--out", str(out), *flags])
     err = capsys.readouterr().err
     assert code == cli.EXIT_PARSE
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not list(out.glob("*.dgn"))
+    assert not out.exists()
+
+
+def test_train_checks_beta_before_reading_data(tmp_path, capsys):
+    (tmp_path / "beta.cfg").write_text("beta = 2\n")
+    code = cli.main(["train", "--config", str(tmp_path / "beta.cfg"),
+                     "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == "error: beta must be in (0, 1]\n"
+
+
+def test_train_on_one_class_scenes_is_a_data_error(tmp_path, capsys):
+    # the discriminative loss needs two clusters: bad data, not an internal error
+    for i in range(3):
+        scene = data.gen_scene(data.SceneSpec(num_classes=2, points_per_class=(5, 5), seed=i))
+        one = scene.gt_labels == 0
+        data.write_scene(str(tmp_path / f"scene_{i:03d}.dgn"), data.SceneBatch(
+            scene.coords[one], scene.extra_feats[one], scene.gt_labels[one],
+            data.SparseLabels(np.arange(5), np.zeros(5, dtype=np.int64)), num_classes=1))
+    (tmp_path / "train.cfg").write_text("epochs = 1\nwarmup_epochs = 0\n")
+    code = cli.main(["train", "--config", str(tmp_path / "train.cfg"),
+                     "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert err == "error: discriminative loss needs at least two clusters\n"
 
 
 def test_eval_scores_a_prediction_file(tmp_path, capsys):
@@ -285,19 +318,27 @@ def test_cluster_label_outside_int64_is_a_parse_error(tmp_path, capsys):
 
 
 def test_explain_output_equals_per_value_writer(tmp_path):
+    # one label: classes 1 and 2 start from the checkpoint's bank when it has one
     scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=6))
+    scene = data.with_sparse(scene, data.SparseLabels(np.array([0]), scene.gt_labels[:1]))
     scene_path = str(tmp_path / "scene.dgn")
     data.write_scene(scene_path, scene)
     params = network.init_params([7, 8, 4], 3, seed=1)
+    protos = movmf.normalize_rows(np.random.default_rng(0).standard_normal((3, 4)))
     ckpt = str(tmp_path / "model.ckpt")
-    network.save_checkpoint(ckpt, params)
     out = tmp_path / "posteriors.txt"
-    code = cli.main(["explain", "--scene", scene_path, "--checkpoint", ckpt,
-                     "--out", str(out)])
-    assert code == cli.EXIT_OK
+    posteriors = []
+    for prototype_bank in (None, bank_mod.MemoryBank(protos, np.ones(3, dtype=bool), 0.9)):
+        network.save_checkpoint(ckpt, params, prototype_bank)
+        code = cli.main(["explain", "--scene", scene_path, "--checkpoint", ckpt,
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
 
-    posterior = trainer.explain(data.read_scene(scene_path), params, trainer.TrainConfig())
-    assert out.read_bytes() == _old_lines(_old_format_rows(posterior))
+        posterior = trainer.explain(data.read_scene(scene_path), params,
+                                    trainer.TrainConfig(), prototype_bank)
+        assert out.read_bytes() == _old_lines(_old_format_rows(posterior))
+        posteriors.append(posterior)
+    assert not np.array_equal(*posteriors)
 
 
 # ---------------------------------------------------------------------------

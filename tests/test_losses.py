@@ -234,25 +234,68 @@ def test_dis_permutation_invariant(rng):
     assert value == pytest.approx(base, abs=1e-12)
 
 
+def _unit_weighted_sums(F, Q):
+    sums = Q.T @ (F / np.linalg.norm(F, axis=1, keepdims=True))
+    return sums / np.linalg.norm(sums, axis=1, keepdims=True)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_dis_through_means_gradient(seed):
     rng = np.random.default_rng(seed)
     n, d, k = 9, 4, 3
     F = rng.standard_normal((n, d)) * 1.3 + 0.1
-    Q = rng.dirichlet(np.ones(k), size=n)
-    value, grad = losses.dis_loss_through_means(F, Q)
+    means = random_unit_rows(rng, k, d)
+    live = rng.dirichlet(np.ones(k), size=n)
+    # an empty cluster: its posterior column is all zero
+    empty = live.copy()
+    empty[:, 1] = 0.0
+    empty /= empty.sum(axis=1, keepdims=True)
+    for Q, held in ((live, []), (empty, [1])):
+        value, grad = losses.dis_loss_through_means(F, Q, means)
+        expected = _unit_weighted_sums(F, np.delete(Q, held, axis=1))
+        expected = np.insert(expected, held[0], means[held], axis=0) if held else expected
+        assert value == pytest.approx(losses.dis_loss(expected), abs=1e-12)
 
-    def value_at(feats):
-        return losses.dis_loss_through_means(feats, Q)[0]
+        def value_at(feats):
+            return losses.dis_loss_through_means(feats, Q, means)[0]
 
-    step = 1e-5
-    for _ in range(15):
-        i, j = rng.integers(n), rng.integers(d)
-        plus = F.copy(); plus[i, j] += step
-        minus = F.copy(); minus[i, j] -= step
-        fd = (value_at(plus) - value_at(minus)) / (2 * step)
-        denom = max(abs(fd), abs(grad[i, j]), 1e-8)
-        assert abs(fd - grad[i, j]) / denom < 1e-4
+        step = 1e-5
+        for _ in range(15):
+            i, j = rng.integers(n), rng.integers(d)
+            plus = F.copy(); plus[i, j] += step
+            minus = F.copy(); minus[i, j] -= step
+            fd = (value_at(plus) - value_at(minus)) / (2 * step)
+            denom = max(abs(fd), abs(grad[i, j]), 1e-8)
+            assert abs(fd - grad[i, j]) / denom < 1e-4
+
+
+def test_dis_through_means_cancelled_cluster_passes_nothing():
+    # cluster 2 holds only two opposite points: its weighted sum vanishes,
+    # so it keeps the fit's mean, and the points that feed only it get no
+    # gradient through that mean
+    F = np.array([[1.0, 0.2], [0.1, 1.0], [0.0, 2.0], [0.0, -2.0]])
+    Q = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    means = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
+    value, grad = losses.dis_loss_through_means(F, Q, means)
+    held = np.vstack([_unit_weighted_sums(F[:2], Q[:2, :2]), means[2:]])
+    assert value == pytest.approx(losses.dis_loss(held), abs=1e-12)
+    np.testing.assert_array_equal(grad[2:], 0.0)
+    assert np.all(np.abs(grad[:2]) > 0)
+
+
+@pytest.mark.parametrize("loss", ["vmf", "dis"])
+def test_zero_feature_row_has_finite_value_and_zero_gradient(rng, loss):
+    F = rng.standard_normal((6, 4))
+    F[2] = 0.0
+    Q = rng.dirichlet(np.ones(3), size=6)
+    theta = _theta(rng.dirichlet(np.ones(3)), 10.0, random_unit_rows(rng, 3, 4))
+    if loss == "vmf":
+        value, grad = losses.vmf_loss(F, Q, theta)
+    else:
+        value, grad = losses.dis_loss_through_means(F, Q, theta.means)
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
+    np.testing.assert_array_equal(grad[2], 0.0)
+    assert np.all(np.any(grad[[0, 1, 3, 4, 5]] != 0.0, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,8 @@ def _moves_training(scenes, off, on):
 
 @pytest.mark.parametrize("term", ["use_vmf", "use_dis", "use_con"])
 @pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
-def test_every_alignment_term_changes_training(request, alignment, term):
+def test_every_alignment_term_changes_training(alignment, term):
     # no silent knob: each term, switched on after warmup, moves the network
-    if (alignment, term) == ("hard", "use_dis"):
-        request.applymarker(pytest.mark.xfail(strict=True, reason=(
-            "every DIS call on this set meets an empty hard cluster and falls back "
-            "to the value-only dis_loss, which moves nothing")))
     scenes = _scenes()
     off = _cfg(alignment=alignment, **{term: False})
     assert _moves_training(scenes, off, dataclasses.replace(off, **{term: True}))
@@ -147,3 +143,32 @@ def test_explain_fits_the_configured_family(alignment):
     for other in [a for a in trainer.ALIGNMENTS if a != alignment]:
         other_posterior = trainer.explain(scene, params, _cfg(alignment=other))
         assert not np.array_equal(posterior, other_posterior)
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_fit_survives_a_zero_feature_row(alignment):
+    # a point at the origin has a zero input row; the biases start at zero,
+    # so its feature row is exactly zero in the first aligned step
+    scenes = []
+    for scene in _scenes(count=3):
+        coords, extra = scene.coords.copy(), scene.extra_feats.copy()
+        coords[0] = 0.0
+        extra[0] = 0.0
+        scenes.append(dataclasses.replace(scene, coords=coords, extra_feats=extra))
+    result = trainer.fit(scenes, _cfg(alignment=alignment, warmup_epochs=0))
+    for report in result.reports:
+        assert all(np.isfinite(getattr(report.losses, k)) for k in ("vmf", "dis", "con"))
+    assert all(np.all(np.isfinite(p)) for p in _param_arrays(result.params))
+
+
+def test_explain_on_an_unlabeled_scene_follows_the_trained_bank():
+    # the held-out scene has no labels, so every EM centre comes from the bank
+    scenes = [data.gen_scene(data.SceneSpec(num_classes=4, seed=seed)) for seed in range(20)]
+    cfg = trainer.TrainConfig(use_vmf=False, epochs=10, label_rate=0.02, seed=0)
+    result = trainer.fit(scenes, cfg)
+    assert result.bank.seen.all()
+    no_labels = data.SparseLabels(np.empty(0, int), np.empty(0, int))
+    unlabeled = data.with_sparse(scenes[-1], no_labels)
+    posterior = trainer.explain(unlabeled, result.params, cfg, result.bank)
+    head = trainer.predict(result.params, unlabeled)
+    assert np.mean(np.argmax(posterior, axis=1) == head) > 0.95
