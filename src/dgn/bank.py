@@ -9,6 +9,7 @@ import numpy as np
 
 from .data import SparseLabels
 from .errors import DimensionMismatch
+from .movmf import _has_unit_rows
 
 PROVENANCE_SCENE = "scene_labeled"
 PROVENANCE_BANK = "bank"
@@ -37,10 +38,8 @@ class MemoryBank:
             )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if seen.any():
-            norms = np.linalg.norm(protos[seen], axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-9, rtol=0.0):
-                raise ValueError("seen prototypes must have unit rows")
+        if not _has_unit_rows(protos[seen]):
+            raise ValueError("seen prototypes must have unit rows")
 
     @property
     def num_classes(self) -> int:
@@ -141,8 +140,7 @@ def update_bank(
     present = sorted(int(c) for c in present_classes)
     if present and (present[0] < 0 or present[-1] >= bank.num_classes):
         raise DimensionMismatch("present class outside the bank")
-    norms = np.linalg.norm(means[present], axis=1) if present else np.empty(0)
-    if present and not np.allclose(norms, 1.0, atol=1e-9, rtol=0.0):
+    if not _has_unit_rows(means[present]):
         raise ValueError("means for present classes must have unit rows")
 
     protos = bank.prototypes.copy()

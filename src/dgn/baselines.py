@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import EMConfig, EMResult, _softmax_rows, normalize_rows
+from .movmf import EMConfig, EMResult, _has_unit_rows, _softmax_rows, normalize_rows
 
 VARIANCE_FLOOR = 1e-6
 WEIGHT_FLOOR = 1e-12
@@ -29,10 +29,8 @@ class PrototypeSet:
             raise ValueError(f"metric must be one of {METRICS}")
         if protos.ndim != 2:
             raise DimensionMismatch(f"prototypes must be 2-d, got {protos.shape}")
-        if self.metric == "cosine":
-            norms = np.linalg.norm(protos, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-9, rtol=0.0):
-                raise ValueError("cosine prototypes must have unit rows")
+        if self.metric == "cosine" and not _has_unit_rows(protos):
+            raise ValueError("cosine prototypes must have unit rows")
 
 
 @dataclass(frozen=True)

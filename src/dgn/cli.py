@@ -43,6 +43,7 @@ EXIT_OK = 0
 
 CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
 _INT64 = np.iinfo(np.int64)
+_ROWS_PER_WRITE = 4096
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -121,6 +122,16 @@ def _format_rows(matrix: np.ndarray) -> list[str]:
     return [row % tuple(values) for values in matrix.tolist()]
 
 
+def _write_rows(path: str, matrix: np.ndarray) -> None:
+    """``_write_lines(path, _format_rows(matrix))``, formatted and written
+    4096 rows at a time so the text of the whole matrix is never held."""
+    with open(path, "w") as fh:
+        if not matrix.shape[0]:
+            fh.write("\n")
+        for start in range(0, matrix.shape[0], _ROWS_PER_WRITE):
+            fh.write("\n".join(_format_rows(matrix[start:start + _ROWS_PER_WRITE])) + "\n")
+
+
 def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means++-style seeding on squared Euclidean distance."""
     rng = np.random.default_rng(seed)
@@ -186,7 +197,7 @@ def cmd_cluster(args) -> int:
 
     prefix = args.out_prefix or args.input
     _write_lines(prefix + ".assignments", map(str, assignment.tolist()))
-    _write_lines(prefix + ".posteriors", _format_rows(posterior))
+    _write_rows(prefix + ".posteriors", posterior)
     print(f"wrote {prefix}.assignments and {prefix}.posteriors")
     return EXIT_OK
 
@@ -254,7 +265,7 @@ def cmd_explain(args) -> int:
     scene = read_scene(args.scene)
     params, prototype_bank = network.load_checkpoint(args.checkpoint)
     posterior = trainer.explain(scene, params, cfg, prototype_bank)
-    _write_lines(args.out, _format_rows(posterior))
+    _write_rows(args.out, posterior)
     print(f"wrote per-point posteriors to {args.out}")
     return EXIT_OK
 

@@ -5,6 +5,25 @@ objective and soft/hard EM fitting with a shared concentration kappa.
 Under a shared kappa the normalising constant C_d(kappa) cancels in the
 posterior and only shifts the objectives, so it is never computed. All
 computation is float64 and log-space where overflow is possible.
+
+Layout. The posterior is computed cluster-major, on one (k, n) buffer
+with a row per cluster, so the max over clusters, ``exp``, the sum over
+clusters and the division are operations on whole rows of n points
+rather than reductions over rows of k. Each result is bitwise equal to
+the point-major (n, k) form (``V @ means.T``, then the row softmax):
+
+- the scores come from the same BLAS call, ``V @ means.T`` into an
+  (n, k) buffer, scaled by kappa there and transposed into the (k, n)
+  buffer by the add of log(alpha_c). ``means @ V.T`` is not used: with
+  OpenBLAS it differs in the last bit for some shapes;
+- the sum over the k rows adds them in the order numpy adds the k
+  entries of one row (``Q.sum(axis=1)``): left to right below 8 rows;
+  from 8 to 128 rows, eight strided accumulators r_j (rows j, j+8, ...)
+  combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
+  rows one by one; above 128 rows, numpy's pairwise split;
+- the M step reads the posterior back in the (n, k) layout, so ``Q.T @ V``
+  is the same BLAS call, and the weights are column sums taken point
+  after point, as ``Q.mean(axis=0)`` takes them.
 """
 
 from __future__ import annotations
@@ -21,9 +40,10 @@ from .errors import (
     ZeroVectorRow,
 )
 
-UNIT_ATOL = 1e-6
+UNIT_ATOL = 1e-9
 ZERO_NORM = 1e-12
 ALPHA_FLOOR = 1e-12
+_BLOCK = 4096   # points per block of a (n, k) <-> (k, n) transpose
 
 
 def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,11 +75,26 @@ def normalize_rows(features: np.ndarray) -> np.ndarray:
     return V
 
 
-def _check_unit_rows(mat: np.ndarray, what: str, atol: float = UNIT_ATOL) -> None:
-    norms = np.linalg.norm(mat, axis=1)
-    if not np.allclose(norms, 1.0, atol=atol, rtol=0.0):
+def _has_unit_rows(rows: np.ndarray) -> bool:
+    """Whether every row's norm is within ``UNIT_ATOL`` of 1. A nan or inf
+    row fails; a matrix with no rows passes."""
+    norms = np.linalg.norm(rows, axis=1)
+    return norms.size == 0 or float(np.max(np.abs(norms - 1.0))) <= UNIT_ATOL
+
+
+def _check_unit_rows(mat: np.ndarray, what: str) -> None:
+    if not _has_unit_rows(mat):
+        norms = np.linalg.norm(mat, axis=1)
         worst = int(np.argmax(np.abs(norms - 1.0)))
-        raise NonUnitInput(f"{what} row {worst} has norm {norms[worst]!r}")
+        raise NonUnitInput(f"{what} row {worst} has norm {float(norms[worst])!r}")
+
+
+def _check_weights(alphas: np.ndarray) -> None:
+    if np.any(alphas < 0):
+        raise ValueError("mixture weights must be nonnegative")
+    total = float(alphas.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"mixture weights sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -79,13 +114,10 @@ class MoVMFParams:
             raise DimensionMismatch(
                 f"alphas {alphas.shape} incompatible with means {means.shape}"
             )
-        if np.any(alphas < 0):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(float(alphas.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {alphas.sum()!r}, not 1")
+        _check_weights(alphas)
         if self.kappa < 0:
             raise ValueError("concentration must be nonnegative")
-        _check_unit_rows(means, "means", atol=1e-9)
+        _check_unit_rows(means, "means")
 
     @property
     def num_clusters(self) -> int:
@@ -118,7 +150,7 @@ class EMResult:
     """Posterior, hard assignment, fitted parameters, and run diagnostics
     of one EM fit: a moVMF here, an isotropic GMM in ``baselines.gmm_em``."""
 
-    posterior: np.ndarray       # (n, k) row-stochastic
+    posterior: np.ndarray       # (n, k) row-stochastic, C-contiguous
     assignment: np.ndarray      # (n,) argmax of posterior, ties to lowest index
     params: MoVMFParams         # baselines.GMMParams from gmm_em
     iterations: int
@@ -135,11 +167,11 @@ def _check_dims(V: np.ndarray, theta: MoVMFParams) -> None:
         )
 
 
-def _scores(V: np.ndarray, theta: MoVMFParams, log_alphas: np.ndarray) -> np.ndarray:
-    # the one moVMF score path: log(alpha_c) + kappa * dot(u_c, v_i)
-    q = V @ theta.means.T
-    q *= theta.kappa
-    q += log_alphas
+def _scores(V: np.ndarray, means: np.ndarray, kappa: float, out=None) -> np.ndarray:
+    # the one moVMF score path: kappa * dot(u_c, v_i), point-major (n, k);
+    # the caller adds log(alpha_c)
+    q = np.matmul(V, means.T, out=out)
+    q *= kappa
     return q
 
 
@@ -154,6 +186,67 @@ def _softmax_rows(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return z
 
 
+def _sum_rows(P: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (k, n) array, added in the order numpy's
+    pairwise sum adds the k entries of one row of the (n, k) transpose."""
+    k = P.shape[0]
+    if k < 8:
+        s = P[0].copy()
+        for c in range(1, k):
+            s += P[c]
+        return s
+    if k > 128:
+        half = k // 2
+        half -= half % 8
+        s = _sum_rows(P[:half])
+        s += _sum_rows(P[half:])
+        return s
+    end = k - k % 8
+    r = P[:8] if end == 8 else P[:8] + P[8:16]
+    for c in range(16, end, 8):
+        r += P[c:c + 8]
+    s = r[0] + r[1]
+    s += r[2] + r[3]
+    tail = r[4] + r[5]
+    tail += r[6] + r[7]
+    s += tail
+    for c in range(end, k):
+        s += P[c]
+    return s
+
+
+def _posterior_kn(
+    V: np.ndarray,
+    means: np.ndarray,
+    kappa: float,
+    alphas: np.ndarray,
+    scratch: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The (k, n) posterior of the points V under (alphas, kappa, means),
+    written into ``out``; ``scratch`` is an (n, k) buffer for the scores.
+
+    Computed in log space with the max over clusters subtracted. With
+    kappa = 0 every column equals the (renormalized) weights exactly.
+    """
+    total = float(alphas.sum())
+    if not np.any(alphas > 0) or total <= 0:
+        raise DegenerateRow("all mixture weights are zero")
+    if kappa == 0.0:
+        out[...] = (alphas / total)[:, None]
+        return out
+    with np.errstate(divide="ignore"):
+        log_alphas = np.log(alphas)[:, None]
+    S = _scores(V, means, kappa, out=scratch)
+    for i in range(0, S.shape[0], _BLOCK):
+        # the transpose in blocks that stay in cache
+        np.add(S[i:i + _BLOCK].T, log_alphas, out=out[:, i:i + _BLOCK])
+    out -= np.maximum.reduce(out, axis=0)
+    np.exp(out, out=out)
+    out /= _sum_rows(out)
+    return out
+
+
 def log_scores(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
     """Per-point per-cluster log(alpha_c) + kappa * dot(u_c, v_i).
 
@@ -162,11 +255,13 @@ def log_scores(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
     at 1e-12 inside the log so one-hot targets stay finite.
     """
     _check_dims(V, theta)
-    return _scores(V, theta, np.log(np.maximum(theta.alphas, ALPHA_FLOOR)))
+    q = _scores(V, theta.means, theta.kappa)
+    q += np.log(np.maximum(theta.alphas, ALPHA_FLOOR))
+    return q
 
 
 def posterior(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
-    """Soft assignment of each embedding to each mixture component.
+    """Soft assignment of each embedding to each mixture component, (n, k).
 
     Computed in log space with per-row max subtraction. With kappa = 0 the
     density is constant on the sphere and every row equals the (renormalized)
@@ -174,15 +269,10 @@ def posterior(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
     """
     V = np.asarray(V, dtype=np.float64)
     _check_dims(V, theta)
-    alphas = theta.alphas
-    total = float(alphas.sum())
-    if not np.any(alphas > 0) or total <= 0:
-        raise DegenerateRow("all mixture weights are zero")
-    if theta.kappa == 0.0:
-        return np.tile(alphas / total, (V.shape[0], 1))
-    with np.errstate(divide="ignore"):
-        q = _scores(V, theta, np.log(alphas))
-    return _softmax_rows(q, out=q)
+    n, k = V.shape[0], theta.num_clusters
+    P = _posterior_kn(V, theta.means, theta.kappa, theta.alphas,
+                      np.empty((n, k)), np.empty((k, n)))
+    return np.ascontiguousarray(P.T)
 
 
 def movmf_objective(V: np.ndarray, Q: np.ndarray, theta: MoVMFParams) -> float:
@@ -206,25 +296,6 @@ def one_hot(labels: np.ndarray, num_clusters: int) -> np.ndarray:
     return out
 
 
-def m_step(
-    V: np.ndarray, Q: np.ndarray, prev_means: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Maximization step shared by both EM variants.
-
-    alpha_c is the mean posterior mass, u_c the normalized Q-weighted
-    embedding sum. Clusters whose weighted sum has norm <= 1e-12 keep
-    their previous mean and are reported in the returned list.
-    """
-    alphas = Q.mean(axis=0)
-    sums = Q.T @ V
-    norms = np.linalg.norm(sums, axis=1)
-    degenerate = [int(c) for c in np.flatnonzero(norms <= ZERO_NORM)]
-    means = prev_means.copy()
-    ok = norms > ZERO_NORM
-    means[ok] = sums[ok] / norms[ok, None]
-    return alphas, means, degenerate
-
-
 def _mean_shift(new: np.ndarray, old: np.ndarray) -> float:
     # rotation-invariant convergence measure: max over clusters of 1 - cos(angle)
     return float(np.max(1.0 - np.einsum("cd,cd->c", new, old)))
@@ -246,36 +317,53 @@ def _run_em(
         raise DimensionMismatch("need at least one point and one cluster")
     _check_unit_rows(init_means, "init means")
 
-    k = init_means.shape[0]
+    n, k = V.shape[0], init_means.shape[0]
     theta = MoVMFParams(np.full(k, 1.0 / k), cfg.kappa, init_means)
+    alphas, means = theta.alphas, theta.means
+    Q = np.empty((n, k))   # the scores, then the posterior the M step reads
+    P = np.empty((k, n))   # the posterior, cluster-major
     degenerate: set[int] = set()
     iterations = 0
     converged = False
 
     for _ in range(cfg.max_iters):
-        q = posterior(V, theta)
+        _posterior_kn(V, means, cfg.kappa, alphas, Q, P)
         if hard:
-            q = one_hot(np.argmax(q, axis=1), k)
-        alphas, means, degen = m_step(V, q, theta.means)
-        degenerate.update(degen)
+            Q = one_hot(np.argmax(P, axis=0), k)
+        else:
+            np.copyto(Q, P.T)
+        # M step: alpha_c is the mean posterior mass (summed point after
+        # point), u_c the normalized Q-weighted embedding sum; a cluster
+        # whose sum has norm <= 1e-12 keeps its previous mean
+        new_alphas = np.einsum("ic->c", Q) / n
+        sums = Q.T @ V
+        norms = np.linalg.norm(sums, axis=1)
+        degenerate.update(int(c) for c in np.flatnonzero(norms <= ZERO_NORM))
+        new_means = means.copy()
+        ok = norms > ZERO_NORM
+        new_means[ok] = sums[ok] / norms[ok, None]
         # EM-produced weights sum to 1 only within rounding; renormalize so
         # the params invariant holds exactly across many iterations.
-        alphas = alphas / alphas.sum()
-        shift = _mean_shift(means, theta.means)
-        theta = MoVMFParams(alphas, cfg.kappa, means)
+        new_alphas = new_alphas / new_alphas.sum()
+        shift = _mean_shift(new_means, means)
+        _check_weights(new_alphas)
+        _check_unit_rows(new_means, "means")
+        alphas, means = new_alphas, new_means
         iterations += 1
         if shift < cfg.tol:
             converged = True
             break
 
-    q = posterior(V, theta)
-    labels = np.argmax(q, axis=1)   # np.argmax breaks ties toward index 0
+    _posterior_kn(V, means, cfg.kappa, alphas, Q, P)
+    labels = np.argmax(P, axis=0)   # np.argmax breaks ties toward index 0
     if hard:
-        q = one_hot(labels, k)
+        Q = one_hot(labels, k)
+    else:
+        np.copyto(Q, P.T)
     return EMResult(
-        posterior=q,
+        posterior=Q,
         assignment=labels,
-        params=theta,
+        params=MoVMFParams(alphas, cfg.kappa, means),
         iterations=iterations,
         converged=converged,
         degenerate=tuple(sorted(degenerate)),

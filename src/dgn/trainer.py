@@ -242,7 +242,9 @@ def split_dataset(dataset, val_fraction: float):
 
 
 def fit(dataset, cfg: TrainConfig) -> FitResult:
-    """Train on the given scenes; deterministic for a fixed seed.
+    """Train on the given scenes; bitwise deterministic for a seed and a
+    pinned BLAS thread count (a threaded BLAS may split its sums another
+    way at another count, so only the pinned count repeats bit for bit).
 
     Sparse annotations are drawn once per scene up front at
     ``cfg.label_rate``. Evaluation after each epoch scores head-only

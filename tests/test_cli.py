@@ -168,6 +168,28 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_train_is_bitwise_repeatable_across_processes(tmp_path):
+    # the determinism contract: bitwise for a seed and a pinned BLAS thread count
+    scenes = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(scenes), "--scenes", "4", "--classes", "3",
+                     "--points", "20:30", "--label-rate", "0.2", "--seed", "5"]) == cli.EXIT_OK
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 3\nwarmup_epochs = 1\nem_iters = 3\nhidden_dims = 8, 8\n"
+                      "feat_dim = 4\n")
+    src = os.path.dirname(os.path.dirname(dgn.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    outputs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        subprocess.run(
+            [sys.executable, "-m", "dgn.cli", "train", "--config", str(config),
+             "--data", str(scenes), "--out", str(out), "--seed", "2"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(((out / "model.ckpt").read_bytes(), (out / "report.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # writers: each output equals the bytes of the per-value writers they replaced
 
@@ -195,6 +217,15 @@ def test_format_rows_special_values():
     ])
     assert cli._format_rows(matrix) == _old_format_rows(matrix)
     assert cli._format_rows(matrix)[0] == "nan inf -inf -0 0"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4096, 9000])
+def test_write_rows_equals_whole_matrix_writer(tmp_path, rows):
+    # blocks of 4096 rows: none, a partial one, exactly one, and three
+    matrix = np.random.default_rng(rows).standard_normal((rows, 3)) ** 3
+    path = tmp_path / "rows.txt"
+    cli._write_rows(str(path), matrix)
+    assert path.read_bytes() == _old_lines(_old_format_rows(matrix))
 
 
 def _old_cluster(X, variant, k, seed, labels):

@@ -9,14 +9,15 @@ from scipy.special import gammaln, ive
 
 from conftest import perturb_direction, random_unit_rows
 from dgn import movmf
-from dgn.errors import DimensionMismatch, NonUnitInput, ZeroVectorRow
+from dgn.errors import DegenerateRow, DimensionMismatch, NonUnitInput, ZeroVectorRow
 
 
 # ---------------------------------------------------------------------------
 # test oracles: the vMF density with its normalising constant, the hard and
-# the observed-data objectives, and a sampler. dgn never needs them: with a
-# shared kappa the constant cancels in the posterior, EM is checked against
-# the objectives, and synthetic data comes from data.gen_scene.
+# the observed-data objectives, a sampler, and the point-major EM loop. dgn
+# never needs them: with a shared kappa the constant cancels in the
+# posterior, EM is checked against the objectives and the loop, and
+# synthetic data comes from data.gen_scene.
 
 def log_norm_const(kappa: float, dim: int) -> float:
     """log C_d(kappa) for the vMF density on the (dim-1)-sphere.
@@ -145,6 +146,72 @@ def sample_vmf(u: np.ndarray, kappa: float, n: int, seed: int) -> np.ndarray:
     return samples
 
 
+def reference_posterior(V, theta):
+    """The point-major (n, k) posterior: scores from V @ means.T, then a row
+    softmax with the row max taken column by column."""
+    V = np.asarray(V, dtype=np.float64)
+    alphas = theta.alphas
+    total = float(alphas.sum())
+    if not np.any(alphas > 0) or total <= 0:
+        raise DegenerateRow("all mixture weights are zero")
+    if theta.kappa == 0.0:
+        return np.tile(alphas / total, (V.shape[0], 1))
+    with np.errstate(divide="ignore"):
+        q = V @ theta.means.T
+        q *= theta.kappa
+        q += np.log(alphas)
+    z = q - np.maximum.reduce(tuple(q.T))[:, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def m_step(V, Q, prev_means):
+    """Maximization step from an (n, k) posterior.
+
+    alpha_c is the mean posterior mass, u_c the normalized Q-weighted
+    embedding sum. Clusters whose weighted sum has norm <= 1e-12 keep
+    their previous mean and are reported in the returned list.
+    """
+    alphas = Q.mean(axis=0)
+    sums = Q.T @ V
+    norms = np.linalg.norm(sums, axis=1)
+    degenerate = [int(c) for c in np.flatnonzero(norms <= movmf.ZERO_NORM)]
+    means = prev_means.copy()
+    ok = norms > movmf.ZERO_NORM
+    means[ok] = sums[ok] / norms[ok, None]
+    return alphas, means, degenerate
+
+
+def reference_em(V, init_means, cfg, hard):
+    """The point-major EM loop: one posterior, one_hot, m_step and
+    validated MoVMFParams per iteration."""
+    V = np.asarray(V, dtype=np.float64)
+    k = init_means.shape[0]
+    theta = movmf.MoVMFParams(np.full(k, 1.0 / k), cfg.kappa, init_means)
+    degenerate = set()
+    iterations = 0
+    converged = False
+    for _ in range(cfg.max_iters):
+        q = reference_posterior(V, theta)
+        if hard:
+            q = movmf.one_hot(np.argmax(q, axis=1), k)
+        alphas, means, degen = m_step(V, q, theta.means)
+        degenerate.update(degen)
+        alphas = alphas / alphas.sum()
+        shift = float(np.max(1.0 - np.einsum("cd,cd->c", means, theta.means)))
+        theta = movmf.MoVMFParams(alphas, cfg.kappa, means)
+        iterations += 1
+        if shift < cfg.tol:
+            converged = True
+            break
+    q = reference_posterior(V, theta)
+    labels = np.argmax(q, axis=1)
+    if hard:
+        q = movmf.one_hot(labels, k)
+    return movmf.EMResult(q, labels, theta, iterations, converged, tuple(sorted(degenerate)))
+
+
 # ---------------------------------------------------------------------------
 # normalize_rows
 
@@ -168,6 +235,21 @@ def test_normalize_reports_first_bad_row():
     with pytest.raises(ZeroVectorRow) as err:
         movmf.normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("rows", [
+    np.empty((0, 3)),
+    np.eye(3),
+    np.array([[1.0 + 1e-9, 0.0]]),
+    np.array([[1.0 + 2e-9, 0.0]]),
+    np.array([[1.0, 0.0], [np.nan, 0.0]]),
+    np.array([[np.inf, 0.0]]),
+    np.array([[0.0, 0.0]]),
+    np.array([[0.6, 0.8], [1.0 - 1e-12, 0.0]]),
+], ids=["empty", "eye", "at-atol", "past-atol", "nan", "inf", "zero", "close"])
+def test_unit_row_check_accepts_what_allclose_accepts(rows):
+    want = np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-9, rtol=0.0)
+    assert movmf._has_unit_rows(rows) == want
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +508,126 @@ def test_hard_em_empty_cluster_flagged(rng):
 
 
 # ---------------------------------------------------------------------------
+# the cluster-major EM against the point-major loop, bit for bit
+
+EM_FITS = {"soft": movmf.soft_movmf_em, "hard": movmf.hard_movmf_em}
+
+
+def _fit_or_error(fit, V, init, cfg):
+    try:
+        return fit(V, init, cfg)
+    except Exception as exc:   # compared by type and message
+        return exc
+
+
+def assert_same_fit(V, init, cfg, variant):
+    got = _fit_or_error(EM_FITS[variant], V, init, cfg)
+    want = _fit_or_error(lambda *a: reference_em(*a, hard=variant == "hard"), V, init, cfg)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return got
+    assert got.posterior.flags.c_contiguous and got.posterior.shape == want.posterior.shape
+    assert np.array_equal(got.posterior, want.posterior, equal_nan=True)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.params.alphas, want.params.alphas, equal_nan=True)
+    assert np.array_equal(got.params.means, want.params.means, equal_nan=True)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.degenerate == want.degenerate
+    return got
+
+
+def _clustered(seed, n, k, d):
+    """n unit points around k random directions, and k perturbed inits."""
+    rng = np.random.default_rng(seed)
+    centres = random_unit_rows(rng, k, d)
+    V = movmf.normalize_rows(
+        centres[rng.integers(0, k, size=n)] + 0.4 * rng.standard_normal((n, d))
+    )
+    init = np.vstack([perturb_direction(rng, u, 0.3) for u in centres])
+    return V, init
+
+
+@pytest.mark.parametrize("variant", ["soft", "hard"])
+@pytest.mark.parametrize("k", [1, 2, 4, 7, 8, 9, 16, 17])
+def test_em_bitwise_equals_point_major_loop(variant, k):
+    # 4100 points span two transpose blocks; with d = 3 a cluster-major
+    # BLAS call (P @ V for Q.T @ V) would already differ in the last bit
+    V, init = _clustered(k, 4100, k, 3)
+    fit = assert_same_fit(V, init, movmf.EMConfig(8, 0.0, 12.0), variant)
+    assert fit.iterations == 8
+
+
+@pytest.mark.parametrize("variant", ["soft", "hard"])
+@pytest.mark.parametrize("cfg", [
+    movmf.EMConfig(5, 0.0, 0.0),        # kappa = 0
+    movmf.EMConfig(0, 1e-6, 10.0),      # no iteration
+    movmf.EMConfig(50, 1e-3, 10.0),     # stops early by tol
+], ids=["kappa0", "iters0", "tol"])
+def test_em_bitwise_edge_configs(variant, cfg):
+    V, init = _clustered(3, 300, 5, 4)
+    fit = assert_same_fit(V, init, cfg, variant)
+    if cfg.tol == 1e-3:
+        assert fit.converged and fit.iterations < 50
+
+
+def test_em_bitwise_with_empty_hard_cluster():
+    V = sample_vmf(np.array([1.0, 0.0, 0.0]), 100.0, 50, seed=5)
+    init = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    fit = assert_same_fit(V, init, movmf.EMConfig(5, 1e-10, 50.0), "hard")
+    assert fit.degenerate == (1,)
+
+
+@pytest.mark.parametrize("variant", ["soft", "hard"])
+def test_em_bitwise_with_zero_row(variant):
+    V, init = _clustered(4, 200, 3, 5)
+    V[17] = 0.0   # unit_rows keeps a zero feature row at zero
+    assert_same_fit(V, init, movmf.EMConfig(6, 0.0, 10.0), variant)
+
+
+@pytest.mark.parametrize("variant", ["soft", "hard"])
+@pytest.mark.parametrize("max_iters", [0, 1, 4])
+def test_em_bitwise_with_nan_row(variant, max_iters):
+    # soft EM raises DegenerateRow once the nan reaches the weights; hard
+    # EM one-hots the nan row and keeps every mean
+    V, init = _clustered(5, 200, 3, 5)
+    V[9] = np.nan
+    got = assert_same_fit(V, init, movmf.EMConfig(max_iters, 0.0, 10.0), variant)
+    assert isinstance(got, DegenerateRow) == (variant == "soft" and max_iters > 0)
+
+
+@pytest.mark.parametrize("k", [*range(1, 41), 127, 128, 129, 136, 257, 1000])
+def test_sum_rows_adds_in_the_order_of_a_numpy_row_sum(k):
+    # magnitudes 1e-12 to 1e12, so any other order changes the last bits
+    rng = np.random.default_rng(k)
+    Q = np.exp(rng.uniform(-28.0, 28.0, size=(64, k)))
+    assert np.array_equal(movmf._sum_rows(np.ascontiguousarray(Q.T)), Q.sum(axis=1))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 12, 17, 130])
+def test_posterior_bitwise_equals_point_major(rng, k):
+    theta = _theta(rng.dirichlet(np.ones(k)), 25.0, random_unit_rows(rng, k, 6))
+    V = random_unit_rows(rng, 4500, 6)
+    q = movmf.posterior(V, theta)
+    assert q.flags.c_contiguous
+    assert np.array_equal(q, reference_posterior(V, theta))
+
+
+def test_init_means_checked_once_at_the_params_tolerance():
+    M = np.eye(3)
+    M[0] *= 1.0 + 1e-7
+    with pytest.raises(NonUnitInput, match=r"^init means row 0 has norm 1\.0000001$"):
+        movmf.soft_movmf_em(np.eye(3), M, movmf.EMConfig())
+    M[0] = [1.0 + 1e-10, 0.0, 0.0]
+    movmf.soft_movmf_em(np.eye(3), M, movmf.EMConfig())
+
+
+def test_weight_sum_error_prints_a_plain_float():
+    with pytest.raises(ValueError, match=r"^mixture weights sum to 0\.75, not 1$"):
+        movmf.MoVMFParams(np.array([0.5, 0.25]), 1.0, np.eye(2))
+
+
+# ---------------------------------------------------------------------------
 # EM progress guarantees
 
 def _random_instance(seed):
@@ -447,7 +649,7 @@ def test_m_step_never_decreases_objective(seed):
     for _ in range(8):
         q = movmf.posterior(V, theta)
         before = movmf.movmf_objective(V, q, theta)
-        alphas, new_means, _ = movmf.m_step(V, q, theta.means)
+        alphas, new_means, _ = m_step(V, q, theta.means)
         theta = movmf.MoVMFParams(alphas / alphas.sum(), kappa, new_means)
         after = movmf.movmf_objective(V, q, theta)
         assert after >= before - 1e-9
@@ -462,7 +664,7 @@ def test_incomplete_log_likelihood_non_decreasing(seed):
     prev = incomplete_log_likelihood(V, theta)
     for _ in range(8):
         q = movmf.posterior(V, theta)
-        alphas, new_means, _ = movmf.m_step(V, q, theta.means)
+        alphas, new_means, _ = m_step(V, q, theta.means)
         theta = movmf.MoVMFParams(alphas / alphas.sum(), kappa, new_means)
         ll = incomplete_log_likelihood(V, theta)
         assert ll >= prev - 1e-9
@@ -487,7 +689,7 @@ def test_cross_iteration_objective_sequence_is_monotone():
         prev = None
         for _ in range(10):
             q = movmf.posterior(V, theta)
-            alphas, new_means, _ = movmf.m_step(V, q, theta.means)
+            alphas, new_means, _ = m_step(V, q, theta.means)
             theta = movmf.MoVMFParams(alphas / alphas.sum(), kappa, new_means)
             value = movmf.movmf_objective(V, q, theta)
             if prev is not None:
