@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import SparseLabels
 from .errors import DimensionMismatch
-from .movmf import _has_unit_rows
+from .movmf import ZERO_NORM, _has_unit_rows, unit_rows
 
 PROVENANCE_SCENE = "scene_labeled"
 PROVENANCE_BANK = "bank"
@@ -92,7 +92,7 @@ def init_centers(
         if np.any(mask):
             s = V[labels.indices[mask]].sum(axis=0)
             norm = float(np.linalg.norm(s))
-            if norm > 1e-12:
+            if norm > ZERO_NORM:
                 centers[c] = s / norm
                 provenance.append(PROVENANCE_SCENE)
                 placed = True
@@ -110,13 +110,13 @@ def init_centers(
 
 
 def euclidean_init_means(
-    F: np.ndarray, V: np.ndarray, labels: SparseLabels, bank: MemoryBank, seed: int = 0
+    F: np.ndarray, labels: SparseLabels, bank: MemoryBank, seed: int = 0
 ) -> np.ndarray:
-    """Euclidean analogue of ``init_centers`` for the raw features F with
-    unit rows V: the labeled raw mean where a class has labels, else its
-    ``init_centers`` direction scaled to the mean row norm of F."""
+    """Euclidean analogue of ``init_centers`` for the raw features F: the
+    labeled raw mean where a class has labels, else its ``init_centers``
+    direction (from the unit rows of F) scaled to the mean row norm of F."""
     F = np.asarray(F, dtype=np.float64)
-    means = init_centers(V, labels, bank, seed=seed).centers
+    means = init_centers(unit_rows(F)[0], labels, bank, seed=seed).centers
     means *= float(np.mean(np.linalg.norm(F, axis=1)))
     for c in range(bank.num_classes):
         mask = labels.classes == c
@@ -152,6 +152,6 @@ def update_bank(
             mixed = bank.momentum * protos[c] + (1.0 - bank.momentum) * means[c]
             norm = float(np.linalg.norm(mixed))
             # antipodal EMA collapse: adopt the new mean
-            protos[c] = mixed / norm if norm > 1e-12 else means[c]
+            protos[c] = mixed / norm if norm > ZERO_NORM else means[c]
         seen[c] = True
     return MemoryBank(protos, seen, bank.momentum)

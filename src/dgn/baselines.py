@@ -8,29 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import EMConfig, EMResult, _has_unit_rows, _softmax_rows, normalize_rows
+from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _check_weights, _has_unit_rows,
+                    _softmax_rows, normalize_rows)
 
 VARIANCE_FLOOR = 1e-6
-WEIGHT_FLOOR = 1e-12
 METRICS = ("euclidean", "cosine")
-
-
-@dataclass(frozen=True)
-class PrototypeSet:
-    """Per-class prototype vectors under a fixed distance metric."""
-
-    metric: str                # "euclidean" | "cosine"
-    prototypes: np.ndarray     # (k, d); unit rows required for cosine
-
-    def __post_init__(self):
-        protos = np.asarray(self.prototypes, dtype=np.float64)
-        object.__setattr__(self, "prototypes", protos)
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
-        if protos.ndim != 2:
-            raise DimensionMismatch(f"prototypes must be 2-d, got {protos.shape}")
-        if self.metric == "cosine" and not _has_unit_rows(protos):
-            raise ValueError("cosine prototypes must have unit rows")
 
 
 @dataclass(frozen=True)
@@ -52,8 +34,7 @@ class GMMParams:
             means.shape[0],
         ):
             raise DimensionMismatch("weights, means and variances disagree")
-        if abs(float(weights.sum()) - 1.0) > 1e-9 or np.any(weights < 0):
-            raise ValueError("weights must be nonnegative and sum to 1")
+        _check_weights(weights)
         if np.any(variances <= 0):
             raise ValueError("variances must be positive")
 
@@ -62,23 +43,27 @@ class GMMParams:
         return self.means.shape[0]
 
 
-def prototype_assign(F: np.ndarray, protos: PrototypeSet) -> np.ndarray:
-    """Assign each row of F to the nearest prototype.
+def prototype_assign(F: np.ndarray, prototypes: np.ndarray, metric: str) -> np.ndarray:
+    """Assign each row of F to the nearest of the (k, d) ``prototypes``.
 
     Euclidean: smallest distance; cosine: largest similarity after row
-    normalization. Ties go to the lowest class index.
+    normalization, to prototypes that must be unit rows. Ties go to the
+    lowest class index.
     """
     F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != protos.prototypes.shape[1]:
+    prototypes = np.asarray(prototypes, dtype=np.float64)
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}")
+    if F.ndim != 2 or prototypes.ndim != 2 or F.shape[1] != prototypes.shape[1]:
         raise DimensionMismatch(
-            f"features {F.shape} incompatible with prototypes {protos.prototypes.shape}"
+            f"features {F.shape} incompatible with prototypes {prototypes.shape}"
         )
-    if protos.metric == "cosine":
-        sims = normalize_rows(F) @ protos.prototypes.T
-        return np.argmax(sims, axis=1)
-    diffs = F[:, None, :] - protos.prototypes[None, :, :]
-    dists = np.einsum("nkd,nkd->nk", diffs, diffs)
-    return np.argmin(dists, axis=1)
+    if metric == "cosine":
+        if not _has_unit_rows(prototypes):
+            raise ValueError("cosine prototypes must have unit rows")
+        return np.argmax(normalize_rows(F) @ prototypes.T, axis=1)
+    diffs = F[:, None, :] - prototypes[None, :, :]
+    return np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1)
 
 
 def _sq_dists(F: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -103,20 +88,13 @@ def _gmm_log_scores(sq: np.ndarray, log_w: np.ndarray, params: GMMParams) -> np.
 
 def _gmm_floored_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
     # weight log floored at 1e-12 so one-hot Q at a dead component stays finite
-    log_w = np.log(np.maximum(params.weights, WEIGHT_FLOOR))
+    log_w = np.log(np.maximum(params.weights, ALPHA_FLOOR))
     return _gmm_log_scores(_sq_dists(F, params.means), log_w, params)
 
 
-def gmm_posterior(
-    F: np.ndarray, params: GMMParams, sq: np.ndarray | None = None
-) -> np.ndarray:
-    """Log-space responsibilities with per-row max subtraction.
-
-    ``sq`` holds the squared distances of F to ``params.means`` when the
-    caller already has them.
-    """
-    if sq is None:
-        sq = _sq_dists(np.asarray(F, dtype=np.float64), params.means)
+def gmm_posterior(sq: np.ndarray, params: GMMParams) -> np.ndarray:
+    """Log-space responsibilities with per-row max subtraction, from the
+    (n, k) squared distances ``sq`` of the points to ``params.means``."""
     with np.errstate(divide="ignore"):
         scores = _gmm_log_scores(sq, np.log(params.weights), params)
     return _softmax_rows(scores, out=scores)
@@ -157,7 +135,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
-        q = gmm_posterior(F, params, sq)
+        q = gmm_posterior(sq, params)
         mass = q.sum(axis=0)
         dead = mass <= 1e-12
         degenerate.update(int(c) for c in np.flatnonzero(dead))
@@ -179,7 +157,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
             converged = True
             break
 
-    q = gmm_posterior(F, params, sq)
+    q = gmm_posterior(sq, params)
     labels = np.argmax(q, axis=1)
     return EMResult(q, labels, params, iterations, converged, tuple(sorted(degenerate)))
 

@@ -47,13 +47,15 @@ _ROWS_PER_WRITE = 4096
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    """Whitespace-separated floats, one row per line; blank lines are skipped.
+    """Whitespace-separated finite floats, one row per line; blank lines
+    are skipped.
 
     The text is parsed with one ``np.loadtxt`` call. Only when that call
-    fails does a scan of the lines raise the ParseError of the first faulty
-    line: a malformed number, or a row whose width differs from the first
-    row's. Numbers are those ``np.loadtxt`` reads: unlike ``float()``, it
-    rejects digit-group underscores (``1_0``) and non-ASCII digits.
+    fails, or reads a nan or inf, does a scan of the lines raise the
+    ParseError of the first faulty line: a malformed or non-finite number,
+    or a row whose width differs from the first row's. Numbers are those
+    ``np.loadtxt`` reads: unlike ``float()``, it rejects digit-group
+    underscores (``1_0``) and non-ASCII digits.
     """
     with open(path) as fh:
         try:
@@ -62,8 +64,10 @@ def _read_matrix(path: str) -> np.ndarray:
                 warnings.simplefilter("ignore", UserWarning)
                 matrix = np.loadtxt(fh, comments=None, ndmin=2)
         except ValueError:
+            matrix = None
+        if matrix is None or not np.isfinite(matrix).all():
             fh.seek(0)
-            raise _matrix_fault(path, fh) from None
+            raise _matrix_fault(path, fh)
     if not matrix.shape[0]:
         raise ParseError(str(path), 1, "empty matrix file")
     return matrix
@@ -79,6 +83,8 @@ def _matrix_fault(path: str, lines) -> ParseError:
             row = np.loadtxt([line], comments=None, ndmin=1)
         except ValueError:
             return ParseError(str(path), line_no, "malformed number")
+        if not np.isfinite(row).all():
+            return ParseError(str(path), line_no, "non-finite number")
         if width is None:
             width = row.size
         elif row.size != width:
@@ -151,7 +157,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def cmd_cluster(args) -> int:
     # a flag the variant ignores is an error; EMConfig holds the defaults
-    if args.kappa is not None and args.variant not in ("soft", "hard"):
+    if args.kappa is not None and args.variant not in trainer.MOVMF_ALIGNMENTS:
         raise ValueError("--kappa applies to --variant soft or hard only")
     if args.variant.startswith("proto-") and (args.iters, args.tol) != (None, None):
         raise ValueError("--iters and --tol do not apply to the proto-* variants")
@@ -163,36 +169,36 @@ def cmd_cluster(args) -> int:
     if k < 1:
         raise DimensionMismatch("--classes must be >= 1")
     labels = _read_labels(args.labels, X.shape[0]) if args.labels else None
-    if labels is not None and np.any(labels >= k):
-        raise DimensionMismatch("label file contains classes >= --classes")
+    if labels is not None and np.any((labels < -1) | (labels >= k)):
+        raise DimensionMismatch("label file contains classes outside [-1, --classes)")
 
-    # init: k-means++ seeding without labels, labeled means with them; the
-    # Euclidean variants work on the raw rows, the others on unit rows
+    # the Euclidean variants work on the raw rows, the others on unit rows; init:
+    # k-means++ seeding without labels, labeled means with them
     euclidean = args.variant in ("gmm", "proto-euclid")
-    V = None if euclidean and labels is None else movmf.normalize_rows(X)
-    if labels is None and euclidean:
-        init = _kmeanspp_init(X, k, args.seed)
-    elif labels is None:
-        init = movmf.normalize_rows(_kmeanspp_init(V, k, args.seed))
+    rows = X if euclidean else movmf.normalize_rows(X)
+    if labels is None:
+        init = _kmeanspp_init(rows, k, args.seed)
+        if not euclidean:
+            init = movmf.normalize_rows(init)
     else:
         keep = labels >= 0
         sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
         fresh = bank_mod.empty_bank(k, X.shape[1], 0.9)
         if euclidean:
-            init = bank_mod.euclidean_init_means(X, V, sparse, fresh, seed=args.seed)
+            init = bank_mod.euclidean_init_means(rows, sparse, fresh, seed=args.seed)
         else:
-            init = bank_mod.init_centers(V, sparse, fresh, seed=args.seed).centers
+            init = bank_mod.init_centers(rows, sparse, fresh, seed=args.seed).centers
 
     if args.variant.startswith("proto-"):
-        protos = baselines.PrototypeSet("euclidean" if euclidean else "cosine", init)
-        assignment = baselines.prototype_assign(X, protos)
+        metric = "euclidean" if euclidean else "cosine"
+        assignment = baselines.prototype_assign(X, init, metric)
         posterior = movmf.one_hot(assignment, k)
     else:
         if args.variant == "gmm":
-            result = baselines.gmm_em(X, init, cfg)
+            result = baselines.gmm_em(rows, init, cfg)
         else:
             run = movmf.soft_movmf_em if args.variant == "soft" else movmf.hard_movmf_em
-            result = run(V, init, cfg)
+            result = run(rows, init, cfg)
         assignment, posterior = result.assignment, result.posterior
 
     prefix = args.out_prefix or args.input
@@ -209,15 +215,15 @@ def _scene_paths(data_dir: str) -> list[Path]:
     return paths
 
 
-def _load_train_config(args) -> trainer.TrainConfig:
-    cfg = trainer.load_config(args.config) if args.config else trainer.TrainConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+def _load_train_config(config: str | None, seed: int | None = None) -> trainer.TrainConfig:
+    cfg = trainer.load_config(config) if config else trainer.TrainConfig()
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
 
 
 def cmd_train(args) -> int:
-    cfg = _load_train_config(args)
+    cfg = _load_train_config(args.config, args.seed)
     scenes = [read_scene(str(p)) for p in _scene_paths(args.data)]
     result = trainer.fit(scenes, cfg)
     out = Path(args.out)
@@ -236,7 +242,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     if args.param == "seed":
         raise ParseError("--param", 1, "seeds are swept with --seeds, not --param seed")
-    cfg = _load_train_config(args)
+    cfg = _load_train_config(args.config)
     scenes = [read_scene(str(p)) for p in _scene_paths(args.data)]
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
@@ -261,7 +267,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg = _load_train_config(args)
+    cfg = _load_train_config(args.config, args.seed)
     scene = read_scene(args.scene)
     params, prototype_bank = network.load_checkpoint(args.checkpoint)
     posterior = trainer.explain(scene, params, cfg, prototype_bank)
@@ -338,13 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ablate", help="sweep one config key over a value grid")
+    # no abbreviations: "--seed" must not read as "--seeds"
+    p = sub.add_parser("ablate", help="sweep one config key over a value grid",
+                       allow_abbrev=False)
     p.add_argument("--config", help="base config file")
     p.add_argument("--data", required=True)
     p.add_argument("--param", required=True, help="TrainConfig field to sweep")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--seeds", default="", help="comma-separated seeds")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output table file")
     p.set_defaults(func=cmd_ablate)
 
@@ -364,7 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", choices=("gaussian_blobs", "planar_patches", "mixed"),
                    default="mixed")
     p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--label-rate", type=float, default=1.0)
+    p.add_argument("--label-rate", type=float, default=1.0,
+                   help="share of each scene's points written to its sparse "
+                   "trailer; only 'dgn explain' reads the trailer, 'dgn train' draws "
+                   "its own labels at label_rate from the dense ground truth")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
 

@@ -7,11 +7,11 @@ Scene files use the text format ``dgn/1``:
     sparse <m>                          (optional trailer)
     index class                         (m lines)
 
-Floats are written with ``repr`` so round-trips are lossless. Labels,
-indices and classes are integer literals (``2.0`` is rejected), and no
-field has digit-group underscores or non-ASCII digits. When the trailer
-is absent, the sparse set defaults to every point whose label column is
->= 0.
+Floats are finite (``nan`` and ``inf`` are rejected) and written with
+``repr`` so round-trips are lossless. Labels, indices and classes are
+integer literals (``2.0`` is rejected), and no field has digit-group
+underscores or non-ASCII digits. When the trailer is absent, the sparse
+set defaults to every point whose label column is >= 0.
 """
 
 from __future__ import annotations
@@ -330,16 +330,20 @@ def read_scene(path: str) -> SceneBatch:
         ("label", np.int64),
     ])
 
-    def check_labels(records, line_no):
+    def check_rows(records, line_no):
         labels = records["label"]
-        bad = np.flatnonzero((labels < -1) | (labels >= num_classes))
+        finite = np.isfinite(records["coords"]).all(axis=1)
+        finite &= np.isfinite(records["feats"]).all(axis=1)
+        bad = np.flatnonzero(~finite | (labels < -1) | (labels >= num_classes))
         if bad.size:
             first = int(bad[0])
-            raise _parse_err(path, line_no + first, f"label {labels[first]} out of range")
+            reason = ("non-finite number" if not finite[first]
+                      else f"label {labels[first]} out of range")
+            raise _parse_err(path, line_no + first, reason)
 
     rows = _parse_rows(
         path, lines[1 : n + 1], 2, n, body,
-        f"expected {3 + d_extra + 1} fields, got {{got}}", check_labels,
+        f"expected {3 + d_extra + 1} fields, got {{got}}", check_rows,
     )
     coords, feats, labels = rows["coords"], rows["feats"], rows["label"]
 

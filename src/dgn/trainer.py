@@ -23,14 +23,18 @@ from . import baselines, losses, movmf, network
 from .data import SceneBatch, miou, sample_sparse_labels, with_sparse
 from .errors import DimensionMismatch, InvalidGrid
 
-ALIGNMENTS = ("soft", "hard", "gmm")
+MOVMF_ALIGNMENTS = ("soft", "hard")  # the families with a concentration kappa
+ALIGNMENTS = (*MOVMF_ALIGNMENTS, "gmm")
 OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """All knobs for one training run. Defaults follow the reference
-    operating point: kappa 10, 10 clustering iterations, beta 0.8.
+    operating point: ``movmf.EMConfig``'s EM settings, beta 0.8. ``fit``
+    draws each training scene's labels at ``label_rate`` from its dense
+    ground truth and ignores the scene's ``sparse`` trailer, which only
+    ``explain`` reads.
 
     ``alignment`` picks the mixture fitted to each scene's features after
     warmup: a moVMF (spherical, shared concentration ``kappa``) by ``soft``
@@ -44,9 +48,9 @@ class TrainConfig:
     ``feat_dim`` and every ``hidden_dims`` width at least 1.
     """
 
-    kappa: float = 10.0
-    em_iters: int = 10
-    em_tol: float = 1e-6
+    kappa: float = movmf.EMConfig.kappa
+    em_iters: int = movmf.EMConfig.max_iters
+    em_tol: float = movmf.EMConfig.tol
     beta: float = 0.8
     warmup_epochs: int = 5
     epochs: int = 20
@@ -72,7 +76,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}")
-        if self.alignment == "gmm" and self.kappa != _CONFIG_FIELDS["kappa"].default:
+        if self.alignment not in MOVMF_ALIGNMENTS and self.kappa != movmf.EMConfig.kappa:
             raise ValueError("kappa applies to the moVMF alignments (soft, hard), not gmm")
         if self.feat_dim < 1 or any(width < 1 for width in self.hidden_dims):
             raise ValueError("feat_dim and every hidden_dims width must be >= 1")
@@ -142,14 +146,13 @@ def _fit_movmf(features, labels, prototype_bank, cfg):
 
 
 def _fit_gmm(features, labels, prototype_bank, cfg):
-    V, _ = movmf.unit_rows(features)
-    init = bank_mod.euclidean_init_means(features, V, labels, prototype_bank, cfg.seed)
+    init = bank_mod.euclidean_init_means(features, labels, prototype_bank, cfg.seed)
     result = baselines.gmm_em(features, init, _em_config(cfg))
     # the Euclidean counterpart of the spherical alignment loss
     return result, movmf.unit_rows(result.params.means)[0], baselines.gmm_nll_loss
 
 
-_FITS = {"soft": _fit_movmf, "hard": _fit_movmf, "gmm": _fit_gmm}
+_FITS = {**dict.fromkeys(MOVMF_ALIGNMENTS, _fit_movmf), "gmm": _fit_gmm}
 
 
 def train_step(

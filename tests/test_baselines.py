@@ -26,34 +26,33 @@ def gmm_expected_objective(F, Q, params):
 # ---------------------------------------------------------------------------
 # prototype assignment
 
-def _protos(metric):
-    return baselines.PrototypeSet(metric, np.array([[1.0, 0.0], [0.0, 1.0]]))
+_PROTOS = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_prototype_assign_euclidean():
-    got = baselines.prototype_assign(np.array([[0.9, 0.1]]), _protos("euclidean"))
+    got = baselines.prototype_assign(np.array([[0.9, 0.1]]), _PROTOS, "euclidean")
     assert got.tolist() == [0]
 
 
 def test_prototype_assign_cosine():
-    got = baselines.prototype_assign(np.array([[0.9, 0.1]]), _protos("cosine"))
+    got = baselines.prototype_assign(np.array([[0.9, 0.1]]), _PROTOS, "cosine")
     assert got.tolist() == [0]
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_prototype_assign_tie_breaks_low_index(metric):
     point = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
-    assert baselines.prototype_assign(point, _protos(metric)).tolist() == [0]
+    assert baselines.prototype_assign(point, _PROTOS, metric).tolist() == [0]
 
 
 def test_prototype_assign_dim_mismatch():
     with pytest.raises(DimensionMismatch):
-        baselines.prototype_assign(np.ones((3, 3)), _protos("euclidean"))
+        baselines.prototype_assign(np.ones((3, 3)), _PROTOS, "euclidean")
 
 
 def test_cosine_prototypes_must_be_unit():
     with pytest.raises(ValueError):
-        baselines.PrototypeSet("cosine", np.array([[2.0, 0.0]]))
+        baselines.prototype_assign(np.ones((1, 2)), np.array([[2.0, 0.0]]), "cosine")
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,11 +62,10 @@ def test_cosine_assignment_scale_invariant(scale, seed):
     F = rng.standard_normal((12, 4)) + 0.1
     protos = rng.standard_normal((3, 4))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-    pset = baselines.PrototypeSet("cosine", protos)
-    base = baselines.prototype_assign(F, pset)
+    base = baselines.prototype_assign(F, protos, "cosine")
     scaled = F.copy()
     scaled[3] *= scale
-    assert baselines.prototype_assign(scaled, pset)[3] == base[3]
+    assert baselines.prototype_assign(scaled, protos, "cosine")[3] == base[3]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,7 @@ def test_gmm_m_step_improves_expected_objective(seed):
     F = rng.standard_normal((80, 3)) * 2.0
     init = F[rng.choice(80, size=3, replace=False)]
     before = baselines.gmm_em(F, init, EMConfig(1, 0.0, 0.0))
-    q = baselines.gmm_posterior(F, before.params)
+    q = baselines.gmm_posterior(baselines._sq_dists(F, before.params.means), before.params)
     after = baselines.gmm_em(F, init, EMConfig(2, 0.0, 0.0))
     assert gmm_expected_objective(F, q, after.params) >= (
         gmm_expected_objective(F, q, before.params) - 1e-9

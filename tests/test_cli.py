@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,32 @@ def _write_scenes(directory, count=1, **spec):
         scene = data.gen_scene(data.SceneSpec(**{"num_classes": 2, "points_per_class": (5, 5),
                                                  "seed": i, **spec}))
         data.write_scene(str(directory / f"scene_{i:03d}.dgn"), scene)
+
+
+def _ablate_table(tmp_path, config_text, *flags):
+    (tmp_path / "base.cfg").write_text(config_text)
+    out = tmp_path / "table.txt"
+    code = cli.main(["ablate", "--config", str(tmp_path / "base.cfg"), "--data", str(tmp_path),
+                     "--param", "use_con", "--values", "true,false", "--out", str(out), *flags])
+    assert code == cli.EXIT_OK
+    return out.read_text()
+
+
+def test_ablate_seeds_sweeps_what_the_config_seed_sets(tmp_path, capsys):
+    _write_scenes(tmp_path, count=3, points_per_class=(10, 12))
+    base = "epochs = 2\nwarmup_epochs = 1\nlabel_rate = 0.2\nhidden_dims = 4\nfeat_dim = 3\n"
+    table = _ablate_table(tmp_path, base, "--seeds", "3")
+    assert table == _ablate_table(tmp_path, base + "seed = 3\n")
+    assert table != _ablate_table(tmp_path, base)
+
+
+def test_ablate_has_no_seed_flag(tmp_path, capsys):
+    # --seeds replaces the seed on every row, so a --seed flag would do nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ablate", "--data", str(tmp_path), "--param", "lr", "--values", "0.1",
+                  "--seed", "3", "--out", str(tmp_path / "table.txt")])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_gen_data_writes_scenes_that_read_back(tmp_path, capsys):
@@ -259,12 +286,13 @@ def _old_cluster(X, variant, k, seed, labels):
     elif variant == "gmm":
         result = baselines.gmm_em(X, euclidean_init(), cfg)
     else:
+        # the nearest prototype: largest cosine or smallest squared distance
         if variant == "proto-cosine":
-            init = spherical_init(movmf.normalize_rows(X))
-            protos = baselines.PrototypeSet("cosine", init)
+            protos = spherical_init(movmf.normalize_rows(X))
+            assignment = np.argmax(movmf.normalize_rows(X) @ protos.T, axis=1)
         else:
-            protos = baselines.PrototypeSet("euclidean", euclidean_init())
-        assignment = baselines.prototype_assign(X, protos)
+            diffs = X[:, None, :] - euclidean_init()[None, :, :]
+            assignment = np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1)
         return assignment, movmf.one_hot(assignment, k)
     return result.assignment, result.posterior
 
@@ -303,8 +331,8 @@ def test_cluster_outputs_equal_per_value_writers(tmp_path, variant, labeled):
 @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
 @pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
 def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
-    # a zero row has no direction: every variant that normalizes the rows
-    # (all but the unlabeled Euclidean ones) rejects it
+    # a zero row has no direction: the spherical variants, which work on
+    # unit rows, reject it; the Euclidean ones take the raw rows as they are
     X, labels, args = _cluster_input(tmp_path, labeled)
     rows = X.tolist()
     rows[3] = [0.0] * X.shape[1]
@@ -313,8 +341,35 @@ def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
     code = cli.main(["cluster", *args, "--variant", variant,
                      "--out-prefix", str(tmp_path / "out")])
     euclidean = variant in ("gmm", "proto-euclid")
-    assert code == (cli.EXIT_OK if euclidean and not labeled else cli.EXIT_DATA)
+    assert code == (cli.EXIT_OK if euclidean else cli.EXIT_DATA)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iters", [0, 7])
+@pytest.mark.parametrize("variant", trainer.ALIGNMENTS)
+def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant, iters):
+    # `dgn cluster` and trainer._FITS dispatch the families separately: on the
+    # same rows, labels, empty bank, seed and EM settings they agree bit for
+    # bit, at the init (hard EM soon forgets it) and after EM
+    X, labels, args = _cluster_input(tmp_path, labeled=True)
+    flags, em = ["--iters", str(iters), "--tol", "0"], {"em_iters": iters, "em_tol": 0.0}
+    if variant in trainer.MOVMF_ALIGNMENTS:
+        flags, em = [*flags, "--kappa", "5"], {**em, "kappa": 5.0}
+    written = []
+    monkeypatch.setattr(cli, "_write_rows", lambda path, matrix: written.append(matrix))
+    code = cli.main(["cluster", *args, "--variant", variant, *flags,
+                     "--out-prefix", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+
+    keep = labels >= 0
+    sparse = data.SparseLabels(np.flatnonzero(keep), labels[keep])
+    cfg = trainer.TrainConfig(alignment=variant, seed=2, **em)
+    fresh = bank_mod.empty_bank(3, X.shape[1])
+    result, _, _ = trainer._FITS[variant](X, sparse, fresh, cfg)
+    assert result.iterations == iters
+    assert np.array_equal(written[0].view(np.uint64), result.posterior.view(np.uint64))
+    assignments = (tmp_path / "out.assignments").read_text().split()
+    assert assignments == [str(c) for c in result.assignment.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -346,6 +401,48 @@ def test_cluster_label_outside_int64_is_a_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_PARSE
     assert "labels.txt:5: label outside the int64 range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [-2, -5, 3], ids=["minus-2", "minus-5", "classes"])
+def test_cluster_label_outside_the_classes_is_a_data_error(tmp_path, capsys, bad):
+    # -1 marks an unlabeled row; any other label must name one of the classes
+    X, _, args = _cluster_input(tmp_path, labeled=False)
+    lines = ["-1"] * X.shape[0]
+    lines[4] = str(bad)
+    (tmp_path / "labels.txt").write_text("\n".join(lines) + "\n")
+    code = cli.main(["cluster", *args, "--labels", str(tmp_path / "labels.txt"),
+                     "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert "outside [-1, --classes)" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
+def test_cluster_non_finite_row_is_a_parse_error(tmp_path, capsys, variant, labeled):
+    X, _, args = _cluster_input(tmp_path, labeled)
+    rows = [" ".join(map(repr, r)) for r in X.tolist()]
+    rows[3] = " ".join(["nan"] * X.shape[1])
+    (tmp_path / "matrix.txt").write_text("\n".join(rows) + "\n")
+    code = cli.main(["cluster", *args, "--variant", variant,
+                     "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == f"error: {tmp_path / 'matrix.txt'}:4: non-finite number\n"
+
+
+def test_train_rejects_a_non_finite_scene_value(tmp_path, capsys):
+    _write_scenes(tmp_path, count=2)
+    path = tmp_path / "scene_001.dgn"
+    lines = path.read_text().splitlines()
+    lines[3] = "nan " + lines[3].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == f"error: {path}:4: non-finite number\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_explain_output_equals_per_value_writer(tmp_path):
@@ -388,6 +485,8 @@ def _old_read_matrix(path):
                 row = [float(t) for t in toks]
             except ValueError:
                 raise ParseError(str(path), line_no, "malformed number")
+            if not all(math.isfinite(v) for v in row):
+                raise ParseError(str(path), line_no, "non-finite number")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -459,13 +558,28 @@ def test_read_matrix_rejects_what_loadtxt_cannot_read(tmp_path, token):
     assert err.value.line == 2
 
 
-# repr writes every NaN as "nan", which reads back as the canonical NaN
-_FLOATS = st.floats(allow_nan=False) | st.just(float("nan"))
+@pytest.mark.parametrize(
+    "text, line",
+    [("1 2\nnan 4\n", 2), ("1 2\n\n3 -inf\n", 3), ("1 2\n3 1e999\n", 2),
+     ("1 2\n3 inf\n5\n", 2), ("1 2\n3\n4 nan\n", 2), ("1 x\nnan 2\n", 1)],
+    ids=["nan", "inf-after-blank", "overflow", "before-ragged", "after-ragged",
+         "after-malformed"],
+)
+def test_read_matrix_names_the_first_non_finite_line(tmp_path, text, line):
+    # a non-finite number is a fault of its line, found in file order with
+    # the malformed numbers and ragged rows
+    path = str(tmp_path / "m.txt")
+    _write(path, text)
+    with pytest.raises(ParseError) as err:
+        cli._read_matrix(path)
+    assert err.value.line == line
+    assert str(err.value) == _outcome(_old_read_matrix, path)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(
-    lambda k: st.lists(st.lists(_FLOATS, min_size=k, max_size=k), min_size=1, max_size=8)
+    lambda k: st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=k, max_size=k), min_size=1, max_size=8)
 ))
 def test_read_matrix_round_trips_repr(tmp_path_factory, rows):
     path = str(tmp_path_factory.mktemp("m") / "m.txt")

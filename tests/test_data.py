@@ -304,6 +304,41 @@ def test_first_fault_wins_over_later_faults(tmp_path):
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("later_fault", [False, True], ids=["one-call", "scan"])
+@pytest.mark.parametrize(
+    "index, token",
+    [(0, "nan"), (2, "inf"), (4, "-inf"), (6, "NaN"), (1, "1e999")],
+    ids=["nan-coord", "inf-coord", "neg-inf-feat", "NaN-height", "overflow"],
+)
+def test_non_finite_number_names_line(tmp_path, index, token, later_fault):
+    # a nan or inf point is rejected at its line, whether the one-call parse
+    # succeeds or a later fault sends the parse to the line scan
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    lines = path.read_text().splitlines()
+    lines[6] = _with_field(index, token)(lines[6])
+    if later_fault:
+        lines[9] = "not a number at all"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-finite number") as err:
+        data.read_scene(str(path))
+    assert err.value.line == 7
+
+
+def test_non_finite_number_after_a_bad_label_names_the_label(tmp_path):
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    lines = path.read_text().splitlines()
+    lines[4] = _with_field(-1, "9")(lines[4])
+    lines[6] = _with_field(0, "nan")(lines[6])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="label 9 out of range") as err:
+        data.read_scene(str(path))
+    assert err.value.line == 5
+
+
 @pytest.mark.parametrize(
     "cut, edit, line_from_end",
     [
