@@ -122,6 +122,12 @@ def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _report_line(report: trainer.EpochReport) -> str:
+    """One report.txt line: each field as name=value, a float as ``_fmt6`` prints it."""
+    values = ((f.name, getattr(report, f.name)) for f in dataclasses.fields(report))
+    return " ".join(f"{k}={_fmt6(v) if isinstance(v, float) else v}" for k, v in values)
+
+
 def _format_rows(matrix: np.ndarray) -> list[str]:
     """One line per row of ``matrix``, each value as ``_fmt6`` prints it."""
     row = " ".join(["%.6g"] * matrix.shape[1])
@@ -156,6 +162,8 @@ def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def cmd_cluster(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     # a flag the variant ignores is an error; EMConfig holds the defaults
     if args.kappa is not None and args.variant not in trainer.MOVMF_ALIGNMENTS:
         raise ValueError("--kappa applies to --variant soft or hard only")
@@ -228,10 +236,8 @@ def cmd_train(args) -> int:
     result = trainer.fit(scenes, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_lines(
-        str(out / "report.txt"),
-        [trainer.format_report_line(r) for r in result.reports] or ["epochs=0"],
-    )
+    lines = [_report_line(r) for r in result.reports] or ["epochs=0"]
+    _write_lines(str(out / "report.txt"), lines)
     network.save_checkpoint(str(out / "model.ckpt"), result.params, result.bank)
     final = result.reports[-1].val_miou if result.reports else float("nan")
     print(f"trained {cfg.epochs} epochs; final val_miou={_fmt6(final)}")
@@ -240,25 +246,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if args.param == "seed":
-        raise ParseError("--param", 1, "seeds are swept with --seeds, not --param seed")
-    cfg = _load_train_config(args.config)
-    scenes = [read_scene(str(p)) for p in _scene_paths(args.data)]
+    # every argument is checked before the config or a scene is read
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not raw_values:
+    values = trainer.parse_sweep(args.param, raw_values)
+    if not values:
         raise ParseError("--values", 1, "empty value list")
     try:
-        values = [trainer._parse_value(args.param, v) for v in raw_values]
-    except KeyError:
-        raise ParseError("--param", 1, f"unknown config key {args.param!r}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    rows = trainer.ablate(scenes, cfg, {args.param: values}, seeds=seeds or None)
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ParseError("--seeds", 1, "expected comma-separated integers") from None
+    cfg = _load_train_config(args.config)
+    scenes = [read_scene(str(p)) for p in _scene_paths(args.data)]
+    rows = trainer.ablate(scenes, cfg, args.param, values, seeds=seeds or None)
     lines = []
     for row in rows:
-        cell = " ".join(f"{k}={v}" for k, v in row.overrides)
+        # a tuple of widths in the config syntax, so the cell stays one token
+        value = ",".join(map(str, row.value)) if isinstance(row.value, tuple) else row.value
         per_seed = ",".join(_fmt6(v) for v in row.per_seed)
         lines.append(
-            f"{cell} mean_val_miou={_fmt6(row.mean_val_miou)} "
+            f"{args.param}={value} mean_val_miou={_fmt6(row.mean_val_miou)} "
             f"stderr={_fmt6(row.stderr)} per_seed={per_seed}"
         )
     _write_lines(args.out, lines)

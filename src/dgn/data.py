@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScene, LengthMismatch, ParseError
+from .errors import DimensionMismatch, EmptyScene, LengthMismatch, ParseError
 
 GEOMETRIES = ("gaussian_blobs", "planar_patches", "mixed")
 EXTRA_FEATURE_DIM = 4  # normal-like direction (3) + height (1)
@@ -119,6 +119,8 @@ class SceneSpec:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ def sample_sparse_labels(scene: SceneBatch, rate: float, seed: int) -> SparseLab
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
     if np.any(scene.gt_labels < 0):
-        raise ValueError("scene must have dense ground truth to sample labels")
+        raise DimensionMismatch("scene must have dense ground truth to sample labels")
     m = max(1, int(round(rate * n)))
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=m, replace=False))
@@ -229,7 +231,7 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> IoUReport:
         raise EmptyScene("cannot score an empty prediction")
     for name, arr in (("pred", pred), ("gt", gt)):
         if np.any(arr < 0) or np.any(arr >= num_classes):
-            raise ValueError(f"{name} contains invalid class indices")
+            raise DimensionMismatch(f"{name} contains invalid class indices")
     confusion = np.bincount(
         gt * num_classes + pred, minlength=num_classes * num_classes
     ).reshape(num_classes, num_classes)
@@ -282,7 +284,10 @@ def _parse_rows(path, lines, first_line, count, row, width_reason, check=None):
     formatted with ``got``), a field ``loadtxt`` cannot convert, a
     rejected record, or a missing line.
     """
-    if len(lines) == count:
+    fields = sum(int(np.prod(row[name].shape)) for name in row.names)
+    # loadtxt allocates rows of ``row``'s width before it parses one, so the
+    # width a header claims is trusted only once the first line has it
+    if len(lines) == count and (not count or len(lines[0].split()) == fields):
         try:
             with warnings.catch_warnings():
                 # loadtxt warns on empty input: no rows, or only blank lines
@@ -294,7 +299,6 @@ def _parse_rows(path, lines, first_line, count, row, width_reason, check=None):
             if check:
                 check(records, first_line)
             return records
-    fields = sum(int(np.prod(row[name].shape)) for name in row.names)
     for line_no, line in enumerate(lines, start=first_line):
         got = len(line.split())
         if got != fields:

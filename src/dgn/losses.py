@@ -8,8 +8,6 @@ Probabilities and mixture weights are floored at 1e-12 inside logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import SparseLabels
@@ -17,24 +15,6 @@ from .errors import DimensionMismatch, EmptyLabelSet, InvalidBeta, SingleCluster
 from .movmf import ZERO_NORM, MoVMFParams, movmf_objective, unit_rows
 
 PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class LossReport:
-    """Per-term loss values; disabled terms are recorded as 0."""
-
-    tce: float = 0.0
-    vmf: float = 0.0
-    dis: float = 0.0
-    con: float = 0.0
-    total: float = 0.0
-
-
-def total_loss(
-    tce: float = 0.0, vmf: float = 0.0, dis: float = 0.0, con: float = 0.0
-) -> LossReport:
-    """Unit-weight sum of the four terms; a disabled term is passed as 0."""
-    return LossReport(tce=tce, vmf=vmf, dis=dis, con=con, total=tce + vmf + dis + con)
 
 
 def _check_prob_matrix(P: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ Inference uses only the segment head (never the clustering stage).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +43,8 @@ class TrainConfig:
     (``losses.vmf_loss`` or ``baselines.gmm_nll_loss``), ``use_dis`` the
     separation of the posterior-weighted mean directions and ``use_con``
     the cross-entropy from the posterior to the head; each backpropagates
-    into the network. Floats must be finite, ``beta`` in (0, 1], and
-    ``feat_dim`` and every ``hidden_dims`` width at least 1.
+    into the network. Floats must be finite, ``beta`` in (0, 1], ``seed``
+    at least 0, and ``feat_dim`` and every ``hidden_dims`` width at least 1.
     """
 
     kappa: float = movmf.EMConfig.kappa
@@ -82,6 +81,8 @@ class TrainConfig:
             raise ValueError("feat_dim and every hidden_dims width must be >= 1")
         if self.epochs < 0 or self.warmup_epochs < 0 or self.em_iters < 0:
             raise ValueError("epoch and iteration counts must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _em_config(self)  # a negative kappa or em_tol fails here, before any work
         if self.lr <= 0:
             raise ValueError("lr must be positive")
@@ -94,23 +95,45 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
+class StepReport:
+    """One step: each loss term (0 when disabled or in warmup), their
+    unit-weight sum, and the EM counts (0 when no mixture was fitted)."""
+
+    tce: float
+    vmf: float
+    dis: float
+    con: float
+    total: float
+    em_iters: int
+    degenerate: int
+
+
+@dataclass(frozen=True)
 class EpochReport:
+    """One epoch in report.txt line order: the steps' mean losses, the
+    head-only mIoU after the epoch, and the steps' summed EM counts."""
+
     epoch: int
-    losses: losses.LossReport
+    tce: float
+    vmf: float
+    dis: float
+    con: float
+    total: float
     train_miou: float
     val_miou: float
-    em_converged_iters: int
-    degenerate_clusters: int
+    em_iters: int
+    degenerate: int
+
+
+_STEP_FIELDS = tuple(f.name for f in dataclasses.fields(StepReport))
 
 
 @dataclass(frozen=True)
 class StepResult:
     params: network.ModelParams
     bank: bank_mod.MemoryBank
-    report: losses.LossReport
+    report: StepReport
     opt_state: network.AdamState | None = None
-    em_iterations: int = 0
-    degenerate_clusters: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,7 +145,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class AblationRow:
-    overrides: tuple[tuple[str, object], ...]
+    value: object
     mean_val_miou: float
     stderr: float
     per_seed: tuple[float, ...]
@@ -177,8 +200,7 @@ def train_step(
     d_features = np.zeros_like(cache.features)
     d_logits = np.zeros_like(cache.logits)
     tce_val = vmf_val = dis_val = con_val = 0.0
-    em_iterations = 0
-    degenerate = 0
+    em_iters = degenerate = 0
 
     if cfg.use_tce and labels.size:
         tce_val, d_prob = losses.tce_loss(cache.probs, labels, cfg.beta)
@@ -189,7 +211,7 @@ def train_step(
             cache.features, labels, prototype_bank, cfg
         )
         Q = result.posterior
-        em_iterations = result.iterations
+        em_iters = result.iterations
         degenerate = len(result.degenerate)
         if cfg.use_vmf:
             vmf_val, grad = align_loss(cache.features, Q, result.params)
@@ -205,7 +227,8 @@ def train_step(
         present = present[np.linalg.norm(means[present], axis=1) > 0.5]
         prototype_bank = bank_mod.update_bank(prototype_bank, means, present)
 
-    report = losses.total_loss(tce=tce_val, vmf=vmf_val, dis=dis_val, con=con_val)
+    total = tce_val + vmf_val + dis_val + con_val
+    report = StepReport(tce_val, vmf_val, dis_val, con_val, total, em_iters, degenerate)
     grads = network.backward(params, cache, d_features, d_logits, workspace)
     if cfg.optimizer == "adam":
         if opt_state is None:
@@ -213,9 +236,7 @@ def train_step(
         new_params, opt_state = network.adam_step(params, grads, opt_state, cfg.lr)
     else:
         new_params = network.sgd_step(params, grads, cfg.lr)
-    return StepResult(
-        new_params, prototype_bank, report, opt_state, em_iterations, degenerate
-    )
+    return StepResult(new_params, prototype_bank, report, opt_state)
 
 
 def predict(
@@ -277,27 +298,23 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     workspace = network.Workspace()
     opt_state = network.init_adam_state(params) if cfg.optimizer == "adam" else None
     for epoch in range(cfg.epochs):
-        acc = {"tce": 0.0, "vmf": 0.0, "dis": 0.0, "con": 0.0, "total": 0.0}
-        em_iters = 0
-        degenerate = 0
+        # += in step order, not sum(), whose rounding differs across Pythons
+        sums = dict.fromkeys(_STEP_FIELDS, 0)
         for scene in train_scenes:
             step = train_step(
                 scene, params, prototype_bank, cfg, epoch, opt_state, workspace
             )
             params, prototype_bank, opt_state = step.params, step.bank, step.opt_state
-            for key in acc:
-                acc[key] += getattr(step.report, key)
-            em_iters += step.em_iterations
-            degenerate += step.degenerate_clusters
+            for name in sums:
+                sums[name] += getattr(step.report, name)
+        # the losses are averaged over the steps, the counts summed
         n = len(train_scenes)
         reports.append(
             EpochReport(
                 epoch=epoch,
-                losses=losses.LossReport(**{k: v / n for k, v in acc.items()}),
                 train_miou=_eval_miou(params, train_scenes, workspace),
                 val_miou=_eval_miou(params, val_scenes, workspace),
-                em_converged_iters=em_iters,
-                degenerate_clusters=degenerate,
+                **{k: v / n if isinstance(v, float) else v for k, v in sums.items()},
             )
         )
     return FitResult(params, prototype_bank, tuple(reports))
@@ -325,47 +342,41 @@ def explain(
     return result.posterior
 
 
-def ablate(dataset, base_cfg: TrainConfig, grid: dict, seeds=None) -> list[AblationRow]:
-    """Run ``fit`` over the cartesian product of the grid, once per seed,
-    and report mean/stderr of the final validation mIoU per cell.
-
-    Raises InvalidGrid for a ``seed`` key (seeds are swept with ``seeds=``)
-    and for keys that are not TrainConfig fields.
+def ablate(dataset, base_cfg: TrainConfig, param: str, values, seeds=None):
+    """Run ``fit`` once per value of the config field ``param`` and per
+    seed; one AblationRow per value holds the mean and stderr of the final
+    validation mIoU. Raises InvalidGrid for ``param`` as ``parse_sweep`` does.
     """
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if "seed" in grid:
-        raise InvalidGrid("seeds are swept with seeds=, not a 'seed' grid key")
-    unknown = sorted(set(grid) - set(_CONFIG_FIELDS))
-    if unknown:
-        raise InvalidGrid(f"unknown config key {unknown[0]!r}")
+    _check_sweep(param)
+    if not values:
+        raise ValueError("values must be non-empty")
     if base_cfg.epochs < 1:
         raise ValueError("ablation needs at least one epoch")
     seeds = [base_cfg.seed] if seeds is None else list(seeds)
-    keys = sorted(grid)
     rows = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        finals = []
-        for seed in seeds:
-            cfg = dataclasses.replace(base_cfg, seed=seed, **overrides)
-            result = fit(dataset, cfg)
-            finals.append(result.reports[-1].val_miou)
-        finals_arr = np.asarray(finals)
-        stderr = (
-            float(finals_arr.std(ddof=1) / np.sqrt(len(finals)))
-            if len(finals) > 1
-            else 0.0
-        )
+    for value in values:
+        cfgs = [dataclasses.replace(base_cfg, seed=seed, **{param: value}) for seed in seeds]
+        finals = np.asarray([fit(dataset, cfg).reports[-1].val_miou for cfg in cfgs])
+        stderr = finals.std(ddof=1) / np.sqrt(len(finals)) if len(finals) > 1 else 0.0
         rows.append(
-            AblationRow(
-                overrides=tuple(sorted(overrides.items())),
-                mean_val_miou=float(finals_arr.mean()),
-                stderr=stderr,
-                per_seed=tuple(float(v) for v in finals),
-            )
+            AblationRow(value, float(finals.mean()), float(stderr), tuple(finals.tolist()))
         )
     return rows
+
+
+def _check_sweep(param: str) -> None:
+    if param == "seed":
+        raise InvalidGrid("seed is swept with --seeds (ablate's seeds=), not as the param")
+    if param not in _CONFIG_FIELDS:
+        raise InvalidGrid(f"unknown config key {param!r}")
+
+
+def parse_sweep(param: str, raw_values) -> list:
+    """The values of the swept field ``param``, each parsed from text as a
+    config file line is. Raises InvalidGrid for ``seed``, which is swept by
+    seeds, and for a name that is not a TrainConfig field."""
+    _check_sweep(param)
+    return [_parse_value(param, raw) for raw in raw_values]
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +426,3 @@ def load_config(path: str) -> TrainConfig:
     with open(path) as fh:
         return parse_config_text(fh.read(), path=str(path))
 
-
-def format_report_line(report: EpochReport) -> str:
-    """One machine-readable line per epoch; floats carry 6 significant digits."""
-    fields = [
-        ("epoch", str(report.epoch)),
-        ("tce", f"{report.losses.tce:.6g}"),
-        ("vmf", f"{report.losses.vmf:.6g}"),
-        ("dis", f"{report.losses.dis:.6g}"),
-        ("con", f"{report.losses.con:.6g}"),
-        ("total", f"{report.losses.total:.6g}"),
-        ("train_miou", f"{report.train_miou:.6g}"),
-        ("val_miou", f"{report.val_miou:.6g}"),
-        ("em_iters", str(report.em_converged_iters)),
-        ("degenerate", str(report.degenerate_clusters)),
-    ]
-    return " ".join(f"{k}={v}" for k, v in fields)

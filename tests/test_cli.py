@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -33,7 +34,7 @@ def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
     ["hidden_dims = 0", "hidden_dims = 8, 0", "feat_dim = 0", "feat_dim = -1",
      "alignment = proto_euclid", "alignment = proto_cosine",
      "dis_grad_mode = frozen_means", "em_variant = hard", "alignment = movmf",
-     "alignment = gmm\nkappa = 50", "kappa = nan", "lr = inf", "em_tol = nan"],
+     "alignment = gmm\nkappa = 50", "kappa = nan", "lr = inf", "em_tol = nan", "seed = -1"],
 )
 def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
     scene = data.gen_scene(data.SceneSpec(num_classes=2, points_per_class=(5, 5)))
@@ -98,9 +99,9 @@ def test_gen_data_writes_scenes_that_read_back(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--classes", "1"], ["--points", "0:5"], ["--points", "x"], ["--noise", "-1"],
-     ["--label-rate", "0"], ["--label-rate", "1.5"]],
+     ["--label-rate", "0"], ["--label-rate", "1.5"], ["--seed", "-1"]],
     ids=["classes-1", "points-zero", "points-text", "noise-negative", "rate-zero",
-         "rate-above-1"],
+         "rate-above-1", "seed-negative"],
 )
 def test_gen_data_bad_input_exits_2(tmp_path, capsys, flags):
     # every argument is checked before the output directory is made
@@ -137,6 +138,69 @@ def test_train_on_one_class_scenes_is_a_data_error(tmp_path, capsys):
     assert err == "error: discriminative loss needs at least two clusters\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "missing", "--out", "out"],
+    ["explain", "--scene", "missing.dgn", "--checkpoint", "missing.ckpt", "--out", "out"],
+    ["cluster", "missing.txt", "--classes", "2", "--out-prefix", "out"],
+], ids=["train", "explain", "cluster"])
+def test_negative_seed_is_rejected_before_any_input_is_read(tmp_path, capsys, command):
+    # the inputs do not exist: reading one would exit 3
+    args = [str(tmp_path / a) if a.startswith(("missing", "out")) else a for a in command]
+    code = cli.main([*args, "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_on_a_scene_with_an_unknown_label_is_a_data_error(tmp_path, capsys):
+    # fit draws its labels from the dense ground truth, which a -1 lacks
+    _write_scenes(tmp_path, count=3)
+    path = tmp_path / "scene_000.dgn"
+    scene = data.read_scene(str(path))
+    gt = scene.gt_labels.copy()
+    gt[0] = -1
+    keep = np.arange(1, scene.num_points)
+    data.write_scene(str(path), data.SceneBatch(
+        scene.coords, scene.extra_feats, gt, data.SparseLabels(keep, gt[keep]), 2))
+    code = cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert err == "error: scene must have dense ground truth to sample labels\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--param", "nosuch"], "unknown config key 'nosuch'"),
+     (["--param", "lr", "--seeds", "1,x"], "--seeds:1: expected comma-separated integers"),
+     (["--param", "lr", "--values", " , "], "--values:1: empty value list")],
+    ids=["unknown-param", "seeds-text", "values-empty"],
+)
+def test_ablate_checks_its_arguments_before_reading_data(tmp_path, capsys, flags, message):
+    # the data directory does not exist: reading it would exit 3
+    code = cli.main(["ablate", "--data", str(tmp_path / "missing"), "--values", "0.1",
+                     "--out", str(tmp_path / "table.txt"), *flags])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "table.txt").exists()
+
+
+def test_ablate_writes_hidden_dims_cells_in_config_syntax(tmp_path, capsys):
+    _write_scenes(tmp_path, count=3, points_per_class=(10, 12))
+    (tmp_path / "base.cfg").write_text("epochs = 1\nwarmup_epochs = 1\nfeat_dim = 3\n")
+    out = tmp_path / "table.txt"
+    code = cli.main(["ablate", "--config", str(tmp_path / "base.cfg"), "--data", str(tmp_path),
+                     "--param", "hidden_dims", "--values", "4 4,8", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rows = [row.split() for row in out.read_text().splitlines()]
+    assert [len(row) for row in rows] == [4, 4]
+    cells = [row[0].removeprefix("hidden_dims=") for row in rows]
+    assert cells == ["4,4", "8"]
+    assert trainer.parse_sweep("hidden_dims", cells) == [(4, 4), (8,)]
+
+
 def test_eval_scores_a_prediction_file(tmp_path, capsys):
     _write_scenes(tmp_path)
     scene = data.read_scene(str(tmp_path / "scene_000.dgn"))
@@ -158,8 +222,9 @@ def test_eval_scores_a_prediction_file(tmp_path, capsys):
     [("1\n" * 9, cli.EXIT_DATA, "9 labels for 10 rows"),
      ("0\n" * 3 + "x\n" + "0\n" * 6, cli.EXIT_PARSE, ":4: expected one integer"),
      ("0\n" + "99999999999999999999\n" + "0\n" * 8, cli.EXIT_PARSE,
-      ":2: label outside the int64 range")],
-    ids=["short", "not-an-integer", "int64-overflow"],
+      ":2: label outside the int64 range"),
+     ("0\n" * 9 + "2\n", cli.EXIT_DATA, "pred contains invalid class indices")],
+    ids=["short", "not-an-integer", "int64-overflow", "class-out-of-range"],
 )
 def test_eval_rejects_a_bad_prediction_file(tmp_path, capsys, text, code, message):
     _write_scenes(tmp_path)
@@ -219,6 +284,49 @@ def test_train_is_bitwise_repeatable_across_processes(tmp_path):
 
 # ---------------------------------------------------------------------------
 # writers: each output equals the bytes of the per-value writers they replaced
+
+def _old_format_report_line(report):
+    fields = [
+        ("epoch", str(report.epoch)),
+        ("tce", f"{report.tce:.6g}"),
+        ("vmf", f"{report.vmf:.6g}"),
+        ("dis", f"{report.dis:.6g}"),
+        ("con", f"{report.con:.6g}"),
+        ("total", f"{report.total:.6g}"),
+        ("train_miou", f"{report.train_miou:.6g}"),
+        ("val_miou", f"{report.val_miou:.6g}"),
+        ("em_iters", str(report.em_iters)),
+        ("degenerate", str(report.degenerate)),
+    ]
+    return " ".join(f"{k}={v}" for k, v in fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.floats(), min_size=7, max_size=7),
+       st.integers(0, 2**63), st.integers(0, 2**63))
+def test_report_line_equals_per_field_format(epoch, floats, em_iters, degenerate):
+    report = trainer.EpochReport(epoch, *floats, em_iters, degenerate)
+    assert cli._report_line(report) == _old_format_report_line(report)
+
+
+def test_report_line_special_values():
+    report = trainer.EpochReport(3, -0.0, 1e-7, 123456789.0, 0.0, -5897.54, 0.5,
+                                 float("nan"), 10**12, 2**40)
+    assert cli._report_line(report) == _old_format_report_line(report)
+    assert cli._report_line(report) == (
+        "epoch=3 tce=-0 vmf=1e-07 dis=1.23457e+08 con=0 total=-5897.54 train_miou=0.5 "
+        "val_miou=nan em_iters=1000000000000 degenerate=1099511627776"
+    )
+
+
+def test_epoch_report_fields_are_the_benchmark_report_keys(monkeypatch):
+    # the benchmark parses report.txt by these keys
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import checks
+
+    fields = [f.name for f in dataclasses.fields(trainer.EpochReport)]
+    assert fields == list(checks.REPORT_KEYS)
+
 
 def _old_format_rows(matrix):
     return [" ".join(f"{v:.6g}" for v in row) for row in matrix]
@@ -377,9 +485,10 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
     [("gmm", ["--kappa", "5"]), ("proto-euclid", ["--kappa", "10"]),
      ("proto-cosine", ["--iters", "3"]), ("proto-euclid", ["--tol", "0.1"]),
      ("soft", ["--kappa", "nan"]), ("hard", ["--kappa", "inf"]),
-     ("soft", ["--tol", "nan"]), ("gmm", ["--tol", "inf"]), ("soft", ["--kappa", "-1"])],
+     ("soft", ["--tol", "nan"]), ("gmm", ["--tol", "inf"]), ("soft", ["--kappa", "-1"]),
+     ("soft", ["--seed", "-1"])],
     ids=["gmm-kappa", "proto-kappa", "proto-iters", "proto-tol", "kappa-nan", "kappa-inf",
-         "tol-nan", "tol-inf", "kappa-negative"],
+         "tol-nan", "tol-inf", "kappa-negative", "seed-negative"],
 )
 def test_cluster_rejects_a_flag_the_variant_cannot_use(tmp_path, capsys, variant, flags):
     _, _, args = _cluster_input(tmp_path, labeled=False)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgn import data
-from dgn.errors import EmptyScene, LengthMismatch, ParseError
+from dgn.errors import DgnError, EmptyScene, LengthMismatch, ParseError
 
 
 def _spec(**kw):
@@ -68,6 +70,8 @@ def test_scene_spec_validation():
         _spec(geometry="spheres")
     with pytest.raises(ValueError):
         _spec(noise_sigma=-0.1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        _spec(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +417,63 @@ def test_bad_header_parse_error(tmp_path):
 def test_empty_prediction_rejected():
     with pytest.raises(EmptyScene):
         data.miou(np.empty(0, dtype=int), np.empty(0, dtype=int), 2)
+
+
+def test_a_header_width_is_not_allocated_before_a_line_has_it(tmp_path):
+    # a 24-byte file that claims a million extra features per row
+    path = tmp_path / "wide.dgn"
+    path.write_text("dgn/1 1 1000000 2\n1 2 3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=":2: expected 1000004 fields, got 3"):
+            data.read_scene(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+_FIELD_TOKENS = st.sampled_from(
+    ["0", "1", "-1", "0.5", "-2.5", "1e3"] * 20
+    + ["nan", "inf", "1e999", "x", "1_0", "\u0663", "#", "sparse", "dgn/1", ""]
+)
+_LABEL_TOKENS = st.sampled_from(["0", "1", "2", "-1"] * 10 + ["3", "-2", "2.0", "x", ""])
+_JUNK_LINES = st.one_of(st.lists(_FIELD_TOKENS, max_size=8).map(" ".join), st.text(max_size=4))
+
+
+def _rows(width):
+    fields = st.lists(_FIELD_TOKENS, min_size=width - 1, max_size=width - 1)
+    return st.tuples(fields, _LABEL_TOKENS).map(lambda row: " ".join([*row[0], row[1]]))
+
+
+def _mostly(common, rare):
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else common)
+
+
+def _counts(lo, hi):
+    return _mostly(st.integers(lo, hi), st.integers(-1, hi + 1))
+
+
+@st.composite
+def _scene_texts(draw):
+    """A dgn/1 file, mostly of the right shape, with faults drawn in."""
+    n, d_extra, k = draw(_counts(1, 4)), draw(_counts(0, 3)), draw(_counts(2, 4))
+    lines = [f"dgn/1 {n} {d_extra} {k}"]
+    rows = _mostly(_rows(4 + max(d_extra, 0)), _JUNK_LINES)
+    lines += draw(st.lists(rows, min_size=max(n - 1, 0), max_size=max(n + 1, 0)))
+    if draw(st.booleans()):
+        lines.append(f"sparse {draw(_counts(0, 3))}")
+        lines += draw(st.lists(_mostly(_rows(2), _JUNK_LINES), max_size=4))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mostly(_scene_texts(), st.lists(_JUNK_LINES, max_size=6).map("\n".join)))
+def test_read_scene_raises_only_typed_errors(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("s") / "s.dgn"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        data.read_scene(str(path))
+    except (DgnError, ValueError, OSError):
+        pass

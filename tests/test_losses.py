@@ -359,16 +359,3 @@ def test_con_bounded_below_by_target_entropy(n, k, seed):
 def test_con_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         losses.con_loss(np.ones((2, 3)) / 3, np.ones((2, 2)) / 2)
-
-
-# ---------------------------------------------------------------------------
-# total loss
-
-def test_total_all_zero():
-    assert losses.total_loss().total == 0.0
-
-
-def test_total_is_sum():
-    report = losses.total_loss(tce=0.2, vmf=-10.0, dis=0.0, con=0.7)
-    assert report.total == pytest.approx(-9.1, abs=1e-12)
-    assert report.total == report.tce + report.vmf + report.dis + report.con

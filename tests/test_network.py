@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgn import network
 from dgn.bank import MemoryBank, empty_bank
-from dgn.errors import DimensionMismatch, ParseError, ShapeMismatch, StaleCache
+from dgn.errors import DgnError, DimensionMismatch, ParseError, ShapeMismatch, StaleCache
 
 
 def _single_layer_identity(k):
@@ -307,3 +309,27 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTDGNXXrubbish")
     with pytest.raises(ParseError):
         network.load_checkpoint(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 10**6), st.binary(min_size=1, max_size=8)),
+                max_size=3),
+       st.one_of(st.none(), st.integers(8, 400)))
+def test_load_checkpoint_raises_only_typed_errors(
+    tmp_path_factory, dims, with_bank, edits, cut
+):
+    # a valid checkpoint with bytes after its magic overwritten (counts, shapes,
+    # bank header, payload) and its tail cut
+    path = tmp_path_factory.mktemp("c") / "c.ckpt"
+    params = network.init_params(dims, 2, seed=0)
+    network.save_checkpoint(str(path), params, empty_bank(2, dims[-1]) if with_bank else None)
+    blob = bytearray(path.read_bytes())
+    for pos, chunk in edits:
+        pos = len(network.MAGIC) + pos % (len(blob) - len(network.MAGIC))
+        blob[pos:pos + len(chunk)] = chunk
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        network.load_checkpoint(str(path))
+    except (DgnError, ValueError, OSError):
+        pass

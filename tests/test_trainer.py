@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgn import data, network, trainer
 from dgn import bank as bank_mod
-from dgn.errors import InvalidGrid
+from dgn.errors import DgnError, InvalidGrid
 
 
 def _scenes(count=5):
@@ -62,7 +64,7 @@ def test_train_step_workspace_is_bitwise_neutral(epoch):
     np.testing.assert_array_equal(fresh.bank.prototypes, shared.bank.prototypes)
     np.testing.assert_array_equal(fresh.bank.seen, shared.bank.seen)
     assert fresh.report == shared.report
-    assert fresh.em_iterations == shared.em_iterations
+    assert fresh.report.em_iters == shared.report.em_iters
     for x, y in zip(fresh.opt_state.means + fresh.opt_state.variances,
                     shared.opt_state.means + shared.opt_state.variances, strict=True):
         np.testing.assert_array_equal(x, y)
@@ -80,13 +82,13 @@ def test_predict_workspace_is_bitwise_neutral():
 
 
 @pytest.mark.parametrize(
-    "grid, match",
-    [({"seed": [1, 2]}, "seeds="), ({"kappa": [1.0], "no_such_key": [1]}, "no_such_key")],
+    "param, values, match",
+    [("seed", [1, 2], "seeds="), ("no_such_key", [1], "no_such_key")],
     ids=["seed", "unknown-key"],
 )
-def test_ablate_rejects_grid_keys_it_cannot_sweep(grid, match):
+def test_ablate_rejects_grid_keys_it_cannot_sweep(param, values, match):
     with pytest.raises(InvalidGrid, match=match):
-        trainer.ablate(_scenes(count=2), _cfg(epochs=1), grid, seeds=[1])
+        trainer.ablate(_scenes(count=2), _cfg(epochs=1), param, values, seeds=[1])
 
 
 def _moves_training(scenes, off, on):
@@ -157,7 +159,7 @@ def test_fit_survives_a_zero_feature_row(alignment):
         scenes.append(dataclasses.replace(scene, coords=coords, extra_feats=extra))
     result = trainer.fit(scenes, _cfg(alignment=alignment, warmup_epochs=0))
     for report in result.reports:
-        assert all(np.isfinite(getattr(report.losses, k)) for k in ("vmf", "dis", "con"))
+        assert all(np.isfinite(getattr(report, k)) for k in ("vmf", "dis", "con"))
     assert all(np.all(np.isfinite(p)) for p in _param_arrays(result.params))
 
 
@@ -172,3 +174,25 @@ def test_explain_on_an_unlabeled_scene_follows_the_trained_bank():
     posterior = trainer.explain(unlabeled, result.params, cfg, result.bank)
     head = trainer.predict(result.params, unlabeled)
     assert np.mean(np.argmax(posterior, axis=1) == head) > 0.95
+
+
+_CONFIG_KEYS = st.sampled_from(
+    [f.name for f in dataclasses.fields(trainer.TrainConfig)] + ["nosuch", ""]
+)
+_CONFIG_VALUES = st.sampled_from([
+    "0", "1", "-1", "0.5", "1e400", "nan", "-inf", "true", "off", "soft", "gmm", "adam",
+    "8, 8", "8 0", "", "x", "1_0", "\u0663", "99999999999999999999", "# 1",
+])
+_CONFIG_LINES = st.integers(0, 9).flatmap(
+    lambda i: st.text(max_size=10) if i == 0
+    else st.tuples(_CONFIG_KEYS, _CONFIG_VALUES).map(" = ".join)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CONFIG_LINES, max_size=6).map("\n".join))
+def test_parse_config_text_raises_only_typed_errors(text):
+    try:
+        trainer.parse_config_text(text)
+    except (DgnError, ValueError, OSError):
+        pass
