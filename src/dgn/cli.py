@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -43,6 +44,7 @@ EXIT_OK = 0
 
 CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
 _INT64 = np.iinfo(np.int64)
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # the integer grammar of scene files
 _ROWS_PER_WRITE = 4096
 
 
@@ -101,10 +103,9 @@ def _read_labels(path: str, n: int) -> np.ndarray:
             stripped = line.strip()
             if not stripped:
                 continue
-            try:
-                label = int(stripped)
-            except ValueError:
+            if not _INTEGER.fullmatch(stripped):
                 raise ParseError(str(path), line_no, "expected one integer per line")
+            label = int(stripped)
             if not _INT64.min <= label <= _INT64.max:
                 raise ParseError(str(path), line_no, "label outside the int64 range")
             labels.append(label)
@@ -164,6 +165,8 @@ def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
 def cmd_cluster(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.classes < 1:
+        raise ValueError(f"--classes must be >= 1, got {args.classes}")
     # a flag the variant ignores is an error; EMConfig holds the defaults
     if args.kappa is not None and args.variant not in trainer.MOVMF_ALIGNMENTS:
         raise ValueError("--kappa applies to --variant soft or hard only")
@@ -174,8 +177,6 @@ def cmd_cluster(args) -> int:
 
     X = _read_matrix(args.input)
     k = args.classes
-    if k < 1:
-        raise DimensionMismatch("--classes must be >= 1")
     labels = _read_labels(args.labels, X.shape[0]) if args.labels else None
     if labels is not None and np.any((labels < -1) | (labels >= k)):
         raise DimensionMismatch("label file contains classes outside [-1, --classes)")
@@ -255,6 +256,8 @@ def cmd_ablate(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ParseError("--seeds", 1, "expected comma-separated integers") from None
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seed must be >= 0, got {min(seeds)}")
     cfg = _load_train_config(args.config)
     scenes = [read_scene(str(p)) for p in _scene_paths(args.data)]
     rows = trainer.ablate(scenes, cfg, args.param, values, seeds=seeds or None)

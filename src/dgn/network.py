@@ -18,13 +18,14 @@ Checkpoint container (binary, little-endian):
     u32     number of layers L
     u32 x2L (out, in) per layer
     u32 x2  head shape (num_classes, feat_dim)
-    f64     W_0 row-major, b_0, ..., W_{L-1}, b_{L-1}, head
+    f64     ModelParams.tensors in order: W_0 row-major, b_0, ..., head
     u8      bank flag (0 = absent)
     [u32 x2 bank shape, f64 momentum, u8 x k seen flags, f64 prototypes]
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -35,6 +36,9 @@ from .errors import DimensionMismatch, ParseError, ShapeMismatch, StaleCache
 from .movmf import _softmax_rows
 
 MAGIC = b"DGNCK001"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,8 @@ class ModelParams:
     """MLP weights/biases plus the bias-free segment head.
 
     The same container is reused for gradients (entries then hold the
-    partial derivatives in matching positions).
+    partial derivatives in matching positions). ``tensors`` is the one
+    order that init, backward, the optimizers and the checkpoint walk.
     """
 
     layer_weights: tuple[np.ndarray, ...]  # each (out, in)
@@ -73,6 +78,17 @@ class ModelParams:
             )
 
     @property
+    def tensors(self) -> tuple[np.ndarray, ...]:
+        """(W_0, b_0, ..., W_{L-1}, b_{L-1}, head): the one parameter order."""
+        pairs = zip(self.layer_weights, self.layer_biases)
+        return (*(t for pair in pairs for t in pair), self.head_weights)
+
+    @classmethod
+    def from_tensors(cls, tensors) -> ModelParams:
+        """Inverse of ``tensors``."""
+        return cls(tuple(tensors[:-1:2]), tuple(tensors[1:-1:2]), tensors[-1])
+
+    @property
     def input_dim(self) -> int:
         return self.layer_weights[0].shape[1]
 
@@ -91,15 +107,13 @@ def init_params(layer_dims, num_classes: int, seed: int) -> ModelParams:
     if len(dims) < 2:
         raise DimensionMismatch("need at least input and feature dims")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    tensors = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        tensors += [rng.uniform(-scale, scale, size=(fan_out, fan_in)), np.zeros(fan_out)]
     scale = 1.0 / np.sqrt(dims[-1])
-    head = rng.uniform(-scale, scale, size=(num_classes, dims[-1]))
-    return ModelParams(tuple(weights), tuple(biases), head)
+    tensors.append(rng.uniform(-scale, scale, size=(num_classes, dims[-1])))
+    return ModelParams.from_tensors(tensors)
 
 
 class Workspace:
@@ -214,40 +228,35 @@ def backward(
     dz += d_features
 
     below = (cache.inputs, *cache.acts)
-    d_weights: list[np.ndarray | None] = [None] * num_layers
-    d_biases: list[np.ndarray | None] = [None] * num_layers
+    grads: list[np.ndarray | None] = [None] * (2 * num_layers)
+    grads.append(d_head)
     for i in range(num_layers - 1, -1, -1):
         if i < num_layers - 1:
             dz *= cache.acts[i] > 0
-        d_weights[i] = dz.T @ below[i]
-        d_biases[i] = dz.sum(axis=0)
+        grads[2 * i] = dz.T @ below[i]
+        grads[2 * i + 1] = dz.sum(axis=0)
         if i:
             w = params.layer_weights[i]
             key = f"grad{(num_layers - i) % 2}"
             dz = np.matmul(dz, w, out=ws.take(key, n, w.shape[1]))
-    return ModelParams(tuple(d_weights), tuple(d_biases), d_head)
+    return ModelParams.from_tensors(grads)
 
 
-def _check_grad_shapes(params: ModelParams, grads: ModelParams) -> None:
-    if len(grads.layer_weights) != len(params.layer_weights):
-        raise ShapeMismatch("gradient layer count differs from parameters")
-    for w, g in zip(params.layer_weights, grads.layer_weights):
-        if w.shape != g.shape:
-            raise ShapeMismatch(f"weight grad {g.shape} != weights {w.shape}")
-    if grads.head_weights.shape != params.head_weights.shape:
-        raise ShapeMismatch("head grad shape differs from head weights")
+def _check_grad_shapes(tensors: tuple, grads: tuple) -> None:
+    """Raise unless ``grads`` has the shape of every tensor in ``tensors``."""
+    want = [t.shape for t in tensors]
+    got = [g.shape for g in grads]
+    if got != want:
+        raise ShapeMismatch(f"gradient shapes {got} != parameter shapes {want}")
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """params - lr * grads, as a new immutable snapshot."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    _check_grad_shapes(params, grads)
-    return ModelParams(
-        tuple(w - lr * g for w, g in zip(params.layer_weights, grads.layer_weights)),
-        tuple(b - lr * g for b, g in zip(params.layer_biases, grads.layer_biases)),
-        params.head_weights - lr * grads.head_weights,
-    )
+    flat_p, flat_g = params.tensors, grads.tensors
+    _check_grad_shapes(flat_p, flat_g)
+    return ModelParams.from_tensors([p - lr * g for p, g in zip(flat_p, flat_g)])
 
 
 @dataclass(frozen=True)
@@ -259,38 +268,13 @@ class AdamState:
     variances: tuple[np.ndarray, ...]
 
 
-def _flatten_params(params: ModelParams) -> tuple[np.ndarray, ...]:
-    out: list[np.ndarray] = []
-    for w, b in zip(params.layer_weights, params.layer_biases):
-        out.extend((w, b))
-    out.append(params.head_weights)
-    return tuple(out)
-
-
-def _rebuild_params(flat: list[np.ndarray], template: ModelParams) -> ModelParams:
-    n = len(template.layer_weights)
-    weights = tuple(flat[2 * i] for i in range(n))
-    biases = tuple(flat[2 * i + 1] for i in range(n))
-    return ModelParams(weights, biases, flat[2 * n])
-
-
 def init_adam_state(params: ModelParams) -> AdamState:
-    flat = _flatten_params(params)
-    return AdamState(
-        0,
-        tuple(np.zeros_like(t) for t in flat),
-        tuple(np.zeros_like(t) for t in flat),
-    )
+    flat = params.tensors
+    return AdamState(0, tuple(map(np.zeros_like, flat)), tuple(map(np.zeros_like, flat)))
 
 
 def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: ModelParams, grads: ModelParams, state: AdamState, lr: float
 ) -> tuple[ModelParams, AdamState]:
     """One Adam update. The per-parameter step is normalized by the
     gradient's running scale as a whole, not per loss term: the sum-form
@@ -298,22 +282,21 @@ def adam_step(
     that gradient, and one learning rate does not undo that."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    _check_grad_shapes(params, grads)
+    flat_p, flat_g = params.tensors, grads.tensors
+    _check_grad_shapes(flat_p, flat_g)
     t = state.step + 1
-    flat_p = _flatten_params(params)
-    flat_g = _flatten_params(grads)
     new_p: list[np.ndarray] = []
     new_m: list[np.ndarray] = []
     new_v: list[np.ndarray] = []
     for p, g, m, v in zip(flat_p, flat_g, state.means, state.variances):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
-    return _rebuild_params(new_p, params), AdamState(t, tuple(new_m), tuple(new_v))
+    return ModelParams.from_tensors(new_p), AdamState(t, tuple(new_m), tuple(new_v))
 
 
 def _pack_matrix(arr: np.ndarray) -> bytes:
@@ -323,13 +306,9 @@ def _pack_matrix(arr: np.ndarray) -> bytes:
 def save_checkpoint(path: str, params: ModelParams, bank: MemoryBank | None = None) -> None:
     """Write the versioned binary checkpoint, optionally with the bank."""
     out = [MAGIC, struct.pack("<I", len(params.layer_weights))]
-    for w in params.layer_weights:
-        out.append(struct.pack("<II", w.shape[0], w.shape[1]))
-    out.append(struct.pack("<II", *params.head_weights.shape))
-    for w, b in zip(params.layer_weights, params.layer_biases):
-        out.append(_pack_matrix(w))
-        out.append(_pack_matrix(b))
-    out.append(_pack_matrix(params.head_weights))
+    matrices = (*params.layer_weights, params.head_weights)
+    out.extend(struct.pack("<II", *w.shape) for w in matrices)
+    out.extend(_pack_matrix(t) for t in params.tensors)
     if bank is None:
         out.append(b"\x00")
     else:
@@ -359,7 +338,7 @@ class _Reader:
         return struct.unpack(f"<{n}I", self.take(4 * n))
 
     def f64_array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).copy()
 
 
@@ -374,13 +353,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, MemoryBank | None]:
         raise ParseError(str(path), r.offset, f"implausible layer count {num_layers}")
     shapes = [r.u32(2) for _ in range(num_layers)]
     head_shape = r.u32(2)
-    weights = []
-    biases = []
-    for out_dim, in_dim in shapes:
-        weights.append(r.f64_array((out_dim, in_dim)))
-        biases.append(r.f64_array((out_dim,)))
-    head = r.f64_array(head_shape)
-    params = ModelParams(tuple(weights), tuple(biases), head)
+    # the shapes of ModelParams.tensors: (out, in) and (out,) per layer, then the head
+    tensor_shapes = [s for w in shapes for s in (w, w[:1])] + [head_shape]
+    params = ModelParams.from_tensors([r.f64_array(s) for s in tensor_shapes])
     (flag,) = struct.unpack("<B", r.take(1))
     bank = None
     if flag == 1:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -174,8 +175,9 @@ def test_train_on_a_scene_with_an_unknown_label_is_a_data_error(tmp_path, capsys
     "flags, message",
     [(["--param", "nosuch"], "unknown config key 'nosuch'"),
      (["--param", "lr", "--seeds", "1,x"], "--seeds:1: expected comma-separated integers"),
-     (["--param", "lr", "--values", " , "], "--values:1: empty value list")],
-    ids=["unknown-param", "seeds-text", "values-empty"],
+     (["--param", "lr", "--values", " , "], "--values:1: empty value list"),
+     (["--param", "lr", "--seeds", "1,-1"], "seed must be >= 0, got -1")],
+    ids=["unknown-param", "seeds-text", "values-empty", "seeds-negative"],
 )
 def test_ablate_checks_its_arguments_before_reading_data(tmp_path, capsys, flags, message):
     # the data directory does not exist: reading it would exit 3
@@ -223,12 +225,15 @@ def test_eval_scores_a_prediction_file(tmp_path, capsys):
      ("0\n" * 3 + "x\n" + "0\n" * 6, cli.EXIT_PARSE, ":4: expected one integer"),
      ("0\n" + "99999999999999999999\n" + "0\n" * 8, cli.EXIT_PARSE,
       ":2: label outside the int64 range"),
-     ("0\n" * 9 + "2\n", cli.EXIT_DATA, "pred contains invalid class indices")],
-    ids=["short", "not-an-integer", "int64-overflow", "class-out-of-range"],
+     ("0\n" * 9 + "2\n", cli.EXIT_DATA, "pred contains invalid class indices"),
+     ("0\n" * 3 + "1_0\n" + "0\n" * 6, cli.EXIT_PARSE, ":4: expected one integer"),
+     ("0\n" * 3 + "\u0663\n" + "0\n" * 6, cli.EXIT_PARSE, ":4: expected one integer")],
+    ids=["short", "not-an-integer", "int64-overflow", "class-out-of-range", "underscore",
+         "non-ascii-digit"],
 )
 def test_eval_rejects_a_bad_prediction_file(tmp_path, capsys, text, code, message):
     _write_scenes(tmp_path)
-    (tmp_path / "pred.txt").write_text(text)
+    (tmp_path / "pred.txt").write_text(text, encoding="utf-8")
     got = cli.main(["eval", "--pred", str(tmp_path / "pred.txt"),
                     "--scene", str(tmp_path / "scene_000.dgn")])
     err = capsys.readouterr().err
@@ -486,9 +491,9 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
      ("proto-cosine", ["--iters", "3"]), ("proto-euclid", ["--tol", "0.1"]),
      ("soft", ["--kappa", "nan"]), ("hard", ["--kappa", "inf"]),
      ("soft", ["--tol", "nan"]), ("gmm", ["--tol", "inf"]), ("soft", ["--kappa", "-1"]),
-     ("soft", ["--seed", "-1"])],
+     ("soft", ["--seed", "-1"]), ("soft", ["--classes", "0"])],
     ids=["gmm-kappa", "proto-kappa", "proto-iters", "proto-tol", "kappa-nan", "kappa-inf",
-         "tol-nan", "tol-inf", "kappa-negative", "seed-negative"],
+         "tol-nan", "tol-inf", "kappa-negative", "seed-negative", "classes-zero"],
 )
 def test_cluster_rejects_a_flag_the_variant_cannot_use(tmp_path, capsys, variant, flags):
     _, _, args = _cluster_input(tmp_path, labeled=False)
@@ -576,6 +581,21 @@ def test_explain_output_equals_per_value_writer(tmp_path):
         assert out.read_bytes() == _old_lines(_old_format_rows(posterior))
         posteriors.append(posterior)
     assert not np.array_equal(*posteriors)
+
+
+def test_explain_of_a_checkpoint_claiming_a_huge_layer_exits_2(tmp_path, capsys):
+    _write_scenes(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(ckpt), network.init_params([7, 4], 2, seed=0))
+    blob = bytearray(ckpt.read_bytes())
+    blob[12:20] = struct.pack("<II", 2**32 - 1, 2**32 - 1)  # the first layer's shape
+    ckpt.write_bytes(bytes(blob))
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", str(tmp_path / "scene_000.dgn"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {ckpt}:28: truncated checkpoint\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

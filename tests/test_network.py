@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,6 +310,17 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"NOTDGNXXrubbish")
     with pytest.raises(ParseError):
+        network.load_checkpoint(str(path))
+
+
+def test_checkpoint_claiming_a_huge_layer_is_truncated(tmp_path):
+    # (2^32 - 1)^2 values: a fixed-width count would wrap and pass the bounds check
+    path = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(path), network.init_params([4, 6], 3, seed=13))
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=":28: truncated checkpoint"):
         network.load_checkpoint(str(path))
 
 

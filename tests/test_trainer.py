@@ -163,6 +163,38 @@ def test_fit_survives_a_zero_feature_row(alignment):
     assert all(np.all(np.isfinite(p)) for p in _param_arrays(result.params))
 
 
+def _lacking_a_class(scene, missing):
+    keep = scene.gt_labels != missing
+    gt = scene.gt_labels[keep]
+    return data.SceneBatch(scene.coords[keep], scene.extra_feats[keep], gt,
+                           data.SparseLabels(np.arange(gt.size), gt), scene.num_classes)
+
+
+_EDGE_SETS = {  # case: (scenes, label_rate)
+    # four classes; scene i has no point of class i % 4
+    "lacks-classes": (lambda: [
+        _lacking_a_class(data.gen_scene(data.SceneSpec(4, (15, 20), seed=i)), i % 4)
+        for i in range(5)], 0.05),
+    # the rate rounds to no label, and fit draws one per scene
+    "one-label": (_scenes, 1e-6),
+    "k2": (lambda: [data.gen_scene(data.SceneSpec(2, (20, 30), seed=i)) for i in range(5)],
+           0.05),
+}
+
+
+@pytest.mark.parametrize("case", _EDGE_SETS)
+@pytest.mark.parametrize("optimizer", trainer.OPTIMIZERS)
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_fit_stays_finite_on_edge_case_scenes(alignment, optimizer, case):
+    scenes, rate = _EDGE_SETS[case]
+    cfg = _cfg(alignment=alignment, optimizer=optimizer, label_rate=rate, epochs=10)
+    result = trainer.fit(scenes(), cfg)
+    assert result.reports[-1].em_iters > 0
+    for report in result.reports:
+        assert all(np.isfinite(getattr(report, k)) for k in ("tce", "vmf", "dis", "con", "total"))
+    assert all(np.all(np.isfinite(p)) for p in _param_arrays(result.params))
+
+
 def test_explain_on_an_unlabeled_scene_follows_the_trained_bank():
     # the held-out scene has no labels, so every EM centre comes from the bank
     scenes = [data.gen_scene(data.SceneSpec(num_classes=4, seed=seed)) for seed in range(20)]
