@@ -1,5 +1,13 @@
 """Alternative feature-space descriptors: category prototypes and an
-isotropic Gaussian mixture, used for the distribution-comparison runs."""
+isotropic Gaussian mixture, used for the distribution-comparison runs.
+
+``gmm_em`` runs its E step cluster-major through the softmax it shares
+with moVMF EM (see the "Layout" notes of ``movmf``), on buffers
+allocated once per fit: the (n, k) squared distances, a (k, n) score
+buffer and the (n, k) posterior. ||f||^2 and 2F are computed once per
+fit. Every output is bitwise equal to the point-major loop that scores
+fresh (n, k) arrays on every pass.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _check_weights, _has_unit_rows,
-                    _softmax_rows, normalize_rows)
+from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _blocks, _check_weights,
+                    _has_unit_rows, _softmax_columns, normalize_rows)
 
 VARIANCE_FLOOR = 1e-6
 METRICS = ("euclidean", "cosine")
@@ -66,38 +74,75 @@ def prototype_assign(F: np.ndarray, prototypes: np.ndarray, metric: str) -> np.n
     return np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1)
 
 
-def _sq_dists(F: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every row of F to every mean, (n, k)."""
-    return (
-        np.einsum("nd,nd->n", F, F)[:, None]
-        - 2.0 * F @ means.T
-        + np.einsum("kd,kd->k", means, means)[None, :]
-    )
+def _f_terms(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the terms of _sq_dists that depend on F alone: ||f||^2 as (n, 1), and 2F
+    return np.einsum("nd,nd->n", F, F)[:, None], 2.0 * F
 
 
-def _gmm_log_scores(sq: np.ndarray, log_w: np.ndarray, params: GMMParams) -> np.ndarray:
-    # the one GMM score path: log weight + log isotropic density, from the
-    # squared distances to the means
+def _sq_dists(
+    F: np.ndarray,
+    means: np.ndarray,
+    out: np.ndarray | None = None,
+    f_terms: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Squared Euclidean distance of every row of F to every mean, (n, k),
+    as ||f||^2 - 2F @ means.T + ||m||^2, written into ``out`` when given.
+    ``f_terms`` is ``_f_terms(F)``, passed by a caller that measures F
+    against many means so that it is computed once."""
+    norms, twice = _f_terms(F) if f_terms is None else f_terms
+    out = np.matmul(twice, means.T, out=out)
+    np.subtract(norms, out, out=out)
+    out += np.einsum("kd,kd->k", means, means)
+    return out
+
+
+def _gmm_log_norms(log_w: np.ndarray, params: GMMParams) -> np.ndarray:
+    # the per-component part of a score: log weight + log normaliser, (k,)
     d = params.means.shape[1]
-    return (
-        log_w[None, :]
-        - 0.5 * d * np.log(2.0 * np.pi * params.variances)[None, :]
-        - 0.5 * sq / params.variances[None, :]
-    )
+    return log_w - 0.5 * d * np.log(2.0 * np.pi * params.variances)
+
+
+def _gmm_scores(sq, log_norms, variances, out=None) -> np.ndarray:
+    # the one GMM score path, log_norm_c - (0.5 * sq) / var_c, in the layout
+    # the arguments broadcast to: (n, k) with (k,) rows, or (k, n) with
+    # (k, 1) columns
+    out = np.multiply(sq, 0.5, out=out)
+    out /= variances
+    return np.subtract(log_norms, out, out=out)
 
 
 def _gmm_floored_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
     # weight log floored at 1e-12 so one-hot Q at a dead component stays finite
     log_w = np.log(np.maximum(params.weights, ALPHA_FLOOR))
-    return _gmm_log_scores(_sq_dists(F, params.means), log_w, params)
+    return _gmm_scores(_sq_dists(F, params.means), _gmm_log_norms(log_w, params),
+                       params.variances)
 
 
-def gmm_posterior(sq: np.ndarray, params: GMMParams) -> np.ndarray:
-    """Log-space responsibilities with per-row max subtraction, from the
-    (n, k) squared distances ``sq`` of the points to ``params.means``."""
+def gmm_posterior(
+    sq: np.ndarray,
+    params: GMMParams,
+    scratch: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Responsibilities (n, k), C-contiguous, from the (n, k) squared
+    distances ``sq`` of the points to ``params.means``.
+
+    Computed in log space with the max over components subtracted, on a
+    (k, n) buffer (``scratch`` when given) as ``movmf`` does; the result
+    is written into ``out`` when given.
+    """
+    n, k = sq.shape
+    P = np.empty((k, n)) if scratch is None else scratch
     with np.errstate(divide="ignore"):
-        scores = _gmm_log_scores(sq, np.log(params.weights), params)
-    return _softmax_rows(scores, out=scores)
+        log_norms = _gmm_log_norms(np.log(params.weights), params)[:, None]
+    variances = params.variances[:, None]
+    for b in _blocks(n):
+        _gmm_scores(sq[b].T, log_norms, variances, out=P[:, b])
+    _softmax_columns(P)
+    if out is None:
+        return np.ascontiguousarray(P.T)
+    np.copyto(out, P.T)
+    return out
 
 
 def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
@@ -122,7 +167,8 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
     if not np.all(np.isfinite(init_means)):
         raise ValueError("init means must be finite")
 
-    sq = _sq_dists(F, init_means)
+    f_terms = _f_terms(F)
+    sq = _sq_dists(F, init_means, np.empty((n, k)), f_terms)
     nearest = np.argmin(sq, axis=1)
     spread = float(np.mean(np.sum((F - init_means[nearest]) ** 2, axis=1))) / d
     params = GMMParams(
@@ -131,12 +177,16 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
         np.full(k, max(spread, VARIANCE_FLOOR)),
     )
 
+    P = np.empty((k, n))   # the E step's log scores, cluster-major
+    q = np.empty((n, k))   # the posterior the M step reads
     degenerate: set[int] = set()
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
-        q = gmm_posterior(sq, params)
-        mass = q.sum(axis=0)
+        gmm_posterior(sq, params, P, q)
+        # M step: masses and variance numerators are column sums taken
+        # point after point, and the means the same BLAS call q.T @ F
+        mass = np.einsum("ic->c", q)
         dead = mass <= 1e-12
         degenerate.update(int(c) for c in np.flatnonzero(dead))
         weights = mass / n
@@ -146,9 +196,11 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
         alive = ~dead
         means[alive] = (q.T @ F)[alive] / mass[alive, None]
         # the next E step scores against these means, so it reuses sq
-        sq = _sq_dists(F, means)
+        _sq_dists(F, means, sq, f_terms)
+        # q is read no more before the next E step overwrites it
+        scatter = np.multiply(q, sq, out=q).sum(axis=0)
         variances[alive] = np.maximum(
-            (q * sq).sum(axis=0)[alive] / (d * mass[alive]), VARIANCE_FLOOR
+            scatter[alive] / (d * mass[alive]), VARIANCE_FLOOR
         )
         shift = float(np.max(np.linalg.norm(means - params.means, axis=1)))
         params = GMMParams(weights, means, variances)
@@ -157,7 +209,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
             converged = True
             break
 
-    q = gmm_posterior(sq, params)
+    q = gmm_posterior(sq, params, P, q)
     labels = np.argmax(q, axis=1)
     return EMResult(q, labels, params, iterations, converged, tuple(sorted(degenerate)))
 

@@ -3,14 +3,15 @@
 Subcommands: cluster, train, ablate, explain, gen-data, eval. Every
 command takes all randomness from --seed (or the config seed) and writes
 deterministic, diffable text outputs. Exit codes: 0 success, 2 parse or
-configuration errors, 3 dimension or data errors, 1 internal errors.
+configuration errors, 3 dimension or data errors and running out of
+memory (say, for a config whose widths cannot be allocated), 1 internal
+errors. Each error ends in one line on stderr, not a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -23,6 +24,7 @@ from .data import (
     SceneSpec,
     SparseLabels,
     gen_scene,
+    integer,
     miou,
     read_scene,
     sample_sparse_labels,
@@ -44,7 +46,6 @@ EXIT_OK = 0
 
 CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
 _INT64 = np.iinfo(np.int64)
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # the integer grammar of scene files
 _ROWS_PER_WRITE = 4096
 
 
@@ -103,9 +104,10 @@ def _read_labels(path: str, n: int) -> np.ndarray:
             stripped = line.strip()
             if not stripped:
                 continue
-            if not _INTEGER.fullmatch(stripped):
-                raise ParseError(str(path), line_no, "expected one integer per line")
-            label = int(stripped)
+            try:
+                label = integer(stripped)
+            except ValueError:
+                raise ParseError(str(path), line_no, "expected one integer per line") from None
             if not _INT64.min <= label <= _INT64.max:
                 raise ParseError(str(path), line_no, "label outside the int64 range")
             labels.append(label)
@@ -129,20 +131,22 @@ def _report_line(report: trainer.EpochReport) -> str:
     return " ".join(f"{k}={_fmt6(v) if isinstance(v, float) else v}" for k, v in values)
 
 
-def _format_rows(matrix: np.ndarray) -> list[str]:
-    """One line per row of ``matrix``, each value as ``_fmt6`` prints it."""
+def _format_rows(matrix: np.ndarray) -> str:
+    """One line per row of ``matrix``, joined by newlines, each value as
+    ``_fmt6`` prints it; one ``%`` formats the whole matrix."""
     row = " ".join(["%.6g"] * matrix.shape[1])
-    return [row % tuple(values) for values in matrix.tolist()]
+    return "\n".join([row] * matrix.shape[0]) % tuple(matrix.ravel().tolist())
 
 
 def _write_rows(path: str, matrix: np.ndarray) -> None:
-    """``_write_lines(path, _format_rows(matrix))``, formatted and written
-    4096 rows at a time so the text of the whole matrix is never held."""
+    """``_format_rows(matrix)`` and a final newline (a lone newline for no
+    rows), formatted and written 4096 rows at a time so the text of the
+    whole matrix is never held."""
     with open(path, "w") as fh:
         if not matrix.shape[0]:
             fh.write("\n")
         for start in range(0, matrix.shape[0], _ROWS_PER_WRITE):
-            fh.write("\n".join(_format_rows(matrix[start:start + _ROWS_PER_WRITE])) + "\n")
+            fh.write(_format_rows(matrix[start:start + _ROWS_PER_WRITE]) + "\n")
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -253,7 +257,7 @@ def cmd_ablate(args) -> int:
     if not values:
         raise ParseError("--values", 1, "empty value list")
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        seeds = [integer(s.strip()) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ParseError("--seeds", 1, "expected comma-separated integers") from None
     if any(seed < 0 for seed in seeds):
@@ -290,7 +294,7 @@ def cmd_gen_data(args) -> int:
     lo, _, hi = args.points.partition(":")
     spec = SceneSpec(
         num_classes=args.classes,
-        points_per_class=(int(lo), int(hi or lo)),
+        points_per_class=(integer(lo), integer(hi or lo)),
         geometry=args.geometry,
         noise_sigma=args.noise,
         seed=args.seed,
@@ -334,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster a matrix file")
     p.add_argument("input", help="text matrix, one row of floats per line")
     p.add_argument("--variant", choices=CLUSTER_VARIANTS, default="soft")
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--classes", type=integer, required=True)
     p.add_argument("--kappa", type=float, help="shared moVMF concentration, soft and "
                    f"hard only (default {movmf.EMConfig.kappa:g})")
-    p.add_argument("--iters", type=int, help="EM iteration budget, not for proto-* "
+    p.add_argument("--iters", type=integer, help="EM iteration budget, not for proto-* "
                    f"(default {movmf.EMConfig.max_iters})")
     p.add_argument("--tol", type=float, help="EM convergence threshold, not for proto-* "
                    f"(default {movmf.EMConfig.tol:g})")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--labels", help="optional label file (one int per line, -1 = none)")
     p.add_argument("--out-prefix", help="output prefix (default: the input path)")
     p.set_defaults(func=cmd_cluster)
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--data", required=True, help="directory of .dgn scene files")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=integer, default=None, help="override the config seed")
     p.set_defaults(func=cmd_train)
 
     # no abbreviations: "--seed" must not read as "--seeds"
@@ -368,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", help="config file (clustering settings)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=integer, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("gen-data", help="generate synthetic labeled scenes")
     p.add_argument("--out", required=True)
-    p.add_argument("--scenes", type=int, default=20)
-    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--scenes", type=integer, default=20)
+    p.add_argument("--classes", type=integer, default=4)
     p.add_argument("--points", default="60:90", help="points per class, lo:hi")
     p.add_argument("--geometry", choices=("gaussian_blobs", "planar_patches", "mixed"),
                    default="mixed")
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="share of each scene's points written to its sparse "
                    "trailer; only 'dgn explain' reads the trailer, 'dgn train' draws "
                    "its own labels at label_rate from the dense ground truth")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("eval", help="score a prediction file against a scene")
@@ -408,6 +412,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -12,11 +12,16 @@ Floats are finite (``nan`` and ``inf`` are rejected) and written with
 integer literals (``2.0`` is rejected), and no field has digit-group
 underscores or non-ASCII digits. When the trailer is absent, the sparse
 set defaults to every point whose label column is >= 0.
+
+``integer`` is the one integer grammar of every text input: the header
+and trailer counts here, label files, config ints and integer arguments
+of the command line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +31,16 @@ from .errors import DimensionMismatch, EmptyScene, LengthMismatch, ParseError
 
 GEOMETRIES = ("gaussian_blobs", "planar_patches", "mixed")
 EXTRA_FEATURE_DIM = 4  # normal-like direction (3) + height (1)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(token: str) -> int:
+    """The int that ``token`` spells as ``[+-]?[0-9]+``; ValueError for any
+    other token. Unlike ``int()``, it rejects digit-group underscores
+    (``1_0``), non-ASCII digits and surrounding whitespace."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"invalid integer: {token!r}")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -322,7 +337,7 @@ def read_scene(path: str) -> SceneBatch:
     if len(head) != 4 or head[0] != "dgn/1":
         raise _parse_err(path, 1, "expected header 'dgn/1 n d_extra num_classes'")
     try:
-        n, d_extra, num_classes = (int(tok) for tok in head[1:])
+        n, d_extra, num_classes = (integer(tok) for tok in head[1:])
     except ValueError:
         raise _parse_err(path, 1, "header counts must be integers") from None
     if n < 1 or d_extra < 0 or num_classes < 1:
@@ -357,7 +372,7 @@ def read_scene(path: str) -> SceneBatch:
         if len(toks) != 2 or toks[0] != "sparse":
             raise _parse_err(path, cursor + 1, "expected 'sparse m' trailer")
         try:
-            m = int(toks[1])
+            m = integer(toks[1])
         except ValueError:
             raise _parse_err(path, cursor + 1, "sparse count must be an integer") from None
         if m < 0:

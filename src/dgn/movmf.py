@@ -6,16 +6,23 @@ Under a shared kappa the normalising constant C_d(kappa) cancels in the
 posterior and only shifts the objectives, so it is never computed. All
 computation is float64 and log-space where overflow is possible.
 
-Layout. The posterior is computed cluster-major, on one (k, n) buffer
-with a row per cluster, so the max over clusters, ``exp``, the sum over
-clusters and the division are operations on whole rows of n points
-rather than reductions over rows of k. Each result is bitwise equal to
-the point-major (n, k) form (``V @ means.T``, then the row softmax):
+Layout. The E step of both mixture families, this moVMF and the
+isotropic GMM of ``baselines.gmm_posterior``, is computed cluster-major,
+on one (k, n) buffer with a row per cluster, so the max over clusters,
+``exp``, the sum over clusters and the division (``_softmax_columns``)
+are operations on whole rows of n points rather than reductions over
+rows of k. Each result is bitwise equal to the point-major (n, k) form
+(the (n, k) scores, then the row softmax):
 
-- the scores come from the same BLAS call, ``V @ means.T`` into an
-  (n, k) buffer, scaled by kappa there and transposed into the (k, n)
-  buffer by the add of log(alpha_c). ``means @ V.T`` is not used: with
-  OpenBLAS it differs in the last bit for some shapes;
+- the scores are first written point-major by the same BLAS call as the
+  point-major form, and the op that finishes them moves them into the
+  (k, n) buffer, 4096 points at a time (``_blocks``). moVMF: ``V @
+  means.T``, scaled by kappa, then the add of log(alpha_c). GMM: the
+  squared distances ``baselines._sq_dists`` (``2F @ means.T``), then
+  ``0.5 * sq``, divided by var_c and subtracted from
+  log w_c - (d/2) log(2 pi var_c), the same elementwise ops in the same
+  order. ``means @ V.T`` and ``P @ V`` are not used: with OpenBLAS they
+  differ in the last bit for some shapes;
 - the sum over the k rows adds them in the order numpy adds the k
   entries of one row (``Q.sum(axis=1)``): left to right below 8 rows;
   from 8 to 128 rows, eight strided accumulators r_j (rows j, j+8, ...)
@@ -23,7 +30,10 @@ the point-major (n, k) form (``V @ means.T``, then the row softmax):
   rows one by one; above 128 rows, numpy's pairwise split;
 - the M step reads the posterior back in the (n, k) layout, so ``Q.T @ V``
   is the same BLAS call, and the weights are column sums taken point
-  after point, as ``Q.mean(axis=0)`` takes them.
+  after point, as ``Q.mean(axis=0)`` takes them (``np.einsum("ic->c",
+  Q)``). The GMM variance numerators are ``(q * sq).sum(axis=0)`` with
+  the product in a buffer: ``np.einsum("ic,ic->c", q, sq)`` is not
+  bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -175,17 +185,6 @@ def _scores(V: np.ndarray, means: np.ndarray, kappa: float, out=None) -> np.ndar
     return q
 
 
-def _softmax_rows(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row softmax with per-row max subtraction, written into ``out`` (which
-    may be ``scores`` itself) or a fresh array."""
-    # row max column by column: over k columns this is several times
-    # faster than a row reduce, and max is exact
-    z = np.subtract(scores, np.maximum.reduce(tuple(scores.T))[:, None], out=out)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
-
-
 def _sum_rows(P: np.ndarray) -> np.ndarray:
     """Sum of the rows of a (k, n) array, added in the order numpy's
     pairwise sum adds the k entries of one row of the (n, k) transpose."""
@@ -215,6 +214,23 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
     return s
 
 
+def _blocks(n: int):
+    """Slices of ``_BLOCK`` points covering n: a (n, k) -> (k, n) transpose
+    taken one block at a time stays in cache."""
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _softmax_columns(P: np.ndarray) -> np.ndarray:
+    """The posterior from the (k, n) log scores P, in place: the max over
+    the k rows is subtracted from each column, then ``exp``, then each
+    column is divided by its ``_sum_rows`` total. The one softmax of both
+    mixture families."""
+    P -= np.maximum.reduce(P, axis=0)
+    np.exp(P, out=P)
+    P /= _sum_rows(P)
+    return P
+
+
 def _posterior_kn(
     V: np.ndarray,
     means: np.ndarray,
@@ -238,13 +254,9 @@ def _posterior_kn(
     with np.errstate(divide="ignore"):
         log_alphas = np.log(alphas)[:, None]
     S = _scores(V, means, kappa, out=scratch)
-    for i in range(0, S.shape[0], _BLOCK):
-        # the transpose in blocks that stay in cache
-        np.add(S[i:i + _BLOCK].T, log_alphas, out=out[:, i:i + _BLOCK])
-    out -= np.maximum.reduce(out, axis=0)
-    np.exp(out, out=out)
-    out /= _sum_rows(out)
-    return out
+    for b in _blocks(S.shape[0]):
+        np.add(S[b].T, log_alphas, out=out[:, b])
+    return _softmax_columns(out)
 
 
 def log_scores(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .bank import MemoryBank
 from .errors import DimensionMismatch, ParseError, ShapeMismatch, StaleCache
-from .movmf import _softmax_rows
 
 MAGIC = b"DGNCK001"
 ADAM_BETA1 = 0.9
@@ -136,8 +135,14 @@ class Workspace:
 
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row softmax with max subtraction, written into ``out`` when given."""
-    return _softmax_rows(logits, out=out)
+    """Row softmax with max subtraction, written into ``out`` (which may be
+    ``logits`` itself) or a fresh array."""
+    # row max column by column: over k columns this is several times
+    # faster than a row reduce, and max is exact
+    z = np.subtract(logits, np.maximum.reduce(tuple(logits.T))[:, None], out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def softmax_backward(dP: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
-from .data import SceneBatch, miou, sample_sparse_labels, with_sparse
+from .data import SceneBatch, integer, miou, sample_sparse_labels, with_sparse
 from .errors import DimensionMismatch, InvalidGrid
 
 MOVMF_ALIGNMENTS = ("soft", "hard")  # the families with a concentration kappa
@@ -388,7 +388,7 @@ _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 def _parse_value(name: str, raw: str):
     if name == "hidden_dims":
         parts = [p for p in raw.replace(",", " ").split() if p]
-        return tuple(int(p) for p in parts)
+        return tuple(integer(p) for p in parts)
     typ = _CONFIG_FIELDS[name].type
     if typ == "bool":
         lowered = raw.strip().lower()
@@ -398,7 +398,7 @@ def _parse_value(name: str, raw: str):
             return False
         raise ValueError(f"cannot parse boolean {raw!r} for {name}")
     if typ == "int":
-        return int(raw)
+        return integer(raw.strip())
     if typ == "float":
         return float(raw)
     return raw.strip()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dgn import baselines
 from dgn.errors import DimensionMismatch
-from dgn.movmf import EMConfig
+from dgn.movmf import EMConfig, EMResult
 
 
 def gmm_expected_objective(F, Q, params):
@@ -170,6 +170,154 @@ def test_gmm_m_step_improves_expected_objective(seed):
     assert gmm_expected_objective(F, q, after.params) >= (
         gmm_expected_objective(F, q, before.params) - 1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# the cluster-major GMM EM against the point-major loop, bit for bit
+
+def reference_sq_dists(F, means):
+    return (
+        np.einsum("nd,nd->n", F, F)[:, None]
+        - 2.0 * F @ means.T
+        + np.einsum("kd,kd->k", means, means)[None, :]
+    )
+
+
+def reference_gmm_posterior(sq, params):
+    """The point-major (n, k) posterior: the scores, then a row softmax with
+    the row max taken column by column."""
+    d = params.means.shape[1]
+    with np.errstate(divide="ignore"):
+        scores = (
+            np.log(params.weights)[None, :]
+            - 0.5 * d * np.log(2.0 * np.pi * params.variances)[None, :]
+            - 0.5 * sq / params.variances[None, :]
+        )
+    z = scores - np.maximum.reduce(tuple(scores.T))[:, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def reference_gmm_em(F, init_means, cfg):
+    """The point-major EM loop: fresh (n, k) arrays on every pass."""
+    F = np.asarray(F, dtype=np.float64)
+    n, d = F.shape
+    k = init_means.shape[0]
+    sq = reference_sq_dists(F, init_means)
+    nearest = np.argmin(sq, axis=1)
+    spread = float(np.mean(np.sum((F - init_means[nearest]) ** 2, axis=1))) / d
+    params = baselines.GMMParams(
+        np.full(k, 1.0 / k),
+        init_means,
+        np.full(k, max(spread, baselines.VARIANCE_FLOOR)),
+    )
+    degenerate = set()
+    iterations = 0
+    converged = False
+    for _ in range(cfg.max_iters):
+        q = reference_gmm_posterior(sq, params)
+        mass = q.sum(axis=0)
+        dead = mass <= 1e-12
+        degenerate.update(int(c) for c in np.flatnonzero(dead))
+        weights = mass / n
+        weights = weights / weights.sum()
+        means = params.means.copy()
+        variances = params.variances.copy()
+        alive = ~dead
+        means[alive] = (q.T @ F)[alive] / mass[alive, None]
+        sq = reference_sq_dists(F, means)
+        variances[alive] = np.maximum(
+            (q * sq).sum(axis=0)[alive] / (d * mass[alive]), baselines.VARIANCE_FLOOR
+        )
+        shift = float(np.max(np.linalg.norm(means - params.means, axis=1)))
+        params = baselines.GMMParams(weights, means, variances)
+        iterations += 1
+        if shift < cfg.tol:
+            converged = True
+            break
+    q = reference_gmm_posterior(sq, params)
+    labels = np.argmax(q, axis=1)
+    return EMResult(q, labels, params, iterations, converged, tuple(sorted(degenerate)))
+
+
+def assert_same_gmm_fit(F, init, cfg):
+    got = baselines.gmm_em(F, init, cfg)
+    want = reference_gmm_em(F, init, cfg)
+    assert got.posterior.flags.c_contiguous and got.posterior.shape == want.posterior.shape
+    assert np.array_equal(got.posterior, want.posterior, equal_nan=True)
+    assert np.array_equal(got.assignment, want.assignment)
+    for name in ("weights", "means", "variances"):
+        assert np.array_equal(
+            getattr(got.params, name), getattr(want.params, name), equal_nan=True
+        ), name
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.degenerate == want.degenerate
+    return got
+
+
+def _blobs(seed, n, k, d):
+    """n points around k random centres, and k perturbed inits."""
+    rng = np.random.default_rng(seed)
+    centres = 4.0 * rng.standard_normal((k, d))
+    F = centres[rng.integers(0, k, size=n)] + rng.standard_normal((n, d))
+    return F, centres + 0.5 * rng.standard_normal((k, d))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 17])
+def test_gmm_em_bitwise_equals_point_major_loop(k):
+    # 4100 points span two transpose blocks
+    F, init = _blobs(k, 4100, k, 3)
+    fit = assert_same_gmm_fit(F, init, EMConfig(8, 0.0, 0.0))
+    assert fit.iterations == 8
+
+
+@pytest.mark.parametrize("cfg", [
+    EMConfig(0, 1e-6, 0.0),      # no iteration
+    EMConfig(50, 1e-3, 0.0),     # stops early by tol
+], ids=["iters0", "tol"])
+def test_gmm_em_bitwise_edge_configs(cfg):
+    F, init = _blobs(3, 300, 5, 4)
+    fit = assert_same_gmm_fit(F, init, cfg)
+    if cfg.tol == 1e-3:
+        assert fit.converged and fit.iterations < 50
+
+
+def test_gmm_em_bitwise_with_a_dead_component(rng):
+    F = 0.1 * rng.standard_normal((200, 3))
+    init = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]])
+    fit = assert_same_gmm_fit(F, init, EMConfig(5, 0.0, 0.0))
+    assert fit.degenerate == (1,)
+
+
+def test_gmm_em_bitwise_with_duplicate_points():
+    F = np.tile(np.array([[1.0, 2.0]]), (10, 1))
+    fit = assert_same_gmm_fit(F, np.array([[0.0, 0.0], [1.0, 2.0]]), EMConfig(6, 0.0, 0.0))
+    assert np.any(fit.params.variances == baselines.VARIANCE_FLOOR)
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 4])
+def test_gmm_em_bitwise_with_nan_row(max_iters):
+    F, init = _blobs(5, 200, 3, 5)
+    F[9] = np.nan
+    assert_same_gmm_fit(F, init, EMConfig(max_iters, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 12, 17])
+def test_gmm_posterior_bitwise_equals_point_major(rng, k):
+    F = 2.0 * rng.standard_normal((4500, 6))
+    params = baselines.GMMParams(
+        rng.dirichlet(np.ones(k)), rng.standard_normal((k, 6)), rng.uniform(0.5, 4.0, k)
+    )
+    sq = baselines._sq_dists(F, params.means)
+    assert np.array_equal(sq, reference_sq_dists(F, params.means))
+    want = reference_gmm_posterior(sq, params)
+    q = baselines.gmm_posterior(sq, params)
+    assert q.flags.c_contiguous and np.array_equal(q, want)
+    out = np.empty((4500, k))
+    assert baselines.gmm_posterior(sq, params, np.empty((k, 4500)), out) is out
+    assert np.array_equal(out, want)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
     ["hidden_dims = 0", "hidden_dims = 8, 0", "feat_dim = 0", "feat_dim = -1",
      "alignment = proto_euclid", "alignment = proto_cosine",
      "dis_grad_mode = frozen_means", "em_variant = hard", "alignment = movmf",
-     "alignment = gmm\nkappa = 50", "kappa = nan", "lr = inf", "em_tol = nan", "seed = -1"],
+     "alignment = gmm\nkappa = 50", "kappa = nan", "lr = inf", "em_tol = nan", "seed = -1",
+     "epochs = 1_0", "warmup_epochs = \u0663", "hidden_dims = 1_0"],
 )
 def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
     scene = data.gen_scene(data.SceneSpec(num_classes=2, points_per_class=(5, 5)))
@@ -100,9 +101,10 @@ def test_gen_data_writes_scenes_that_read_back(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--classes", "1"], ["--points", "0:5"], ["--points", "x"], ["--noise", "-1"],
-     ["--label-rate", "0"], ["--label-rate", "1.5"], ["--seed", "-1"]],
+     ["--label-rate", "0"], ["--label-rate", "1.5"], ["--seed", "-1"],
+     ["--points", "1_0:2_0"]],
     ids=["classes-1", "points-zero", "points-text", "noise-negative", "rate-zero",
-         "rate-above-1", "seed-negative"],
+         "rate-above-1", "seed-negative", "points-underscore"],
 )
 def test_gen_data_bad_input_exits_2(tmp_path, capsys, flags):
     # every argument is checked before the output directory is made
@@ -176,8 +178,9 @@ def test_train_on_a_scene_with_an_unknown_label_is_a_data_error(tmp_path, capsys
     [(["--param", "nosuch"], "unknown config key 'nosuch'"),
      (["--param", "lr", "--seeds", "1,x"], "--seeds:1: expected comma-separated integers"),
      (["--param", "lr", "--values", " , "], "--values:1: empty value list"),
-     (["--param", "lr", "--seeds", "1,-1"], "seed must be >= 0, got -1")],
-    ids=["unknown-param", "seeds-text", "values-empty", "seeds-negative"],
+     (["--param", "lr", "--seeds", "1,-1"], "seed must be >= 0, got -1"),
+     (["--param", "lr", "--seeds", "1_0"], "--seeds:1: expected comma-separated integers")],
+    ids=["unknown-param", "seeds-text", "values-empty", "seeds-negative", "seeds-underscore"],
 )
 def test_ablate_checks_its_arguments_before_reading_data(tmp_path, capsys, flags, message):
     # the data directory does not exist: reading it would exit 3
@@ -187,6 +190,32 @@ def test_ablate_checks_its_arguments_before_reading_data(tmp_path, capsys, flags
     assert code == cli.EXIT_PARSE
     assert err == f"error: {message}\n"
     assert not (tmp_path / "table.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "m.txt", "--classes", "1_0"],
+    ["cluster", "m.txt", "--classes", "2", "--iters", "\u0663"],
+    ["train", "--data", "d", "--out", "o", "--seed", "1_0"],
+    ["gen-data", "--out", "d", "--scenes", "\uff11"],
+], ids=["classes", "iters", "seed", "scenes"])
+def test_integer_flags_take_the_one_integer_grammar(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == cli.EXIT_PARSE
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_is_one_line_and_exit_3(tmp_path, capsys, monkeypatch):
+    # a config whose widths cannot be allocated ends in numpy's MemoryError
+    def fit(scenes, cfg):
+        raise MemoryError("Unable to allocate 5.09 TiB for an array")
+
+    _write_scenes(tmp_path)
+    monkeypatch.setattr(trainer, "fit", fit)
+    code = cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 5.09 TiB for an array\n")
 
 
 def test_ablate_writes_hidden_dims_cells_in_config_syntax(tmp_path, capsys):
@@ -347,7 +376,7 @@ def _old_lines(lines):
     .map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, k))
 ))
 def test_format_rows_equals_per_value_format(matrix):
-    assert cli._format_rows(matrix) == _old_format_rows(matrix)
+    assert cli._format_rows(matrix) == "\n".join(_old_format_rows(matrix))
 
 
 def test_format_rows_special_values():
@@ -355,14 +384,23 @@ def test_format_rows_special_values():
         [np.nan, np.inf, -np.inf, -0.0, 0.0],
         [1e-300, 5e-324, 1.7976931348623157e308, 0.1234565, 123456789.0],
     ])
-    assert cli._format_rows(matrix) == _old_format_rows(matrix)
-    assert cli._format_rows(matrix)[0] == "nan inf -inf -0 0"
+    assert cli._format_rows(matrix) == "\n".join(_old_format_rows(matrix))
+    assert cli._format_rows(matrix).split("\n")[0] == "nan inf -inf -0 0"
 
 
-@pytest.mark.parametrize("rows", [0, 1, 4096, 9000])
+@pytest.mark.parametrize("rows", [0, 1, 4096, 4097, 9000])
 def test_write_rows_equals_whole_matrix_writer(tmp_path, rows):
-    # blocks of 4096 rows: none, a partial one, exactly one, and three
+    # blocks of 4096 rows: none, a partial one, exactly one, one and a
+    # row, and three
     matrix = np.random.default_rng(rows).standard_normal((rows, 3)) ** 3
+    path = tmp_path / "rows.txt"
+    cli._write_rows(str(path), matrix)
+    assert path.read_bytes() == _old_lines(_old_format_rows(matrix))
+
+
+@pytest.mark.parametrize("shape", [(4097, 1), (3, 0), (0, 1)])
+def test_write_rows_equals_whole_matrix_writer_on_narrow_matrices(tmp_path, shape):
+    matrix = np.random.default_rng(1).standard_normal(shape) ** 3
     path = tmp_path / "rows.txt"
     cli._write_rows(str(path), matrix)
     assert path.read_bytes() == _old_lines(_old_format_rows(matrix))
@@ -439,6 +477,22 @@ def test_cluster_outputs_equal_per_value_writers(tmp_path, variant, labeled):
     assert (tmp_path / "out.assignments").read_bytes() == _old_lines(assignments)
     posteriors = _old_format_rows(posterior)
     assert (tmp_path / "out.posteriors").read_bytes() == _old_lines(posteriors)
+
+
+@pytest.mark.parametrize("variant", ["soft", "gmm"])
+def test_cluster_outputs_equal_per_value_writers_on_4097_rows_of_one_class(tmp_path, variant):
+    # a one-column posterior, in one full block of rows and one row more
+    X = np.random.default_rng(3).standard_normal((4097, 4)) + 2.0
+    path = tmp_path / "matrix.txt"
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in X.tolist()))
+    code = cli.main(["cluster", str(path), "--classes", "1", "--seed", "2", "--variant",
+                     variant, "--out-prefix", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assignment, posterior = _old_cluster(X, variant, 1, 2, None)
+    assert posterior.shape == (4097, 1)
+    assignments = [str(int(c)) for c in assignment]
+    assert (tmp_path / "out.assignments").read_bytes() == _old_lines(assignments)
+    assert (tmp_path / "out.posteriors").read_bytes() == _old_lines(_old_format_rows(posterior))
 
 
 @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])

@@ -380,6 +380,49 @@ def test_negative_sparse_count_parse_error(tmp_path):
     assert err.value.line == trailer + 1
 
 
+@pytest.mark.parametrize("token, want", [("0", 0), ("+7", 7), ("-12", -12), ("007", 7)])
+def test_integer_reads_ascii_digits(token, want):
+    assert data.integer(token) == want
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", " 1", "1\n", "", "+", "2.0", "1e3"])
+def test_integer_rejects_what_int_reads_beyond_the_grammar(token):
+    with pytest.raises(ValueError):
+        data.integer(token)
+
+
+def _edited_scene(tmp_path, line_of, text):
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    lines = path.read_text().splitlines()
+    index = line_of(scene)
+    lines[index] = text(lines[index])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, index + 1
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0666"], ids=["underscore", "non-ascii-digit"])
+def test_header_count_is_one_integer_grammar(tmp_path, token):
+    path, line = _edited_scene(
+        tmp_path, lambda scene: 0, lambda head: head.replace(head.split()[1], token)
+    )
+    with pytest.raises(ParseError, match="header counts must be integers") as err:
+        data.read_scene(str(path))
+    assert err.value.line == line and err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("token", ["2_9_3", "\u0666"], ids=["underscore", "non-ascii-digit"])
+def test_sparse_count_is_one_integer_grammar(tmp_path, token):
+    # int() reads "2_9_3" as 293 and loads that many labels
+    path, line = _edited_scene(
+        tmp_path, lambda scene: scene.num_points + 1, lambda trailer: f"sparse {token}"
+    )
+    with pytest.raises(ParseError, match="sparse count must be an integer") as err:
+        data.read_scene(str(path))
+    assert err.value.line == line and err.value.exit_code == 2
+
+
 def test_crlf_file_parses(tmp_path):
     scene = data.gen_scene(_spec())
     path = tmp_path / "scene.dgn"
