@@ -1,12 +1,13 @@
 """Alternative feature-space descriptors: category prototypes and an
 isotropic Gaussian mixture, used for the distribution-comparison runs.
 
-``gmm_em`` runs its E step cluster-major through the softmax it shares
-with moVMF EM (see the "Layout" notes of ``movmf``), on buffers
-allocated once per fit: the (n, k) squared distances, a (k, n) score
-buffer and the (n, k) posterior. ||f||^2 and 2F are computed once per
-fit. Every output is bitwise equal to the point-major loop that scores
-fresh (n, k) arrays on every pass.
+``gmm_em`` passes its E and M steps to ``movmf._run_em``, the one EM
+loop of both mixture families. Its E step runs cluster-major through the
+softmax it shares with moVMF EM (see the "Layout" notes of ``movmf``),
+on buffers allocated once per fit: the (n, k) squared distances, a
+(k, n) score buffer and the (n, k) posterior. ||f||^2 and 2F are
+computed once per fit. Every output is bitwise equal to the point-major
+loop that scores fresh (n, k) arrays on every pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _blocks, _check_weights,
-                    _has_unit_rows, _softmax_columns, normalize_rows)
+                    _has_unit_rows, _run_em, _softmax_columns, normalize_rows)
 
 VARIANCE_FLOOR = 1e-6
 METRICS = ("euclidean", "cosine")
@@ -146,13 +147,14 @@ def gmm_posterior(
 
 
 def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
-    """EM for an isotropic GMM with the same convergence and tie-break
-    contracts as the spherical variant.
+    """EM for an isotropic GMM, run by ``movmf._run_em``, the loop of the
+    moVMF fits: the same iteration budget, ``tol`` stop, tie-break and
+    held components. The shift is the largest Euclidean move of a mean.
 
     Weights start uniform; the initial per-component variance is the mean
     squared deviation from the init means divided by d. Variances are
     floored at 1e-6. Components whose responsibility mass vanishes are
-    frozen and reported.
+    held and reported as degenerate.
     """
     F = np.asarray(F, dtype=np.float64)
     init_means = np.asarray(init_means, dtype=np.float64)
@@ -179,39 +181,27 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
 
     P = np.empty((k, n))   # the E step's log scores, cluster-major
     q = np.empty((n, k))   # the posterior the M step reads
-    degenerate: set[int] = set()
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_iters):
-        gmm_posterior(sq, params, P, q)
-        # M step: masses and variance numerators are column sums taken
-        # point after point, and the means the same BLAS call q.T @ F
+
+    def m_step(q: np.ndarray, params: GMMParams):
+        # masses and variance numerators are column sums taken point after
+        # point, and the means the same BLAS call q.T @ F; a component
+        # whose mass is <= 1e-12 is held
         mass = np.einsum("ic->c", q)
         dead = mass <= 1e-12
-        degenerate.update(int(c) for c in np.flatnonzero(dead))
+        alive = ~dead
         weights = mass / n
-        weights = weights / weights.sum()
         means = params.means.copy()
         variances = params.variances.copy()
-        alive = ~dead
         means[alive] = (q.T @ F)[alive] / mass[alive, None]
         # the next E step scores against these means, so it reuses sq
         _sq_dists(F, means, sq, f_terms)
         # q is read no more before the next E step overwrites it
         scatter = np.multiply(q, sq, out=q).sum(axis=0)
-        variances[alive] = np.maximum(
-            scatter[alive] / (d * mass[alive]), VARIANCE_FLOOR
-        )
+        variances[alive] = np.maximum(scatter[alive] / (d * mass[alive]), VARIANCE_FLOOR)
         shift = float(np.max(np.linalg.norm(means - params.means, axis=1)))
-        params = GMMParams(weights, means, variances)
-        iterations += 1
-        if shift < cfg.tol:
-            converged = True
-            break
+        return GMMParams(weights / weights.sum(), means, variances), shift, np.flatnonzero(dead)
 
-    q = gmm_posterior(sq, params, P, q)
-    labels = np.argmax(q, axis=1)
-    return EMResult(q, labels, params, iterations, converged, tuple(sorted(degenerate)))
+    return _run_em(params, lambda p: gmm_posterior(sq, p, P, q), m_step, cfg)
 
 
 def gmm_nll_loss(

@@ -27,6 +27,7 @@ from .data import (
     integer,
     miou,
     read_scene,
+    real,
     sample_sparse_labels,
     with_sparse,
     write_scene,
@@ -301,6 +302,8 @@ def cmd_gen_data(args) -> int:
     )
     if not 0.0 < args.label_rate <= 1.0:
         raise ValueError("--label-rate must be in (0, 1]")
+    if args.scenes < 1:
+        raise ValueError("--scenes must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.scenes):
@@ -339,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="text matrix, one row of floats per line")
     p.add_argument("--variant", choices=CLUSTER_VARIANTS, default="soft")
     p.add_argument("--classes", type=integer, required=True)
-    p.add_argument("--kappa", type=float, help="shared moVMF concentration, soft and "
+    p.add_argument("--kappa", type=real, help="shared moVMF concentration, soft and "
                    f"hard only (default {movmf.EMConfig.kappa:g})")
     p.add_argument("--iters", type=integer, help="EM iteration budget, not for proto-* "
                    f"(default {movmf.EMConfig.max_iters})")
-    p.add_argument("--tol", type=float, help="EM convergence threshold, not for proto-* "
+    p.add_argument("--tol", type=real, help="EM convergence threshold, not for proto-* "
                    f"(default {movmf.EMConfig.tol:g})")
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--labels", help="optional label file (one int per line, -1 = none)")
@@ -383,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", default="60:90", help="points per class, lo:hi")
     p.add_argument("--geometry", choices=("gaussian_blobs", "planar_patches", "mixed"),
                    default="mixed")
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--label-rate", type=float, default=1.0,
+    p.add_argument("--noise", type=real, default=0.3)
+    p.add_argument("--label-rate", type=real, default=1.0,
                    help="share of each scene's points written to its sparse "
                    "trailer; only 'dgn explain' reads the trailer, 'dgn train' draws "
                    "its own labels at label_rate from the dense ground truth")

@@ -15,12 +15,14 @@ set defaults to every point whose label column is >= 0.
 
 ``integer`` is the one integer grammar of every text input: the header
 and trailer counts here, label files, config ints and integer arguments
-of the command line.
+of the command line. ``real`` is the one float grammar of config floats
+and float arguments of the command line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ from .errors import DimensionMismatch, EmptyScene, LengthMismatch, ParseError
 GEOMETRIES = ("gaussian_blobs", "planar_patches", "mixed")
 EXTRA_FEATURE_DIM = 4  # normal-like direction (3) + height (1)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_REAL = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
 
 
 def integer(token: str) -> int:
@@ -41,6 +44,16 @@ def integer(token: str) -> int:
     if not _INTEGER.fullmatch(token):
         raise ValueError(f"invalid integer: {token!r}")
     return int(token)
+
+
+def real(token: str) -> float:
+    """The float that ``token`` spells in ASCII decimal, or as ``nan`` or
+    ``inf`` for the caller to reject; ValueError for any other token.
+    Unlike ``float()``, it rejects digit-group underscores (``0.00_3``),
+    non-ASCII digits, surrounding whitespace, ``NaN`` and ``Infinity``."""
+    if not _REAL.fullmatch(token):
+        raise ValueError(f"invalid float: {token!r}")
+    return float(token)
 
 
 @dataclass(frozen=True)
@@ -132,8 +145,8 @@ class SceneSpec:
             raise ValueError("points_per_class must be a range with 1 <= lo <= hi")
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,18 +1,18 @@
 """Mixtures of von Mises-Fisher distributions on the unit hypersphere.
 
-Provides the posterior (soft assignment), the expected complete-data
-objective and soft/hard EM fitting with a shared concentration kappa.
-Under a shared kappa the normalising constant C_d(kappa) cancels in the
-posterior and only shifts the objectives, so it is never computed. All
-computation is float64 and log-space where overflow is possible.
+Provides the expected complete-data objective and soft/hard EM fitting
+with a shared concentration kappa. Under a shared kappa the normalising
+constant C_d(kappa) cancels in the posterior and only shifts the
+objectives, so it is never computed. All computation is float64 and
+log-space where overflow is possible.
 
-Layout. The E step of both mixture families, this moVMF and the
-isotropic GMM of ``baselines.gmm_posterior``, is computed cluster-major,
-on one (k, n) buffer with a row per cluster, so the max over clusters,
-``exp``, the sum over clusters and the division (``_softmax_columns``)
-are operations on whole rows of n points rather than reductions over
-rows of k. Each result is bitwise equal to the point-major (n, k) form
-(the (n, k) scores, then the row softmax):
+Layout. Both mixture families, this moVMF and the isotropic GMM of
+``baselines``, run in ``_run_em``, the one EM loop. Their E step is
+computed cluster-major, on one (k, n) buffer with a row per cluster, so
+the max over clusters, ``exp``, the sum over clusters and the division
+(``_softmax_columns``) are operations on whole rows of n points rather
+than reductions over rows of k. Each result is bitwise equal to the
+point-major (n, k) form (the (n, k) scores, then the row softmax):
 
 - the scores are first written point-major by the same BLAS call as the
   point-major form, and the op that finishes them moves them into the
@@ -272,21 +272,6 @@ def log_scores(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
     return q
 
 
-def posterior(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
-    """Soft assignment of each embedding to each mixture component, (n, k).
-
-    Computed in log space with per-row max subtraction. With kappa = 0 the
-    density is constant on the sphere and every row equals the (renormalized)
-    mixture weights exactly.
-    """
-    V = np.asarray(V, dtype=np.float64)
-    _check_dims(V, theta)
-    n, k = V.shape[0], theta.num_clusters
-    P = _posterior_kn(V, theta.means, theta.kappa, theta.alphas,
-                      np.empty((n, k)), np.empty((k, n)))
-    return np.ascontiguousarray(P.T)
-
-
 def movmf_objective(V: np.ndarray, Q: np.ndarray, theta: MoVMFParams) -> float:
     """Q-weighted expected complete-data log-likelihood, without the
     kappa-only constant n * log C_d(kappa)."""
@@ -308,17 +293,29 @@ def one_hot(labels: np.ndarray, num_clusters: int) -> np.ndarray:
     return out
 
 
-def _mean_shift(new: np.ndarray, old: np.ndarray) -> float:
-    # rotation-invariant convergence measure: max over clusters of 1 - cos(angle)
-    return float(np.max(1.0 - np.einsum("cd,cd->c", new, old)))
+def _run_em(params, e_step, m_step, cfg: EMConfig) -> EMResult:
+    """The one EM loop of soft and hard moVMF and ``baselines.gmm_em``.
+    ``e_step(params)`` returns the (n, k) posterior; ``m_step(Q, params)``,
+    which may overwrite Q, returns the next params, the shift of the means
+    and the indices of the held clusters. The loop stops after
+    ``cfg.max_iters`` M steps or at a shift below ``cfg.tol`` and returns
+    the E step at the last params with its row argmax."""
+    held: set[int] = set()
+    iterations = 0
+    converged = False
+    for _ in range(cfg.max_iters):
+        params, shift, degenerate = m_step(e_step(params), params)
+        held.update(degenerate.tolist())
+        iterations += 1
+        if shift < cfg.tol:
+            converged = True
+            break
+    Q = e_step(params)
+    return EMResult(Q, np.argmax(Q, axis=1), params, iterations, converged,
+                    tuple(sorted(held)))
 
 
-def _run_em(
-    V: np.ndarray,
-    init_means: np.ndarray,
-    cfg: EMConfig,
-    hard: bool,
-) -> EMResult:
+def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool) -> EMResult:
     V = np.asarray(V, dtype=np.float64)
     init_means = np.asarray(init_means, dtype=np.float64)
     if init_means.ndim != 2 or init_means.shape[1] != V.shape[1]:
@@ -330,56 +327,32 @@ def _run_em(
     _check_unit_rows(init_means, "init means")
 
     n, k = V.shape[0], init_means.shape[0]
-    theta = MoVMFParams(np.full(k, 1.0 / k), cfg.kappa, init_means)
-    alphas, means = theta.alphas, theta.means
-    Q = np.empty((n, k))   # the scores, then the posterior the M step reads
+    Q = np.empty((n, k))   # the scores, then the soft posterior
     P = np.empty((k, n))   # the posterior, cluster-major
-    degenerate: set[int] = set()
-    iterations = 0
-    converged = False
 
-    for _ in range(cfg.max_iters):
-        _posterior_kn(V, means, cfg.kappa, alphas, Q, P)
+    def e_step(theta: MoVMFParams) -> np.ndarray:
+        _posterior_kn(V, theta.means, theta.kappa, theta.alphas, Q, P)
         if hard:
-            Q = one_hot(np.argmax(P, axis=0), k)
-        else:
-            np.copyto(Q, P.T)
-        # M step: alpha_c is the mean posterior mass (summed point after
-        # point), u_c the normalized Q-weighted embedding sum; a cluster
-        # whose sum has norm <= 1e-12 keeps its previous mean
-        new_alphas = np.einsum("ic->c", Q) / n
+            return one_hot(np.argmax(P, axis=0), k)
+        np.copyto(Q, P.T)
+        return Q
+
+    def m_step(Q: np.ndarray, theta: MoVMFParams):
+        # alpha_c is the mean posterior mass (summed point after point),
+        # renormalized to sum to 1 exactly; u_c the normalized Q-weighted
+        # sum, held where its norm is <= 1e-12; the shift is the largest
+        # rotation, 1 - cos(angle)
+        alphas = np.einsum("ic->c", Q) / n
         sums = Q.T @ V
         norms = np.linalg.norm(sums, axis=1)
-        degenerate.update(int(c) for c in np.flatnonzero(norms <= ZERO_NORM))
-        new_means = means.copy()
+        means = theta.means.copy()
         ok = norms > ZERO_NORM
-        new_means[ok] = sums[ok] / norms[ok, None]
-        # EM-produced weights sum to 1 only within rounding; renormalize so
-        # the params invariant holds exactly across many iterations.
-        new_alphas = new_alphas / new_alphas.sum()
-        shift = _mean_shift(new_means, means)
-        _check_weights(new_alphas)
-        _check_unit_rows(new_means, "means")
-        alphas, means = new_alphas, new_means
-        iterations += 1
-        if shift < cfg.tol:
-            converged = True
-            break
+        means[ok] = sums[ok] / norms[ok, None]
+        shift = float(np.max(1.0 - np.einsum("cd,cd->c", means, theta.means)))
+        return (MoVMFParams(alphas / alphas.sum(), theta.kappa, means), shift,
+                np.flatnonzero(norms <= ZERO_NORM))
 
-    _posterior_kn(V, means, cfg.kappa, alphas, Q, P)
-    labels = np.argmax(P, axis=0)   # np.argmax breaks ties toward index 0
-    if hard:
-        Q = one_hot(labels, k)
-    else:
-        np.copyto(Q, P.T)
-    return EMResult(
-        posterior=Q,
-        assignment=labels,
-        params=MoVMFParams(alphas, cfg.kappa, means),
-        iterations=iterations,
-        converged=converged,
-        degenerate=tuple(sorted(degenerate)),
-    )
+    return _run_em(MoVMFParams(np.full(k, 1.0 / k), cfg.kappa, init_means), e_step, m_step, cfg)
 
 
 def soft_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
@@ -392,7 +365,7 @@ def soft_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMRes
     1 - cos(angle)). With max_iters = 0 the returned posterior and
     assignment are evaluated at the initialization and means are unchanged.
     """
-    return _run_em(V, init_means, cfg, hard=False)
+    return _movmf_em(V, init_means, cfg, hard=False)
 
 
 def hard_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
@@ -400,4 +373,4 @@ def hard_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMRes
     at its argmax (ties to the lowest index) before the M step, and the
     returned posterior is one-hot. Empty clusters keep their previous mean
     and take weight from their (zero) counts."""
-    return _run_em(V, init_means, cfg, hard=True)
+    return _movmf_em(V, init_means, cfg, hard=True)

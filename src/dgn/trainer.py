@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
-from .data import SceneBatch, integer, miou, sample_sparse_labels, with_sparse
+from .data import SceneBatch, integer, miou, real, sample_sparse_labels, with_sparse
 from .errors import DimensionMismatch, InvalidGrid
 
 MOVMF_ALIGNMENTS = ("soft", "hard")  # the families with a concentration kappa
@@ -400,7 +400,7 @@ def _parse_value(name: str, raw: str):
     if typ == "int":
         return integer(raw.strip())
     if typ == "float":
-        return float(raw)
+        return real(raw.strip())
     return raw.strip()
 
 

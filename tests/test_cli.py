@@ -36,7 +36,8 @@ def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
      "alignment = proto_euclid", "alignment = proto_cosine",
      "dis_grad_mode = frozen_means", "em_variant = hard", "alignment = movmf",
      "alignment = gmm\nkappa = 50", "kappa = nan", "lr = inf", "em_tol = nan", "seed = -1",
-     "epochs = 1_0", "warmup_epochs = \u0663", "hidden_dims = 1_0"],
+     "epochs = 1_0", "warmup_epochs = \u0663", "hidden_dims = 1_0", "lr = 0.00_3",
+     "beta = \u0660.5"],
 )
 def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
     scene = data.gen_scene(data.SceneSpec(num_classes=2, points_per_class=(5, 5)))
@@ -102,9 +103,11 @@ def test_gen_data_writes_scenes_that_read_back(tmp_path, capsys):
     "flags",
     [["--classes", "1"], ["--points", "0:5"], ["--points", "x"], ["--noise", "-1"],
      ["--label-rate", "0"], ["--label-rate", "1.5"], ["--seed", "-1"],
-     ["--points", "1_0:2_0"]],
+     ["--points", "1_0:2_0"], ["--scenes", "-3"], ["--scenes", "0"], ["--noise", "nan"],
+     ["--noise", "inf"]],
     ids=["classes-1", "points-zero", "points-text", "noise-negative", "rate-zero",
-         "rate-above-1", "seed-negative", "points-underscore"],
+         "rate-above-1", "seed-negative", "points-underscore", "scenes-negative",
+         "scenes-zero", "noise-nan", "noise-inf"],
 )
 def test_gen_data_bad_input_exits_2(tmp_path, capsys, flags):
     # every argument is checked before the output directory is made
@@ -179,8 +182,11 @@ def test_train_on_a_scene_with_an_unknown_label_is_a_data_error(tmp_path, capsys
      (["--param", "lr", "--seeds", "1,x"], "--seeds:1: expected comma-separated integers"),
      (["--param", "lr", "--values", " , "], "--values:1: empty value list"),
      (["--param", "lr", "--seeds", "1,-1"], "seed must be >= 0, got -1"),
-     (["--param", "lr", "--seeds", "1_0"], "--seeds:1: expected comma-separated integers")],
-    ids=["unknown-param", "seeds-text", "values-empty", "seeds-negative", "seeds-underscore"],
+     (["--param", "lr", "--seeds", "1_0"], "--seeds:1: expected comma-separated integers"),
+     (["--param", "lr", "--values", "0.00_3"], "invalid float: '0.00_3'"),
+     (["--param", "beta", "--values", "\u0660.5"], "invalid float: '\u0660.5'")],
+    ids=["unknown-param", "seeds-text", "values-empty", "seeds-negative", "seeds-underscore",
+         "values-underscore", "values-arabic-indic-digit"],
 )
 def test_ablate_checks_its_arguments_before_reading_data(tmp_path, capsys, flags, message):
     # the data directory does not exist: reading it would exit 3
@@ -203,6 +209,19 @@ def test_integer_flags_take_the_one_integer_grammar(capsys, argv):
         cli.main(argv)
     assert exit_.value.code == cli.EXIT_PARSE
     assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "m.txt", "--classes", "2", "--kappa", "1_0"],
+    ["cluster", "m.txt", "--classes", "2", "--tol", "\u0661e-3"],
+    ["gen-data", "--out", "d", "--noise", "0_3"],
+    ["gen-data", "--out", "d", "--label-rate", "\u0660.5"],
+], ids=["kappa", "tol", "noise", "label-rate"])
+def test_float_flags_take_the_one_float_grammar(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == cli.EXIT_PARSE
+    assert "invalid real value" in capsys.readouterr().err
 
 
 def test_running_out_of_memory_is_one_line_and_exit_3(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -68,8 +69,9 @@ def test_scene_spec_validation():
         _spec(num_classes=1)
     with pytest.raises(ValueError):
         _spec(geometry="spheres")
-    with pytest.raises(ValueError):
-        _spec(noise_sigma=-0.1)
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            _spec(noise_sigma=sigma)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         _spec(seed=-1)
 
@@ -389,6 +391,27 @@ def test_integer_reads_ascii_digits(token, want):
 def test_integer_rejects_what_int_reads_beyond_the_grammar(token):
     with pytest.raises(ValueError):
         data.integer(token)
+
+
+@pytest.mark.parametrize("token, want", [
+    ("0", 0.0), ("-0.5", -0.5), ("+2.", 2.0), (".5", 0.5), ("1e3", 1e3), ("1E-3", 1e-3),
+    ("0.003", 0.003), ("1e400", math.inf), ("-inf", -math.inf),
+])
+def test_real_reads_ascii_decimal(token, want):
+    assert data.real(token) == want
+
+
+@pytest.mark.parametrize("token", ["nan", "-nan"])
+def test_real_reads_nan_for_the_caller_to_reject(token):
+    assert math.isnan(data.real(token))
+
+
+@pytest.mark.parametrize("token", ["0.00_3", "1_0", "\u0660.5", "\uff11", "\u0131nf", " 1",
+                                   "1\n", "", ".", "e3", "1e", "+", "0x1", "1.2.3", "NaN",
+                                   "Infinity"])
+def test_real_rejects_what_float_reads_beyond_the_grammar(token):
+    with pytest.raises(ValueError, match="^invalid float: "):
+        data.real(token)
 
 
 def _edited_scene(tmp_path, line_of, text):

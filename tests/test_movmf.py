@@ -8,16 +8,16 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ive
 
 from conftest import perturb_direction, random_unit_rows
-from dgn import movmf
+from dgn import baselines, movmf
 from dgn.errors import DegenerateRow, DimensionMismatch, NonUnitInput, ZeroVectorRow
 
 
 # ---------------------------------------------------------------------------
 # test oracles: the vMF density with its normalising constant, the hard and
-# the observed-data objectives, a sampler, and the point-major EM loop. dgn
-# never needs them: with a shared kappa the constant cancels in the
-# posterior, EM is checked against the objectives and the loop, and
-# synthetic data comes from data.gen_scene.
+# the observed-data objectives, a sampler, the posterior of given params
+# and the point-major EM loop. dgn never needs them: with a shared kappa
+# the constant cancels in the posterior, EM is checked against the
+# objectives and the loop, and synthetic data comes from data.gen_scene.
 
 def log_norm_const(kappa: float, dim: int) -> float:
     """log C_d(kappa) for the vMF density on the (dim-1)-sphere.
@@ -144,6 +144,17 @@ def sample_vmf(u: np.ndarray, kappa: float, n: int, seed: int) -> np.ndarray:
         axis /= norm
         samples = samples - 2.0 * np.outer(samples @ axis, axis)
     return samples
+
+
+def posterior(V, theta):
+    """Soft assignment of each embedding to each mixture component, (n, k),
+    C-contiguous: dgn's cluster-major E step at the given params."""
+    V = np.asarray(V, dtype=np.float64)
+    movmf._check_dims(V, theta)
+    n, k = V.shape[0], theta.num_clusters
+    P = movmf._posterior_kn(V, theta.means, theta.kappa, theta.alphas,
+                            np.empty((n, k)), np.empty((k, n)))
+    return np.ascontiguousarray(P.T)
 
 
 def reference_posterior(V, theta):
@@ -315,7 +326,7 @@ def _theta(alphas, kappa, means):
 
 def test_posterior_hand_derived():
     theta = _theta([0.5, 0.5], 1.0, [[1, 0, 0], [0, 1, 0]])
-    q = movmf.posterior(np.array([[1.0, 0.0, 0.0]]), theta)
+    q = posterior(np.array([[1.0, 0.0, 0.0]]), theta)
     e = math.e
     np.testing.assert_allclose(q, [[e / (1 + e), 1 / (1 + e)]], atol=1e-9)
     np.testing.assert_allclose(q, [[0.73106, 0.26894]], atol=1e-5)
@@ -325,13 +336,13 @@ def test_posterior_identical_means_symmetric(rng):
     u = np.array([0.0, 0.0, 1.0])
     theta = _theta([0.5, 0.5], 7.3, [u, u])
     V = random_unit_rows(rng, 20, 3)
-    np.testing.assert_allclose(movmf.posterior(V, theta), 0.5, atol=1e-12)
+    np.testing.assert_allclose(posterior(V, theta), 0.5, atol=1e-12)
 
 
 def test_posterior_kappa_zero_equals_alphas_bitwise(rng):
     alphas = np.array([0.5, 0.25, 0.25])
     theta = _theta(alphas, 0.0, random_unit_rows(rng, 3, 4))
-    q = movmf.posterior(random_unit_rows(rng, 11, 4), theta)
+    q = posterior(random_unit_rows(rng, 11, 4), theta)
     assert np.array_equal(q, np.tile(alphas, (11, 1)))
 
 
@@ -344,19 +355,19 @@ def test_posterior_bitwise_equals_reference(rng):
     with np.errstate(divide="ignore"):
         scores = np.log(alphas)[None, :] + theta.kappa * (V @ theta.means.T)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    assert np.array_equal(movmf.posterior(V, theta), e / e.sum(axis=1, keepdims=True))
+    assert np.array_equal(posterior(V, theta), e / e.sum(axis=1, keepdims=True))
 
 
 def test_posterior_dimension_mismatch():
     theta = _theta([1.0], 1.0, [[1.0, 0.0]])
     with pytest.raises(DimensionMismatch):
-        movmf.posterior(np.array([[1.0, 0.0, 0.0]]), theta)
+        posterior(np.array([[1.0, 0.0, 0.0]]), theta)
 
 
 def test_posterior_stable_at_huge_kappa(rng):
     # exp(kappa * dot) would overflow without log-space evaluation
     theta = _theta([0.3, 0.7], 5000.0, random_unit_rows(rng, 2, 6))
-    q = movmf.posterior(random_unit_rows(rng, 40, 6), theta)
+    q = posterior(random_unit_rows(rng, 40, 6), theta)
     assert np.all(np.isfinite(q))
     np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
 
@@ -369,7 +380,7 @@ def test_posterior_rows_stochastic_property(n, d, k, kappa, seed):
     alphas = rng.dirichlet(np.ones(k))
     alphas = alphas / alphas.sum()
     theta = _theta(alphas, kappa, random_unit_rows(rng, k, d))
-    q = movmf.posterior(random_unit_rows(rng, n, d), theta)
+    q = posterior(random_unit_rows(rng, n, d), theta)
     assert np.all(q >= 0) and np.all(q <= 1)
     np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
 
@@ -420,7 +431,7 @@ def test_soft_em_zero_iters_returns_init(rng):
     res = movmf.soft_movmf_em(V, init, movmf.EMConfig(0, 1e-6, 5.0))
     np.testing.assert_array_equal(res.params.means, init)
     np.testing.assert_allclose(res.params.alphas, 1.0 / 3.0, atol=1e-15)
-    expected_q = movmf.posterior(V, res.params)
+    expected_q = posterior(V, res.params)
     np.testing.assert_array_equal(res.posterior, expected_q)
     np.testing.assert_array_equal(res.assignment, np.argmax(expected_q, axis=1))
     assert res.iterations == 0 and not res.converged
@@ -596,6 +607,26 @@ def test_em_bitwise_with_nan_row(variant, max_iters):
     assert isinstance(got, DegenerateRow) == (variant == "soft" and max_iters > 0)
 
 
+@pytest.mark.parametrize("fit", [movmf.soft_movmf_em, movmf.hard_movmf_em, baselines.gmm_em],
+                         ids=["soft", "hard", "gmm"])
+def test_every_fit_keeps_the_contract_of_the_one_em_loop(fit):
+    V, init = _clustered(6, 300, 4, 5)
+    start = fit(V, init, movmf.EMConfig(0, 1e-6, 10.0))
+    assert start.iterations == 0 and not start.converged and start.degenerate == ()
+    assert np.array_equal(start.params.means, init)
+    stop = fit(V, init, movmf.EMConfig(50, 1e6, 10.0))
+    assert stop.iterations == 1 and stop.converged
+    full = fit(V, init, movmf.EMConfig(5, 0.0, 10.0))
+    for res in (start, stop, full):
+        want = np.argmax(res.posterior, axis=1)
+        assert res.assignment.dtype == want.dtype and np.array_equal(res.assignment, want)
+    # a nan row is held by no cluster; soft EM runs it at kappa 0, since
+    # above 0 its nan weights end the fit in DegenerateRow
+    V[9] = np.nan
+    kappa = 0.0 if fit is movmf.soft_movmf_em else 10.0
+    assert fit(V, init, movmf.EMConfig(3, 0.0, kappa)).degenerate == ()
+
+
 @pytest.mark.parametrize("k", [*range(1, 41), 127, 128, 129, 136, 257, 1000])
 def test_sum_rows_adds_in_the_order_of_a_numpy_row_sum(k):
     # magnitudes 1e-12 to 1e12, so any other order changes the last bits
@@ -608,7 +639,7 @@ def test_sum_rows_adds_in_the_order_of_a_numpy_row_sum(k):
 def test_posterior_bitwise_equals_point_major(rng, k):
     theta = _theta(rng.dirichlet(np.ones(k)), 25.0, random_unit_rows(rng, k, 6))
     V = random_unit_rows(rng, 4500, 6)
-    q = movmf.posterior(V, theta)
+    q = posterior(V, theta)
     assert q.flags.c_contiguous
     assert np.array_equal(q, reference_posterior(V, theta))
 
@@ -647,7 +678,7 @@ def test_m_step_never_decreases_objective(seed):
     k = means.shape[0]
     theta = movmf.MoVMFParams(np.full(k, 1.0 / k), kappa, means)
     for _ in range(8):
-        q = movmf.posterior(V, theta)
+        q = posterior(V, theta)
         before = movmf.movmf_objective(V, q, theta)
         alphas, new_means, _ = m_step(V, q, theta.means)
         theta = movmf.MoVMFParams(alphas / alphas.sum(), kappa, new_means)
@@ -663,7 +694,7 @@ def test_incomplete_log_likelihood_non_decreasing(seed):
     theta = movmf.MoVMFParams(np.full(k, 1.0 / k), kappa, means)
     prev = incomplete_log_likelihood(V, theta)
     for _ in range(8):
-        q = movmf.posterior(V, theta)
+        q = posterior(V, theta)
         alphas, new_means, _ = m_step(V, q, theta.means)
         theta = movmf.MoVMFParams(alphas / alphas.sum(), kappa, new_means)
         ll = incomplete_log_likelihood(V, theta)
@@ -688,7 +719,7 @@ def test_cross_iteration_objective_sequence_is_monotone():
         theta = movmf.MoVMFParams(np.full(k, 1.0 / k), kappa, means)
         prev = None
         for _ in range(10):
-            q = movmf.posterior(V, theta)
+            q = posterior(V, theta)
             alphas, new_means, _ = m_step(V, q, theta.means)
             theta = movmf.MoVMFParams(alphas / alphas.sum(), kappa, new_means)
             value = movmf.movmf_objective(V, q, theta)
