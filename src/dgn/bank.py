@@ -69,41 +69,31 @@ def init_centers(
 ) -> InitCenters:
     """One unit init direction per class.
 
-    Classes with labeled points use the normalized mean of their labeled
-    embeddings; classes absent from the scene but seen by the bank use the
-    bank prototype; classes never seen anywhere get a deterministic seeded
-    random unit vector. A labeled sum that cancels to (near) zero falls
-    back to the bank, then to the seeded vector.
+    Each class takes the first of: the normalized sum of its labeled
+    embeddings, the bank prototype if the bank has seen the class, a seeded
+    random unit vector. A class without labels has a zero sum, so it passes
+    on as a labeled sum that cancels to (near) zero does.
     """
     V = np.asarray(V, dtype=np.float64)
     k, d = bank.num_classes, bank.dim
     if V.ndim != 2 or V.shape[1] != d:
         raise DimensionMismatch(f"embeddings {V.shape} incompatible with bank dim {d}")
-    if labels.size and (
-        np.any(labels.indices >= V.shape[0]) or np.any(labels.classes >= k)
-    ):
+    if np.any(labels.indices >= V.shape[0]) or np.any(labels.classes >= k):
         raise DimensionMismatch("labels index outside the embeddings or classes")
 
     centers = np.empty((k, d))
     provenance = []
     for c in range(k):
-        mask = labels.classes == c
-        placed = False
-        if np.any(mask):
-            s = V[labels.indices[mask]].sum(axis=0)
-            norm = float(np.linalg.norm(s))
-            if norm > ZERO_NORM:
-                centers[c] = s / norm
-                provenance.append(PROVENANCE_SCENE)
-                placed = True
-            # else: labeled embeddings cancel; fall through to bank/fallback
-        if not placed and bank.seen[c]:
+        s = V[labels.indices[labels.classes == c]].sum(axis=0)
+        norm = float(np.linalg.norm(s))
+        if norm > ZERO_NORM:
+            centers[c] = s / norm
+            provenance.append(PROVENANCE_SCENE)
+        elif bank.seen[c]:
             centers[c] = bank.prototypes[c]
             provenance.append(PROVENANCE_BANK)
-            placed = True
-        if not placed:
-            rng = np.random.default_rng([seed, c])
-            vec = rng.standard_normal(d)
+        else:
+            vec = np.random.default_rng([seed, c]).standard_normal(d)
             centers[c] = vec / np.linalg.norm(vec)
             provenance.append(PROVENANCE_FALLBACK)
     return InitCenters(centers, tuple(provenance))

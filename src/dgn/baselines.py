@@ -119,30 +119,19 @@ def _gmm_floored_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
                        params.variances)
 
 
-def gmm_posterior(
-    sq: np.ndarray,
-    params: GMMParams,
-    scratch: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Responsibilities (n, k), C-contiguous, from the (n, k) squared
-    distances ``sq`` of the points to ``params.means``.
-
-    Computed in log space with the max over components subtracted, on a
-    (k, n) buffer (``scratch`` when given) as ``movmf`` does; the result
-    is written into ``out`` when given.
-    """
-    n, k = sq.shape
-    P = np.empty((k, n)) if scratch is None else scratch
+def gmm_posterior(sq: np.ndarray, params: GMMParams, scratch: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Responsibilities from the (n, k) squared distances ``sq`` of the
+    points to ``params.means``, written into the (n, k) ``out``: computed in
+    log space with the max over components subtracted, on the caller's
+    (k, n) ``scratch`` buffer as ``movmf`` does."""
     with np.errstate(divide="ignore"):
         log_norms = _gmm_log_norms(np.log(params.weights), params)[:, None]
     variances = params.variances[:, None]
-    for b in _blocks(n):
-        _gmm_scores(sq[b].T, log_norms, variances, out=P[:, b])
-    _softmax_columns(P)
-    if out is None:
-        return np.ascontiguousarray(P.T)
-    np.copyto(out, P.T)
+    for b in _blocks(sq.shape[0]):
+        _gmm_scores(sq[b].T, log_norms, variances, out=scratch[:, b])
+    _softmax_columns(scratch)
+    np.copyto(out, scratch.T)
     return out
 
 

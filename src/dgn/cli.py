@@ -3,9 +3,10 @@
 Subcommands: cluster, train, ablate, explain, gen-data, eval. Every
 command takes all randomness from --seed (or the config seed) and writes
 deterministic, diffable text outputs. Exit codes: 0 success, 2 parse or
-configuration errors, 3 dimension or data errors and running out of
-memory (say, for a config whose widths cannot be allocated), 1 internal
-errors. Each error ends in one line on stderr, not a traceback.
+configuration errors, 3 dimension or data errors, running out of memory
+(say, for widths that cannot be allocated) and network outputs that are
+not finite (NonFiniteOutput: a diverged run or an overflowing checkpoint),
+1 internal errors. Each error ends in one line on stderr, not a traceback.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ class DegenerateRow(DgnError, exit_code=EXIT_DATA):
     """A posterior row has no probability mass (all effective weights zero)."""
 
 
+class NonFiniteOutput(DgnError, exit_code=EXIT_DATA):
+    """The network's outputs hold a nan or inf: training has diverged."""
+
+
 class EmptyLabelSet(DgnError, exit_code=EXIT_DATA):
     """A supervised loss was called with zero labeled points."""
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import MemoryBank
-from .errors import DimensionMismatch, ParseError, ShapeMismatch, StaleCache
+from .errors import DimensionMismatch, NonFiniteOutput, ParseError, ShapeMismatch, StaleCache
 
 MAGIC = b"DGNCK001"
 ADAM_BETA1 = 0.9
@@ -168,7 +168,8 @@ def forward(
     """Run the MLP and head on a batch of points.
 
     Every array of the returned cache except ``inputs`` lives in
-    ``workspace`` (a fresh one when omitted).
+    ``workspace`` (a fresh one when omitted). A nan or inf output turns its
+    ``probs`` row nan and raises NonFiniteOutput in place of numpy's warnings.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
@@ -180,15 +181,18 @@ def forward(
     acts = []
     a = x
     last = len(params.layer_weights) - 1
-    for i, (w, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
-        a = np.matmul(a, w.T, out=ws.take(f"act{i}", n, w.shape[0]))
-        a += b
-        if i < last:
-            np.maximum(a, 0.0, out=a)
-            acts.append(a)
-    k = params.num_classes
-    logits = np.matmul(a, params.head_weights.T, out=ws.take("logits", n, k))
-    probs = softmax(logits, out=ws.take("probs", n, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (w, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+            a = np.matmul(a, w.T, out=ws.take(f"act{i}", n, w.shape[0]))
+            a += b
+            if i < last:
+                np.maximum(a, 0.0, out=a)
+                acts.append(a)
+        k = params.num_classes
+        logits = np.matmul(a, params.head_weights.T, out=ws.take("logits", n, k))
+        probs = softmax(logits, out=ws.take("probs", n, k))
+    if not np.isfinite(probs).all():
+        raise NonFiniteOutput("the network's outputs are not finite")
     return ForwardCache(x, tuple(acts), a, logits, probs)
 
 
@@ -343,8 +347,10 @@ class _Reader:
         return struct.unpack(f"<{n}I", self.take(4 * n))
 
     def f64_array(self, shape) -> np.ndarray:
-        count = math.prod(shape)
-        return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8")
+        if not np.isfinite(values).all():
+            raise ParseError(self.path, self.offset - values.nbytes, "non-finite value")
+        return values.reshape(shape).copy()
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, MemoryBank | None]:

@@ -20,7 +20,7 @@ import numpy as np
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
 from .data import SceneBatch, integer, miou, real, sample_sparse_labels, with_sparse
-from .errors import DimensionMismatch, InvalidGrid
+from .errors import DimensionMismatch, InvalidGrid, NonFiniteOutput
 
 MOVMF_ALIGNMENTS = ("soft", "hard")  # the families with a concentration kappa
 ALIGNMENTS = (*MOVMF_ALIGNMENTS, "gmm")
@@ -178,6 +178,7 @@ def _fit_gmm(features, labels, prototype_bank, cfg):
 _FITS = {**dict.fromkeys(MOVMF_ALIGNMENTS, _fit_movmf), "gmm": _fit_gmm}
 
 
+@np.errstate(over="raise", invalid="raise")  # a diverging step stops at its first inf or nan
 def train_step(
     scene: SceneBatch,
     params: network.ModelParams,
@@ -189,8 +190,9 @@ def train_step(
 ) -> StepResult:
     """One forward/cluster/backward/update cycle on a single scene.
 
-    ``workspace`` holds the network's per-point arrays; a fresh one is
-    used when it is omitted.
+    ``workspace`` holds the network's per-point arrays and ``opt_state``
+    Adam's moments; each starts fresh when omitted. A diverging step raises
+    NonFiniteOutput in the forward or FloatingPointError after it.
     """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
@@ -271,8 +273,10 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     way at another count, so only the pinned count repeats bit for bit).
 
     Sparse annotations are drawn once per scene up front at
-    ``cfg.label_rate``. Evaluation after each epoch scores head-only
-    predictions (the clustering stage is never run at inference).
+    ``cfg.label_rate``; the first ``train_step`` creates Adam's moments.
+    Evaluation after each epoch scores head-only predictions (the
+    clustering stage is never run at inference). A diverging step or
+    evaluation ends the fit in NonFiniteOutput naming the epoch and scene.
     """
     dataset = list(dataset)
     if not dataset:
@@ -296,27 +300,32 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
 
     reports: list[EpochReport] = []
     workspace = network.Workspace()
-    opt_state = network.init_adam_state(params) if cfg.optimizer == "adam" else None
+    opt_state = None
     for epoch in range(cfg.epochs):
         # += in step order, not sum(), whose rounding differs across Pythons
         sums = dict.fromkeys(_STEP_FIELDS, 0)
-        for scene in train_scenes:
-            step = train_step(
-                scene, params, prototype_bank, cfg, epoch, opt_state, workspace
+        try:
+            for i, scene in enumerate(train_scenes):
+                where = f"training scene {i}"
+                step = train_step(
+                    scene, params, prototype_bank, cfg, epoch, opt_state, workspace
+                )
+                params, prototype_bank, opt_state = step.params, step.bank, step.opt_state
+                for name in sums:
+                    sums[name] += getattr(step.report, name)
+            where = "evaluation"
+            # the losses are averaged over the steps, the counts summed
+            n = len(train_scenes)
+            reports.append(
+                EpochReport(
+                    epoch=epoch,
+                    train_miou=_eval_miou(params, train_scenes, workspace),
+                    val_miou=_eval_miou(params, val_scenes, workspace),
+                    **{k: v / n if isinstance(v, float) else v for k, v in sums.items()},
+                )
             )
-            params, prototype_bank, opt_state = step.params, step.bank, step.opt_state
-            for name in sums:
-                sums[name] += getattr(step.report, name)
-        # the losses are averaged over the steps, the counts summed
-        n = len(train_scenes)
-        reports.append(
-            EpochReport(
-                epoch=epoch,
-                train_miou=_eval_miou(params, train_scenes, workspace),
-                val_miou=_eval_miou(params, val_scenes, workspace),
-                **{k: v / n if isinstance(v, float) else v for k, v in sums.items()},
-            )
-        )
+        except (NonFiniteOutput, FloatingPointError) as exc:
+            raise NonFiniteOutput(f"training diverged at epoch {epoch}, {where}: {exc}") from None
     return FitResult(params, prototype_bank, tuple(reports))
 
 

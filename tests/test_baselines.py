@@ -165,7 +165,8 @@ def test_gmm_m_step_improves_expected_objective(seed):
     F = rng.standard_normal((80, 3)) * 2.0
     init = F[rng.choice(80, size=3, replace=False)]
     before = baselines.gmm_em(F, init, EMConfig(1, 0.0, 0.0))
-    q = baselines.gmm_posterior(baselines._sq_dists(F, before.params.means), before.params)
+    q = baselines.gmm_posterior(baselines._sq_dists(F, before.params.means), before.params,
+                                np.empty((3, 80)), np.empty((80, 3)))
     after = baselines.gmm_em(F, init, EMConfig(2, 0.0, 0.0))
     assert gmm_expected_objective(F, q, after.params) >= (
         gmm_expected_objective(F, q, before.params) - 1e-9
@@ -313,8 +314,6 @@ def test_gmm_posterior_bitwise_equals_point_major(rng, k):
     sq = baselines._sq_dists(F, params.means)
     assert np.array_equal(sq, reference_sq_dists(F, params.means))
     want = reference_gmm_posterior(sq, params)
-    q = baselines.gmm_posterior(sq, params)
-    assert q.flags.c_contiguous and np.array_equal(q, want)
     out = np.empty((4500, k))
     assert baselines.gmm_posterior(sq, params, np.empty((k, 4500)), out) is out
     assert np.array_equal(out, want)

@@ -671,6 +671,51 @@ def test_explain_of_a_checkpoint_claiming_a_huge_layer_exits_2(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_explain_of_a_checkpoint_holding_nan_exits_2(tmp_path, capsys):
+    _write_scenes(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(ckpt), network.init_params([7, 4], 2, seed=0))
+    blob = bytearray(ckpt.read_bytes())
+    blob[28:36] = struct.pack("<d", math.nan)  # the first weight
+    ckpt.write_bytes(bytes(blob))
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", str(tmp_path / "scene_000.dgn"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {ckpt}:28: non-finite value\n"
+    assert not out.exists()
+
+
+def test_explain_of_a_checkpoint_that_overflows_exits_3(tmp_path, capsys):
+    _write_scenes(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    params = network.init_params([7, 4], 2, seed=0)
+    network.save_checkpoint(str(ckpt), network.ModelParams.from_tensors(
+        [t * 1e200 for t in params.tensors]))
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", str(tmp_path / "scene_000.dgn"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: the network's outputs are not finite\n"
+    assert not out.exists()
+
+
+def test_train_that_diverges_exits_3_with_one_line(tmp_path, capsys):
+    # "dgn gen-data --scenes 4 --classes 3 --seed 1", then a learning rate that diverges
+    assert cli.main(["gen-data", "--out", str(tmp_path / "d"), "--scenes", "4",
+                     "--classes", "3", "--seed", "1"]) == cli.EXIT_OK
+    (tmp_path / "c.cfg").write_text("epochs = 4\nwarmup_epochs = 1\nlr = 1e12\n"
+                                    "optimizer = sgd\n")
+    capsys.readouterr()
+    code = cli.main(["train", "--config", str(tmp_path / "c.cfg"), "--data",
+                     str(tmp_path / "d"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1
+    assert err.startswith("error: training diverged at epoch ")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # _read_matrix: the contract of the per-line float() loop it replaced
 

@@ -414,6 +414,46 @@ def test_real_rejects_what_float_reads_beyond_the_grammar(token):
         data.real(token)
 
 
+def _plain(token):
+    # what the number grammars allow of a token: ASCII, no "_", no whitespace
+    return token.isascii() and "_" not in token and token == "".join(token.split())
+
+
+# text built mostly from the characters of numbers, and some arbitrary text
+_NUMBER_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789+-.eEinfaINFA_ \t\n\u0660\u0663\uff11"), max_size=12),
+    st.text(max_size=8),
+)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_real_reads_back_every_finite_repr(x):
+    assert data.real(repr(x)) == x
+
+
+@settings(max_examples=500)
+@given(st.one_of(_NUMBER_TEXT, st.floats().map(repr)))
+def test_real_is_float_on_the_tokens_it_accepts(token):
+    try:
+        value = data.real(token)
+    except ValueError:
+        return
+    assert _plain(token)
+    want = float(token)
+    assert value == want or (math.isnan(value) and math.isnan(want))
+
+
+@settings(max_examples=500)
+@given(st.one_of(_NUMBER_TEXT, st.integers().map(str)))
+def test_integer_is_int_on_the_tokens_it_accepts(token):
+    try:
+        value = data.integer(token)
+    except ValueError:
+        return
+    assert _plain(token)
+    assert value == int(token)
+
+
 def _edited_scene(tmp_path, line_of, text):
     scene = data.gen_scene(_spec())
     path = tmp_path / "scene.dgn"

@@ -306,6 +306,23 @@ def test_checkpoint_truncated_raises(tmp_path):
         network.load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first weight", "last bank prototype value"])
+def test_checkpoint_non_finite_value_raises(tmp_path, where, value):
+    params = network.init_params([4, 6], 3, seed=13)
+    path = tmp_path / "model.ckpt"
+    protos = np.eye(3, 6)
+    network.save_checkpoint(str(path), params, MemoryBank(protos, np.ones(3, dtype=bool), 0.9))
+    blob = bytearray(path.read_bytes())
+    # the header is 28 bytes; the bank's (3, 6) prototypes end the file
+    offset = 28 if where == "first weight" else len(blob) - 8
+    blob[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
+    start = 28 if where == "first weight" else len(blob) - 8 * protos.size
+    with pytest.raises(ParseError, match=f":{start}: non-finite value$"):
+        network.load_checkpoint(str(path))
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"NOTDGNXXrubbish")

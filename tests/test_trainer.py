@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgn import data, network, trainer
+from dgn import data, errors, network, trainer
 from dgn import bank as bank_mod
 from dgn.errors import DgnError, InvalidGrid
 
@@ -228,3 +228,51 @@ def test_parse_config_text_raises_only_typed_errors(text):
         trainer.parse_config_text(text)
     except (DgnError, ValueError, OSError):
         pass
+
+
+# ---------------------------------------------------------------------------
+# a diverging run ends in one typed error; a warning fails the tests
+
+def _diverging_scenes():
+    # the scenes "dgn gen-data --scenes 4 --classes 3 --seed 1" writes
+    return [data.gen_scene(data.SceneSpec(num_classes=3, seed=1 + i)) for i in range(4)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("lr", [1e12, 1e20, 1e100])
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_fit_stops_a_diverging_run_with_one_typed_error(alignment, lr, seed):
+    cfg = trainer.TrainConfig(epochs=4, warmup_epochs=1, lr=lr, optimizer="sgd",
+                              alignment=alignment, seed=seed)
+    with pytest.raises(errors.NonFiniteOutput,
+                       match=r"^training diverged at epoch [0-3], "
+                             r"(training scene [0-2]|evaluation): ") as err:
+        trainer.fit(_diverging_scenes(), cfg)
+    assert err.value.exit_code == errors.EXIT_DATA
+
+
+def test_fit_names_the_evaluation_when_the_last_step_diverges(monkeypatch):
+    scenes = _scenes()
+    steps_per_epoch = len(trainer.split_dataset(scenes, 0.2)[0])
+    real_step, calls = trainer.train_step, []
+
+    def blow_up_last_step(*args):
+        step = real_step(*args)
+        calls.append(None)
+        if len(calls) == steps_per_epoch:
+            huge = network.ModelParams.from_tensors([t * 1e300 for t in step.params.tensors])
+            step = dataclasses.replace(step, params=huge)
+        return step
+
+    monkeypatch.setattr(trainer, "train_step", blow_up_last_step)
+    with pytest.raises(errors.NonFiniteOutput, match="^training diverged at epoch 0, "
+                       "evaluation: the network's outputs are not finite$"):
+        trainer.fit(scenes, _cfg())
+
+
+def test_train_step_raises_on_non_finite_forward_outputs():
+    scene = _scenes(1)[0]
+    params = network.init_params([7, 8, 4], 3, seed=0)
+    huge = network.ModelParams.from_tensors([t * 1e200 for t in params.tensors])
+    with pytest.raises(errors.NonFiniteOutput, match="^the network's outputs are not finite$"):
+        trainer.train_step(scene, huge, bank_mod.empty_bank(3, 4), _cfg(), 0)
