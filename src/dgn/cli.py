@@ -7,6 +7,10 @@ configuration errors, 3 dimension or data errors, running out of memory
 (say, for widths that cannot be allocated) and network outputs that are
 not finite (NonFiniteOutput: a diverged run or an overflowing checkpoint),
 1 internal errors. Each error ends in one line on stderr, not a traceback.
+
+gen-data (one task per scene) and ablate (one task per fit) run their
+tasks in forked workers, one per CPU in the process's affinity mask, and
+write the bytes a one-CPU run writes.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .errors import (
     LengthMismatch,
     ParseError,
 )
+from .workers import ordered_map
 
 EXIT_OK = 0
 
@@ -307,15 +312,23 @@ def cmd_gen_data(args) -> int:
         raise ValueError("--scenes must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(args.scenes):
-        scene = gen_scene(dataclasses.replace(spec, seed=args.seed + i))
-        if args.label_rate < 1.0:
-            scene = with_sparse(
-                scene, sample_sparse_labels(scene, args.label_rate, seed=args.seed + i)
-            )
-        write_scene(str(out / f"scene_{i:03d}.dgn"), scene)
+    ordered_map(_write_generated, [
+        (out / f"scene_{i:03d}.dgn", dataclasses.replace(spec, seed=args.seed + i),
+         args.label_rate)
+        for i in range(args.scenes)
+    ])
     print(f"wrote {args.scenes} scenes to {out}")
     return EXIT_OK
+
+
+def _write_generated(task: tuple[Path, SceneSpec, float]) -> None:
+    """One scene of gen-data: generated from the spec's seed, its sparse
+    trailer drawn with that seed below a label rate of 1, and written."""
+    path, spec, label_rate = task
+    scene = gen_scene(spec)
+    if label_rate < 1.0:
+        scene = with_sparse(scene, sample_sparse_labels(scene, label_rate, seed=spec.seed))
+    write_scene(str(path), scene)
 
 
 def cmd_eval(args) -> int:
@@ -362,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     # no abbreviations: "--seed" must not read as "--seeds"
-    p = sub.add_parser("ablate", help="sweep one config key over a value grid",
-                       allow_abbrev=False)
+    about = ("sweep one config key over a value grid, one fit per value and seed; the "
+             "fits run on every CPU of the affinity mask and give a one-CPU run's table")
+    p = sub.add_parser("ablate", help=about, description=about, allow_abbrev=False)
     p.add_argument("--config", help="base config file")
     p.add_argument("--data", required=True)
     p.add_argument("--param", required=True, help="TrainConfig field to sweep")
@@ -380,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("gen-data", help="generate synthetic labeled scenes")
+    about = ("generate synthetic labeled scenes on every CPU of the affinity mask, "
+             "writing the files a one-CPU run writes")
+    p = sub.add_parser("gen-data", help=about, description=about)
     p.add_argument("--out", required=True)
     p.add_argument("--scenes", type=integer, default=20)
     p.add_argument("--classes", type=integer, default=4)

@@ -2,7 +2,8 @@
 
 Each type carries the exit code ``dgn`` ends with when it reaches the
 command line: 2 for a parse or configuration error, 3 for a dimension or
-data error, 1 (the default) for an internal error.
+data error, 1 (the default) for an internal error. Every type pickles, so
+an error raised in a worker process reaches the parent unchanged.
 """
 
 EXIT_INTERNAL = 1
@@ -26,6 +27,9 @@ class ZeroVectorRow(DgnError, exit_code=EXIT_DATA):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"row {index} has norm <= 1e-12 and cannot be normalized")
+
+    def __reduce__(self):  # pickle rebuilds from the index, not the message
+        return type(self), (self.index,)
 
 
 class NonUnitInput(DgnError, exit_code=EXIT_DATA):
@@ -84,3 +88,6 @@ class ParseError(DgnError, exit_code=EXIT_PARSE):
         self.line = line
         self.reason = reason
         super().__init__(f"{path}:{line}: {reason}")
+
+    def __reduce__(self):  # pickle rebuilds from the three fields, not the message
+        return type(self), (self.path, self.line, self.reason)

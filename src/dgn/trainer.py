@@ -21,6 +21,7 @@ from . import bank as bank_mod
 from . import baselines, losses, movmf, network
 from .data import SceneBatch, integer, miou, real, sample_sparse_labels, with_sparse
 from .errors import DimensionMismatch, InvalidGrid, NonFiniteOutput
+from .workers import ordered_map
 
 MOVMF_ALIGNMENTS = ("soft", "hard")  # the families with a concentration kappa
 ALIGNMENTS = (*MOVMF_ALIGNMENTS, "gmm")
@@ -329,6 +330,7 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     return FitResult(params, prototype_bank, tuple(reports))
 
 
+@np.errstate(over="raise", invalid="raise")  # as in train_step
 def explain(
     scene: SceneBatch,
     params: network.ModelParams,
@@ -342,12 +344,16 @@ def explain(
     their mean, one without from ``prototype_bank`` (the bank a
     checkpoint saved), and a class the bank has not seen from a seeded
     direction. Without a bank every unlabeled class takes that last path,
-    so its column need not line up with the head's class.
+    so its column need not line up with the head's class. Features or a
+    fit that overflow raise NonFiniteOutput.
     """
     cache = network.forward(params, scene.network_input())
     if prototype_bank is None:
         prototype_bank = bank_mod.empty_bank(scene.num_classes, params.feature_dim)
-    result, _, _ = _FITS[cfg.alignment](cache.features, scene.sparse, prototype_bank, cfg)
+    try:
+        result, _, _ = _FITS[cfg.alignment](cache.features, scene.sparse, prototype_bank, cfg)
+    except FloatingPointError as exc:
+        raise NonFiniteOutput(f"the scene's features overflow in clustering: {exc}") from None
     return result.posterior
 
 
@@ -355,6 +361,10 @@ def ablate(dataset, base_cfg: TrainConfig, param: str, values, seeds=None):
     """Run ``fit`` once per value of the config field ``param`` and per
     seed; one AblationRow per value holds the mean and stderr of the final
     validation mIoU. Raises InvalidGrid for ``param`` as ``parse_sweep`` does.
+
+    Every config is built before the first fit, so a value the config
+    rejects raises ValueError first. The fits run in forked workers through
+    ``workers.ordered_map`` and give the rows of one fit after another.
     """
     _check_sweep(param)
     if not values:
@@ -362,13 +372,17 @@ def ablate(dataset, base_cfg: TrainConfig, param: str, values, seeds=None):
     if base_cfg.epochs < 1:
         raise ValueError("ablation needs at least one epoch")
     seeds = [base_cfg.seed] if seeds is None else list(seeds)
+    cfgs = [
+        dataclasses.replace(base_cfg, seed=seed, **{param: value})
+        for value in values
+        for seed in seeds
+    ]
+    finals = ordered_map(lambda cfg: fit(dataset, cfg).reports[-1].val_miou, cfgs)
     rows = []
-    for value in values:
-        cfgs = [dataclasses.replace(base_cfg, seed=seed, **{param: value}) for seed in seeds]
-        finals = np.asarray([fit(dataset, cfg).reports[-1].val_miou for cfg in cfgs])
-        stderr = finals.std(ddof=1) / np.sqrt(len(finals)) if len(finals) > 1 else 0.0
+    for value, per_seed in zip(values, np.reshape(finals, (len(values), len(seeds)))):
+        stderr = per_seed.std(ddof=1) / np.sqrt(len(per_seed)) if len(per_seed) > 1 else 0.0
         rows.append(
-            AblationRow(value, float(finals.mean()), float(stderr), tuple(finals.tolist()))
+            AblationRow(value, float(per_seed.mean()), float(stderr), tuple(per_seed.tolist()))
         )
     return rows
 

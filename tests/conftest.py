@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -18,3 +21,18 @@ def perturb_direction(rng, u, angle):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_test():
+    # a pool left running would outlive the command that started it
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """The size of the affinity mask ``workers.ordered_map`` sees: one runs
+    the plain loop, two fork two workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgn
-from dgn import baselines, cli, data, movmf, network, trainer
+from dgn import baselines, cli, data, errors, movmf, network, trainer
 from dgn import bank as bank_mod
 from dgn.errors import ParseError
 
@@ -75,6 +75,40 @@ def test_ablate_seeds_sweeps_what_the_config_seed_sets(tmp_path, capsys):
     assert table != _ablate_table(tmp_path, base)
 
 
+def test_ablate_rejects_a_bad_value_before_any_fit(tmp_path, capsys, monkeypatch):
+    # one CPU, so a fit would run, and be counted, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    fits = []
+    real_fit = trainer.fit
+    monkeypatch.setattr(trainer, "fit", lambda *a: fits.append(a) or real_fit(*a))
+    _write_scenes(tmp_path, count=2)
+    out = tmp_path / "table.txt"
+    code = cli.main(["ablate", "--data", str(tmp_path), "--param", "beta",
+                     "--values", "0.5,2", "--seeds", "0,1", "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: beta must be in (0, 1]\n"
+    assert fits == []
+    assert not out.exists()
+
+
+def test_ablate_reports_the_first_diverging_fit_as_one_line(tmp_path, capsys, cpus):
+    # the second value diverges; its first seed's fit is the one reported
+    assert cli.main(["gen-data", "--out", str(tmp_path / "d"), "--scenes", "4",
+                     "--classes", "3", "--seed", "1"]) == cli.EXIT_OK
+    (tmp_path / "c.cfg").write_text("epochs = 4\nwarmup_epochs = 1\noptimizer = sgd\n")
+    scenes = [data.read_scene(str(p)) for p in sorted((tmp_path / "d").glob("*.dgn"))]
+    with pytest.raises(errors.NonFiniteOutput) as first:
+        trainer.fit(scenes, trainer.TrainConfig(epochs=4, warmup_epochs=1, optimizer="sgd",
+                                                lr=1e12, seed=0))
+    capsys.readouterr()
+    code = cli.main(["ablate", "--config", str(tmp_path / "c.cfg"), "--data",
+                     str(tmp_path / "d"), "--param", "lr", "--values", "0.003,1e12",
+                     "--seeds", "0,1", "--out", str(tmp_path / "table.txt")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {first.value}\n"
+    assert not (tmp_path / "table.txt").exists()
+
+
 def test_ablate_has_no_seed_flag(tmp_path, capsys):
     # --seeds replaces the seed on every row, so a --seed flag would do nothing
     with pytest.raises(SystemExit) as exc:
@@ -97,6 +131,23 @@ def test_gen_data_writes_scenes_that_read_back(tmp_path, capsys):
         assert scene.num_classes == 3
         np.testing.assert_array_equal(scene.gt_labels, want.gt_labels)
         assert 0 < scene.sparse.size < scene.num_points
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.3])
+def test_gen_data_writes_the_bytes_of_one_scene_at_a_time(tmp_path, capsys, cpus, rate):
+    # five scenes, more than the workers
+    out = tmp_path / "data"
+    code = cli.main(["gen-data", "--out", str(out), "--scenes", "5", "--classes", "3",
+                     "--points", "4:9", "--label-rate", str(rate), "--seed", "11"])
+    assert code == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [f"scene_{i:03d}.dgn" for i in range(5)]
+    for i in range(5):
+        scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(4, 9),
+                                              seed=11 + i))
+        if rate < 1.0:
+            scene = data.with_sparse(scene, data.sample_sparse_labels(scene, rate, seed=11 + i))
+        data.write_scene(str(tmp_path / "want.dgn"), scene)
+        assert (out / f"scene_{i:03d}.dgn").read_bytes() == (tmp_path / "want.dgn").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -300,6 +351,16 @@ def test_ablate_compares_the_three_families(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert [row.split()[0] for row in rows] == [
         "alignment=soft", "alignment=hard", "alignment=gmm"]
+
+
+def test_import_does_not_load_a_process_pool():
+    # gen-data and ablate import multiprocessing when they fork; no other command pays for it
+    src = os.path.dirname(os.path.dirname(dgn.__file__))
+    probe = ("import sys, dgn.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_does_not_load_scipy():
@@ -697,6 +758,24 @@ def test_explain_of_a_checkpoint_that_overflows_exits_3(tmp_path, capsys):
                      "--checkpoint", str(ckpt), "--out", str(out)])
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err == "error: the network's outputs are not finite\n"
+    assert not out.exists()
+
+
+def test_explain_whose_features_overflow_exits_3_with_one_line(tmp_path, capsys):
+    # finite logits pass the forward's check; the unit rows of the features overflow
+    _write_scenes(tmp_path, num_classes=3)
+    params = network.init_params([7, 32, 32, 16], 3, seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(ckpt), network.ModelParams(
+        params.layer_weights[:-1] + (params.layer_weights[-1] * 1e160,),
+        params.layer_biases[:-1] + (params.layer_biases[-1] * 1e160,),
+        params.head_weights * 1e-155))
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", str(tmp_path / "scene_000.dgn"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: the scene's features overflow in clustering: overflow encountered in multiply\n")
     assert not out.exists()
 
 

@@ -91,6 +91,21 @@ def test_ablate_rejects_grid_keys_it_cannot_sweep(param, values, match):
         trainer.ablate(_scenes(count=2), _cfg(epochs=1), param, values, seeds=[1])
 
 
+def test_ablate_rows_equal_one_fit_after_another(cpus):
+    scenes = _scenes(count=4)
+    base = _cfg(epochs=2)
+    rows = trainer.ablate(scenes, base, "alignment", ["soft", "gmm", "hard"], seeds=[1, 4])
+    for row, value in zip(rows, ["soft", "gmm", "hard"], strict=True):
+        finals = np.asarray([
+            trainer.fit(scenes, dataclasses.replace(base, alignment=value, seed=seed))
+            .reports[-1].val_miou
+            for seed in (1, 4)
+        ])
+        assert row == trainer.AblationRow(value, float(finals.mean()),
+                                          float(finals.std(ddof=1) / np.sqrt(2)),
+                                          tuple(finals.tolist()))
+
+
 def _moves_training(scenes, off, on):
     return any(
         not np.array_equal(x, y)

@@ -1,0 +1,57 @@
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+import dgn
+from dgn import workers
+from dgn.errors import NonFiniteOutput, ParseError
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 17])
+def test_ordered_map_equals_the_loop(cpus, count):
+    offset = 5  # a closure: fn need not pickle
+
+    def fn(x):
+        return [x * x + offset]
+
+    assert workers.ordered_map(fn, range(count)) == [fn(x) for x in range(count)]
+
+
+def test_ordered_map_runs_in_forked_workers_only_with_more_than_one_cpu(cpus):
+    pids = set(workers.ordered_map(lambda _: os.getpid(), range(8)))
+    if cpus == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+
+
+def test_ordered_map_raises_the_first_failure_in_item_order(cpus):
+    def fn(x):
+        if x == 13:
+            raise NonFiniteOutput("late")
+        if x == 3:
+            time.sleep(0.2)  # so that item 13 fails first in time
+            raise ParseError("scene.dgn", 3, "early")
+        return x
+
+    with pytest.raises(ParseError) as exc:
+        workers.ordered_map(fn, range(16))
+    assert (exc.value.path, exc.value.line, exc.value.reason) == ("scene.dgn", 3, "early")
+    assert workers._job is None
+
+
+def test_ordered_map_raises_when_a_worker_dies():
+    # a worker killed (as for memory) ends the map instead of leaving it waiting
+    src = os.path.dirname(os.path.dirname(dgn.__file__))
+    probe = ("import os, signal\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "from dgn.workers import ordered_map\n"
+             "ordered_map(lambda x: x == 1 and os.kill(os.getpid(), signal.SIGKILL), range(4))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.strip().splitlines()[-1].startswith(
+        "concurrent.futures.process.BrokenProcessPool: ")
