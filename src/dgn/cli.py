@@ -2,11 +2,12 @@
 
 Subcommands: cluster, train, ablate, explain, gen-data, eval. Every
 command takes all randomness from --seed (or the config seed) and writes
-deterministic, diffable text outputs. Exit codes: 0 success, 2 parse or
-configuration errors, 3 dimension or data errors, running out of memory
-(say, for widths that cannot be allocated) and network outputs that are
-not finite (NonFiniteOutput: a diverged run or an overflowing checkpoint),
-1 internal errors. Each error ends in one line on stderr, not a traceback.
+deterministic, diffable text tables (see ``dgn.data``). Exit codes: 0
+success, 2 parse or configuration errors, 3 dimension or data errors,
+running out of memory (say, for widths that cannot be allocated), a worker
+that dies (WorkerDied: say, killed for memory) and values that overflow
+(NonFiniteOutput: a diverged run, an overflowing checkpoint or a cluster
+matrix), 1 internal errors. Each error ends in one line on stderr.
 
 gen-data (one task per scene) and ablate (one task per fit) run their
 tasks in forked workers, one per CPU in the process's affinity mask, and
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,9 @@ from . import baselines, movmf, network, trainer
 from .data import (
     SceneSpec,
     SparseLabels,
+    _format_rows,
+    _read_labels,
+    _read_matrix,
     gen_scene,
     integer,
     miou,
@@ -44,7 +47,7 @@ from .errors import (
     DgnError,
     DimensionMismatch,
     EmptyScene,
-    LengthMismatch,
+    NonFiniteOutput,
     ParseError,
 )
 from .workers import ordered_map
@@ -52,75 +55,7 @@ from .workers import ordered_map
 EXIT_OK = 0
 
 CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
-_INT64 = np.iinfo(np.int64)
 _ROWS_PER_WRITE = 4096
-
-
-def _read_matrix(path: str) -> np.ndarray:
-    """Whitespace-separated finite floats, one row per line; blank lines
-    are skipped.
-
-    The text is parsed with one ``np.loadtxt`` call. Only when that call
-    fails, or reads a nan or inf, does a scan of the lines raise the
-    ParseError of the first faulty line: a malformed or non-finite number,
-    or a row whose width differs from the first row's. Numbers are those
-    ``np.loadtxt`` reads: unlike ``float()``, it rejects digit-group
-    underscores (``1_0``) and non-ASCII digits.
-    """
-    with open(path) as fh:
-        try:
-            with warnings.catch_warnings():
-                # loadtxt warns on empty input: no lines, or only blank ones
-                warnings.simplefilter("ignore", UserWarning)
-                matrix = np.loadtxt(fh, comments=None, ndmin=2)
-        except ValueError:
-            matrix = None
-        if matrix is None or not np.isfinite(matrix).all():
-            fh.seek(0)
-            raise _matrix_fault(path, fh)
-    if not matrix.shape[0]:
-        raise ParseError(str(path), 1, "empty matrix file")
-    return matrix
-
-
-def _matrix_fault(path: str, lines) -> ParseError:
-    """The ParseError of the first faulty line of a rejected matrix file."""
-    width = None
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            row = np.loadtxt([line], comments=None, ndmin=1)
-        except ValueError:
-            return ParseError(str(path), line_no, "malformed number")
-        if not np.isfinite(row).all():
-            return ParseError(str(path), line_no, "non-finite number")
-        if width is None:
-            width = row.size
-        elif row.size != width:
-            return ParseError(
-                str(path), line_no, f"expected {width} columns, got {row.size}"
-            )
-    return ParseError(str(path), 1, "malformed matrix")
-
-
-def _read_labels(path: str, n: int) -> np.ndarray:
-    labels = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                label = integer(stripped)
-            except ValueError:
-                raise ParseError(str(path), line_no, "expected one integer per line") from None
-            if not _INT64.min <= label <= _INT64.max:
-                raise ParseError(str(path), line_no, "label outside the int64 range")
-            labels.append(label)
-    if len(labels) != n:
-        raise LengthMismatch(f"{path}: {len(labels)} labels for {n} rows")
-    return np.asarray(labels, dtype=np.int64)
 
 
 def _write_lines(path: str, lines) -> None:
@@ -138,22 +73,16 @@ def _report_line(report: trainer.EpochReport) -> str:
     return " ".join(f"{k}={_fmt6(v) if isinstance(v, float) else v}" for k, v in values)
 
 
-def _format_rows(matrix: np.ndarray) -> str:
-    """One line per row of ``matrix``, joined by newlines, each value as
-    ``_fmt6`` prints it; one ``%`` formats the whole matrix."""
-    row = " ".join(["%.6g"] * matrix.shape[1])
-    return "\n".join([row] * matrix.shape[0]) % tuple(matrix.ravel().tolist())
-
-
 def _write_rows(path: str, matrix: np.ndarray) -> None:
-    """``_format_rows(matrix)`` and a final newline (a lone newline for no
-    rows), formatted and written 4096 rows at a time so the text of the
-    whole matrix is never held."""
+    """One line per row of ``matrix``, each value as ``_fmt6`` prints it (a
+    lone newline for no rows); formatted and written 4096 rows at a time,
+    so the text of the whole matrix is never held."""
+    row = " ".join(["%.6g"] * matrix.shape[1])
     with open(path, "w") as fh:
         if not matrix.shape[0]:
             fh.write("\n")
         for start in range(0, matrix.shape[0], _ROWS_PER_WRITE):
-            fh.write(_format_rows(matrix[start:start + _ROWS_PER_WRITE]) + "\n")
+            fh.write(_format_rows(matrix[start:start + _ROWS_PER_WRITE], row) + "\n")
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -195,31 +124,35 @@ def cmd_cluster(args) -> int:
     # the Euclidean variants work on the raw rows, the others on unit rows; init:
     # k-means++ seeding without labels, labeled means with them
     euclidean = args.variant in ("gmm", "proto-euclid")
-    rows = X if euclidean else movmf.normalize_rows(X)
-    if labels is None:
-        init = _kmeanspp_init(rows, k, args.seed)
-        if not euclidean:
-            init = movmf.normalize_rows(init)
-    else:
-        keep = labels >= 0
-        sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
-        fresh = bank_mod.empty_bank(k, X.shape[1], 0.9)
-        if euclidean:
-            init = bank_mod.euclidean_init_means(rows, sparse, fresh, seed=args.seed)
-        else:
-            init = bank_mod.init_centers(rows, sparse, fresh, seed=args.seed).centers
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # as in trainer.train_step
+            rows = X if euclidean else movmf.normalize_rows(X)
+            if labels is None:
+                init = _kmeanspp_init(rows, k, args.seed)
+                if not euclidean:
+                    init = movmf.normalize_rows(init)
+            else:
+                keep = labels >= 0
+                sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
+                fresh = bank_mod.empty_bank(k, X.shape[1], 0.9)
+                if euclidean:
+                    init = bank_mod.euclidean_init_means(rows, sparse, fresh, seed=args.seed)
+                else:
+                    init = bank_mod.init_centers(rows, sparse, fresh, seed=args.seed).centers
 
-    if args.variant.startswith("proto-"):
-        metric = "euclidean" if euclidean else "cosine"
-        assignment = baselines.prototype_assign(X, init, metric)
-        posterior = movmf.one_hot(assignment, k)
-    else:
-        if args.variant == "gmm":
-            result = baselines.gmm_em(rows, init, cfg)
-        else:
-            run = movmf.soft_movmf_em if args.variant == "soft" else movmf.hard_movmf_em
-            result = run(rows, init, cfg)
-        assignment, posterior = result.assignment, result.posterior
+            if args.variant.startswith("proto-"):
+                metric = "euclidean" if euclidean else "cosine"
+                assignment = baselines.prototype_assign(X, init, metric)
+                posterior = movmf.one_hot(assignment, k)
+            else:
+                if args.variant == "gmm":
+                    result = baselines.gmm_em(rows, init, cfg)
+                else:
+                    run = movmf.soft_movmf_em if args.variant == "soft" else movmf.hard_movmf_em
+                    result = run(rows, init, cfg)
+                assignment, posterior = result.assignment, result.posterior
+    except FloatingPointError as exc:
+        raise NonFiniteOutput(f"the matrix overflows in clustering: {exc}") from None
 
     prefix = args.out_prefix or args.input
     _write_lines(prefix + ".assignments", map(str, assignment.tolist()))

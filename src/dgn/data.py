@@ -1,22 +1,29 @@
-"""Synthetic scenes, sparse-annotation sampling, metrics, and scene file I/O.
+"""Synthetic scenes, sparse-annotation sampling, metrics, and the four
+text tables of ``dgn``:
 
-Scene files use the text format ``dgn/1``:
+- scene files, ``dgn/1`` (without the trailer, the sparse set is every
+  point whose label is >= 0)::
 
-    dgn/1 <n> <d_extra> <num_classes>
-    x y z f1 .. f<d_extra> label        (n lines; label -1 = unlabeled)
-    sparse <m>                          (optional trailer)
-    index class                         (m lines)
+      dgn/1 <n> <d_extra> <num_classes>
+      x y z f1 .. f<d_extra> label        (n lines; label -1 = unlabeled)
+      sparse <m>                          (optional trailer)
+      index class                         (m lines)
 
-Floats are finite (``nan`` and ``inf`` are rejected) and written with
-``repr`` so round-trips are lossless. Labels, indices and classes are
-integer literals (``2.0`` is rejected), and no field has digit-group
-underscores or non-ASCII digits. When the trailer is absent, the sparse
-set defaults to every point whose label column is >= 0.
+- matrix files (``dgn cluster``): rows of floats, each as wide as the first;
+- label files (``dgn cluster --labels``, ``dgn eval --pred``): one integer
+  per line, -1 = unlabeled;
+- posterior files (``dgn cluster``, ``dgn explain``): rows of ``%.6g`` floats.
 
-``integer`` is the one integer grammar of every text input: the header
-and trailer counts here, label files, config ints and integer arguments
-of the command line. ``real`` is the one float grammar of config floats
-and float arguments of the command line.
+One grammar serves them. Fields are split on whitespace. A float is finite
+ASCII decimal; scenes write ``repr``, so round trips are lossless. An
+integer is ``[+-]?[0-9]+`` within int64: ``2.0``, ``1_0`` and non-ASCII
+digits are rejected. A scene splits its lines as ``str.splitlines`` does,
+and a blank line among its rows has no fields; matrix and label files are
+streamed with universal newlines and skip blank lines. One ``np.loadtxt``
+call parses each table; only when it fails, or a value is rejected, does
+a scan raise the ParseError of the first faulty line. ``integer`` and
+``real`` are the grammars of the other text inputs: header and trailer
+counts, config values and command-line arguments.
 """
 
 from __future__ import annotations
@@ -273,6 +280,12 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> IoUReport:
     return IoUReport(per_class, present, float(np.mean(per_class[present])))
 
 
+def _format_rows(matrix: np.ndarray, row_format: str) -> str:
+    """The rows of ``matrix``, each formatted by ``row_format``, joined by
+    newlines; one ``%`` formats the whole matrix."""
+    return "\n".join([row_format] * matrix.shape[0]) % tuple(matrix.ravel().tolist())
+
+
 def write_scene(path: str, scene: SceneBatch) -> None:
     """Write a scene in the dgn/1 text format, including the sparse trailer.
 
@@ -282,62 +295,110 @@ def write_scene(path: str, scene: SceneBatch) -> None:
     without extra features carry two spaces before the label.
     """
     d_extra = scene.extra_feats.shape[1]
-    row = "%r %r %r " + " ".join(["%r"] * d_extra) + " %d"
     table = np.hstack([scene.coords, scene.extra_feats, scene.gt_labels[:, None]])
-    lines = [f"dgn/1 {scene.num_points} {d_extra} {scene.num_classes}"]
-    lines += [row % tuple(values) for values in table.tolist()]
-    lines.append(f"sparse {scene.sparse.size}")
-    pairs = zip(scene.sparse.indices.tolist(), scene.sparse.classes.tolist())
-    lines += ["%d %d" % pair for pair in pairs]
+    pairs = np.column_stack([scene.sparse.indices, scene.sparse.classes])
+    text = [f"dgn/1 {scene.num_points} {d_extra} {scene.num_classes}",
+            _format_rows(table, "%r %r %r " + " ".join(["%r"] * d_extra) + " %d"),
+            f"sparse {scene.sparse.size}", _format_rows(pairs, "%d %d")]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(filter(None, text)) + "\n")  # a table without rows has no line
 
 
-def _parse_err(path: str, line_no: int, reason: str) -> ParseError:
-    return ParseError(str(path), line_no, reason)
+def _ascii(line: str) -> str:
+    # numpy's integer parser reads out of bounds on a character past U+00FF,
+    # and may crash: a line that is not ASCII goes as its fields joined by
+    # spaces, each such character as "?", which no number has
+    return line if line.isascii() else " ".join(line.split()).encode("ascii", "replace").decode()
 
 
-_SPARSE_ROW = np.dtype([("index", np.int64), ("class", np.int64)])
+def _loadtxt(lines, row: np.dtype) -> np.ndarray | None:
+    """``np.loadtxt`` of ``lines`` as records of dtype ``row`` (as a matrix
+    for a plain dtype), or None when it cannot read them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # on no rows or blank lines only
+            return np.loadtxt(map(_ascii, lines), dtype=row, comments=None,
+                              ndmin=1 if row.names else 2)
+    except ValueError:
+        return None
 
 
-def _parse_rows(path, lines, first_line, count, row, width_reason, check=None):
-    """Parse ``lines`` as ``count`` records of dtype ``row`` with one
-    ``np.loadtxt`` call. ``lines[0]`` is line ``first_line`` of the file;
-    fewer than ``count`` lines mean the file ended early.
-
-    ``check(records, line_no)``, when given, raises for the first record
-    it rejects; ``line_no`` is the line of ``records[0]``. If the one-call
-    parse fails, a scan of the lines raises the ParseError of the first
-    faulty one: a field count other than ``row``'s (``width_reason``
-    formatted with ``got``), a field ``loadtxt`` cannot convert, a
-    rejected record, or a missing line.
-    """
-    fields = sum(int(np.prod(row[name].shape)) for name in row.names)
+def _parse_rows(path, lines, row, fault, check=None, first_line=1, count=None):
+    """The ``count`` records of dtype ``row`` in ``lines`` (a list, or a
+    text file open at its start, from line ``first_line``), by one
+    ``_loadtxt`` call. ``check(records)`` is the reason for the first
+    record it rejects, or None. If the call fails, finds another count, or
+    ``check`` rejects a record, a scan raises the ParseError of the first
+    line ``fault(line)`` gives a reason for. With ``count`` None, any number
+    of records is due and the scan skips blank lines, as ``loadtxt`` does."""
     # loadtxt allocates rows of ``row``'s width before it parses one, so the
     # width a header claims is trusted only once the first line has it
-    if len(lines) == count and (not count or len(lines[0].split()) == fields):
-        try:
-            with warnings.catch_warnings():
-                # loadtxt warns on empty input: no rows, or only blank lines
-                warnings.simplefilter("ignore", UserWarning)
-                records = np.loadtxt(lines, dtype=row, comments=None, ndmin=1)
-        except ValueError:
-            records = None
-        if records is not None and len(records) == count:
-            if check:
-                check(records, first_line)
+    if count is None or (len(lines) == count and not (count and fault(lines[0]))):
+        records = _loadtxt(lines, row)
+        if (records is not None and (count is None or len(records) == count)
+                and not (check and check(records))):
             return records
+    if not isinstance(lines, list):
+        lines.seek(0)  # a file is scanned as it is read, never held
+    line_no = first_line - 1
     for line_no, line in enumerate(lines, start=first_line):
+        reason = fault(line) if count is not None or line.strip() else None
+        if reason:
+            raise ParseError(path, line_no, reason)
+    raise ParseError(path, line_no + 1, "unexpected end of file")
+
+
+def _fields_fault(row: np.dtype, width_reason: str, check=None):
+    """The ``fault`` of a line of ``row``'s fields: another count (``width_reason``
+    formatted with ``got``), a malformed number, or ``check``'s reason."""
+    def fault(line):
         got = len(line.split())
-        if got != fields:
-            raise _parse_err(path, line_no, width_reason.format(got=got))
-        try:
-            record = np.loadtxt([line], dtype=row, comments=None, ndmin=1)
-        except ValueError:
-            raise _parse_err(path, line_no, "malformed number") from None
-        if check:
-            check(record, line_no)
-    raise _parse_err(path, first_line + len(lines), "unexpected end of file")
+        if got != row.itemsize // 8:  # every field is an 8-byte number
+            return width_reason.format(got=got)
+        record = _loadtxt([line], row)
+        return "malformed number" if record is None else check and check(record)
+
+    return fault
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    """The matrix of a matrix file. A line's faults come in this order: a
+    malformed number, a non-finite one, a width other than the first row's."""
+    width = None
+
+    def check(matrix):
+        return None if np.isfinite(matrix).all() else "non-finite number"
+
+    def fault(line):
+        nonlocal width
+        matrix = _loadtxt([line], np.dtype(np.float64))
+        if matrix is None:
+            return "malformed number"
+        width, got = width or matrix.shape[1], matrix.shape[1]
+        return check(matrix) or (f"expected {width} columns, got {got}" if got != width else None)
+
+    with open(path) as fh:
+        matrix = _parse_rows(path, fh, np.dtype(np.float64), fault, check)
+    if not matrix.shape[0]:
+        raise ParseError(path, 1, "empty matrix file")
+    return matrix
+
+
+def _label_fault(line: str) -> str | None:
+    try:
+        label = integer(line.strip())
+    except ValueError:
+        return "expected one integer per line"
+    return None if -(2**63) <= label < 2**63 else "label outside the int64 range"
+
+
+def _read_labels(path: str, n: int) -> np.ndarray:
+    """The ``n`` int64 labels of a label file; LengthMismatch for another count."""
+    with open(path) as fh:
+        labels = _parse_rows(path, fh, np.dtype([("label", np.int64)]), _label_fault)["label"]
+    if len(labels) != n:
+        raise LengthMismatch(f"{path}: {len(labels)} labels for {n} rows")
+    return labels
 
 
 def read_scene(path: str) -> SceneBatch:
@@ -345,55 +406,49 @@ def read_scene(path: str) -> SceneBatch:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise _parse_err(path, 1, "empty file")
+        raise ParseError(path, 1, "empty file")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dgn/1":
-        raise _parse_err(path, 1, "expected header 'dgn/1 n d_extra num_classes'")
+        raise ParseError(path, 1, "expected header 'dgn/1 n d_extra num_classes'")
     try:
         n, d_extra, num_classes = (integer(tok) for tok in head[1:])
     except ValueError:
-        raise _parse_err(path, 1, "header counts must be integers") from None
+        raise ParseError(path, 1, "header counts must be integers") from None
     if n < 1 or d_extra < 0 or num_classes < 1:
-        raise _parse_err(path, 1, "header counts out of range")
+        raise ParseError(path, 1, "header counts out of range")
 
-    body = np.dtype([
-        ("coords", np.float64, (3,)),
-        ("feats", np.float64, (d_extra,)),
-        ("label", np.int64),
-    ])
+    body = np.dtype([("coords", np.float64, (3,)), ("feats", np.float64, (d_extra,)),
+                     ("label", np.int64)])
 
-    def check_rows(records, line_no):
+    def check_rows(records):
         labels = records["label"]
         finite = np.isfinite(records["coords"]).all(axis=1)
         finite &= np.isfinite(records["feats"]).all(axis=1)
         bad = np.flatnonzero(~finite | (labels < -1) | (labels >= num_classes))
-        if bad.size:
-            first = int(bad[0])
-            reason = ("non-finite number" if not finite[first]
-                      else f"label {labels[first]} out of range")
-            raise _parse_err(path, line_no + first, reason)
+        if not bad.size:
+            return None
+        first = int(bad[0])
+        return "non-finite number" if not finite[first] else f"label {labels[first]} out of range"
 
-    rows = _parse_rows(
-        path, lines[1 : n + 1], 2, n, body,
-        f"expected {3 + d_extra + 1} fields, got {{got}}", check_rows,
-    )
+    fault = _fields_fault(body, f"expected {3 + d_extra + 1} fields, got {{got}}", check_rows)
+    rows = _parse_rows(path, lines[1 : n + 1], body, fault, check_rows, first_line=2, count=n)
     coords, feats, labels = rows["coords"], rows["feats"], rows["label"]
 
     cursor = n + 1
     if cursor < len(lines) and lines[cursor].strip():
         toks = lines[cursor].split()
         if len(toks) != 2 or toks[0] != "sparse":
-            raise _parse_err(path, cursor + 1, "expected 'sparse m' trailer")
+            raise ParseError(path, cursor + 1, "expected 'sparse m' trailer")
         try:
             m = integer(toks[1])
         except ValueError:
-            raise _parse_err(path, cursor + 1, "sparse count must be an integer") from None
+            raise ParseError(path, cursor + 1, "sparse count must be an integer") from None
         if m < 0:
-            raise _parse_err(path, cursor + 1, "sparse count out of range")
-        pairs = _parse_rows(
-            path, lines[cursor + 1 : cursor + 1 + m], cursor + 2, m, _SPARSE_ROW,
-            "expected 'index class'",
-        )
+            raise ParseError(path, cursor + 1, "sparse count out of range")
+        pair = np.dtype([("index", np.int64), ("class", np.int64)])
+        pairs = _parse_rows(path, lines[cursor + 1 : cursor + 1 + m], pair,
+                            _fields_fault(pair, "expected 'index class'"),
+                            first_line=cursor + 2, count=m)
         sparse = SparseLabels(pairs["index"], pairs["class"])
     else:
         keep = labels >= 0
@@ -402,4 +457,4 @@ def read_scene(path: str) -> SceneBatch:
     try:
         return SceneBatch(coords, feats, labels, sparse, num_classes)
     except (ValueError, LengthMismatch) as exc:
-        raise _parse_err(path, 1, f"inconsistent scene: {exc}") from None
+        raise ParseError(path, 1, f"inconsistent scene: {exc}") from None

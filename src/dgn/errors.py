@@ -48,6 +48,10 @@ class NonFiniteOutput(DgnError, exit_code=EXIT_DATA):
     """The network's outputs hold a nan or inf: training has diverged."""
 
 
+class WorkerDied(DgnError, exit_code=EXIT_DATA):
+    """A worker process died before it returned, as when killed for memory."""
+
+
 class EmptyLabelSet(DgnError, exit_code=EXIT_DATA):
     """A supervised loss was called with zero labeled points."""
 
@@ -81,10 +85,10 @@ class LengthMismatch(DgnError, exit_code=EXIT_DATA):
 
 
 class ParseError(DgnError, exit_code=EXIT_PARSE):
-    """A structured text or binary file failed to parse."""
+    """A structured text or binary file failed to parse (``path`` as a str)."""
 
     def __init__(self, path: str, line: int, reason: str):
-        self.path = path
+        self.path = str(path)
         self.line = line
         self.reason = reason
         super().__init__(f"{path}:{line}: {reason}")

@@ -7,11 +7,16 @@ results cross the pipe: scenes are not copied, and ``fn`` may be a closure
 or a wrapped function that does not pickle by reference. Where the
 ``fork`` start method or the affinity mask is missing, or one worker would
 do, the map is the plain loop.
+
+On Python 3.12 and later, forking while BLAS threads run emits a
+DeprecationWarning; ``OPENBLAS_NUM_THREADS=1`` avoids it.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import WorkerDied
 
 # (fn, items) of the map in progress; set before the pool forks, so every
 # worker reads the parent's copy
@@ -33,7 +38,7 @@ def ordered_map(fn, items) -> list:
     The first item that fails, in item order, raises its own exception,
     as the loop would; every item has run by then. Each exception and
     result must pickle. A worker that dies (say, killed for memory) raises
-    BrokenProcessPool, where a ``multiprocessing.Pool`` would wait forever.
+    WorkerDied, where a ``multiprocessing.Pool`` would wait forever.
     """
     global _job
     items = list(items)
@@ -41,7 +46,7 @@ def ordered_map(fn, items) -> list:
     workers = min(cpus, len(items))
     # imported here, so that importing dgn.cli loads neither
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
@@ -51,6 +56,8 @@ def ordered_map(fn, items) -> list:
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
             outcomes = list(pool.map(_call, range(len(items)), chunksize=chunk))
+    except BrokenExecutor:
+        raise WorkerDied("a worker process died (say, killed for memory)") from None
     finally:
         _job = None
     for ok, value in outcomes:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import dgn
 from dgn import baselines, cli, data, errors, movmf, network, trainer
 from dgn import bank as bank_mod
-from dgn.errors import ParseError
+from dgn.errors import LengthMismatch, ParseError
 
 
 def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
@@ -450,13 +450,18 @@ def _old_lines(lines):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _format_rows(matrix):
+    # data._format_rows with the posterior files' row format
+    return data._format_rows(matrix, " ".join(["%.6g"] * matrix.shape[1]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(
     lambda k: st.lists(st.lists(st.floats(), min_size=k, max_size=k), max_size=8)
     .map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, k))
 ))
 def test_format_rows_equals_per_value_format(matrix):
-    assert cli._format_rows(matrix) == "\n".join(_old_format_rows(matrix))
+    assert _format_rows(matrix) == "\n".join(_old_format_rows(matrix))
 
 
 def test_format_rows_special_values():
@@ -464,8 +469,8 @@ def test_format_rows_special_values():
         [np.nan, np.inf, -np.inf, -0.0, 0.0],
         [1e-300, 5e-324, 1.7976931348623157e308, 0.1234565, 123456789.0],
     ])
-    assert cli._format_rows(matrix) == "\n".join(_old_format_rows(matrix))
-    assert cli._format_rows(matrix).split("\n")[0] == "nan inf -inf -0 0"
+    assert _format_rows(matrix) == "\n".join(_old_format_rows(matrix))
+    assert _format_rows(matrix).split("\n")[0] == "nan inf -inf -0 0"
 
 
 @pytest.mark.parametrize("rows", [0, 1, 4096, 4097, 9000])
@@ -795,6 +800,44 @@ def test_train_that_diverges_exits_3_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
+def test_cluster_matrix_that_overflows_exits_3_with_one_line(tmp_path, capsys, variant,
+                                                             labeled):
+    # finite rows whose squares overflow: no numpy warning, no message about
+    # an init row, one error line
+    X, _, args = _cluster_input(tmp_path, labeled)
+    (tmp_path / "matrix.txt").write_text(
+        "".join(" ".join(map(repr, row)) + "\n" for row in (X * 1e200).tolist()))
+    code = cli.main(["cluster", *args, "--variant", variant,
+                     "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert err.startswith("error: the matrix overflows in clustering: overflow")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_gen_data_worker_that_dies_exits_3_with_one_line(tmp_path):
+    # two workers even on one CPU; the task of scene 1 is killed as for memory
+    src = os.path.dirname(os.path.dirname(dgn.__file__))
+    probe = ("import os, signal, sys\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "from dgn import cli\n"
+             "write = cli._write_generated\n"
+             "def task(item):\n"
+             "    if item[0].name == 'scene_001.dgn':\n"
+             "        os.kill(os.getpid(), signal.SIGKILL)\n"
+             "    write(item)\n"
+             "cli._write_generated = task\n"
+             f"sys.exit(cli.main(['gen-data', '--out', {str(tmp_path / 'd')!r}, "
+             "'--scenes', '4']))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == cli.EXIT_DATA
+    assert out.stderr == "error: a worker process died (say, killed for memory)\n"
+
+
 # ---------------------------------------------------------------------------
 # _read_matrix: the contract of the per-line float() loop it replaced
 
@@ -939,5 +982,52 @@ def test_read_matrix_arbitrary_text_matches_old_loop(tmp_path_factory, text):
         assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
     elif "_" in text or any(_is_digit_off_ascii(ch) for ch in text):
         pass  # float() reads these numbers, loadtxt does not
+    else:
+        assert new == old
+
+
+# ---------------------------------------------------------------------------
+# _read_labels: the contract of the per-line integer() loop it replaced
+
+def _old_read_labels(path, n):
+    labels = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                label = data.integer(stripped)
+            except ValueError:
+                raise ParseError(str(path), line_no, "expected one integer per line") from None
+            if not np.iinfo(np.int64).min <= label <= np.iinfo(np.int64).max:
+                raise ParseError(str(path), line_no, "label outside the int64 range")
+            labels.append(label)
+    if len(labels) != n:
+        raise LengthMismatch(f"{path}: {len(labels)} labels for {n} rows")
+    return np.asarray(labels, dtype=np.int64)
+
+
+def _label_outcome(read, path, n):
+    try:
+        return read(path, n)
+    except (ParseError, LengthMismatch) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_PIECES, st.sampled_from(["+", "-", "99999999999999999999",
+                                                   "\U000e0000"]),
+                          st.text(max_size=2)), max_size=24).map("".join))
+def test_read_labels_arbitrary_text_matches_old_loop(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("l") / "labels.txt")
+    _write(path, text)
+    with open(path) as fh:
+        n = sum(1 for line in fh if line.strip())  # the count when every line is a label
+    new = _label_outcome(cli._read_labels, path, n)   # any other error escapes
+    old = _label_outcome(_old_read_labels, path, n)
+    if isinstance(new, np.ndarray):
+        assert isinstance(old, np.ndarray) and new.dtype == old.dtype
+        assert np.array_equal(new, old)
     else:
         assert new == old

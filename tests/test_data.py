@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,48 @@ def test_write_scene_random_scenes_equal_per_row_writer(tmp_path):
         _assert_same_bytes_as_old_writer(tmp_path, _random_scene(rng))
 
 
+def _hstack_write_scene(path, scene):
+    # write_scene before its body and trailer went through data._format_rows:
+    # one hstack table and one % per row
+    d_extra = scene.extra_feats.shape[1]
+    row = "%r %r %r " + " ".join(["%r"] * d_extra) + " %d"
+    table = np.hstack([scene.coords, scene.extra_feats, scene.gt_labels[:, None]])
+    lines = [f"dgn/1 {scene.num_points} {d_extra} {scene.num_classes}"]
+    lines += [row % tuple(values) for values in table.tolist()]
+    lines.append(f"sparse {scene.sparse.size}")
+    pairs = zip(scene.sparse.indices.tolist(), scene.sparse.classes.tolist())
+    lines += ["%d %d" % pair for pair in pairs]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("d_extra", range(5))
+@pytest.mark.parametrize("sparse", ["some", "none"])
+def test_write_scene_equals_per_row_format_writer(tmp_path, d_extra, sparse):
+    rng = np.random.default_rng(d_extra)
+    n = 40
+    coords = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    feats = rng.standard_normal((n, d_extra)) ** 3
+    labels = rng.integers(-1, 4, size=n)
+    labeled = np.flatnonzero(labels >= 0)
+    indices = labeled[::3] if sparse == "some" else labeled[:0]
+    scene = data.SceneBatch(
+        coords, feats, labels, data.SparseLabels(indices, labels[indices]), 4
+    )
+    new, old = tmp_path / "new.dgn", tmp_path / "old.dgn"
+    data.write_scene(str(new), scene)
+    _hstack_write_scene(str(old), scene)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_loadtxt_is_called_in_data_only():
+    # data is the one reader of text tables
+    package = Path(data.__file__).parent
+    callers = [path.name for path in sorted(package.glob("*.py"))
+               if "loadtxt" in path.read_text(encoding="utf-8")]
+    assert callers == ["data.py"]
+
+
 def test_truncated_file_parse_error(tmp_path):
     scene = data.gen_scene(_spec())
     path = tmp_path / "scene.dgn"
@@ -484,6 +530,33 @@ def test_sparse_count_is_one_integer_grammar(tmp_path, token):
     with pytest.raises(ParseError, match="sparse count must be an integer") as err:
         data.read_scene(str(path))
     assert err.value.line == line and err.value.exit_code == 2
+
+
+def test_an_integer_field_with_a_non_ascii_character_is_malformed(tmp_path):
+    # numpy's integer parser reads out of bounds on a character past U+00FF
+    # and often crashes the process on one, so the reads run in a child
+    paths, want = [], []
+    for i, char in enumerate(["\U000e0000", "\U0010ffff", "\U000dffff", "\u0663", "\xe9"]):
+        for field, line_of in (("label", lambda scene: 1),
+                               ("class", lambda scene: scene.num_points + 2)):
+            directory = tmp_path / f"{field}{i}"
+            directory.mkdir()
+            path, line = _edited_scene(directory, line_of, lambda text: text + char)
+            paths.append(str(path))
+            want.append(f"{path}:{line}: malformed number")
+    probe = ("import sys\n"
+             "from dgn.data import read_scene\n"
+             "from dgn.errors import ParseError\n"
+             "for path in sys.argv[1:]:\n"
+             "    try:\n"
+             "        read_scene(path)\n"
+             "    except ParseError as exc:\n"
+             "        print(exc)\n")
+    src = os.path.dirname(os.path.dirname(data.__file__))
+    out = subprocess.run([sys.executable, "-c", probe, *paths], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == want
 
 
 def test_crlf_file_parses(tmp_path):

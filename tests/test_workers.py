@@ -53,5 +53,4 @@ def test_ordered_map_raises_when_a_worker_dies():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 1
-    assert out.stderr.strip().splitlines()[-1].startswith(
-        "concurrent.futures.process.BrokenProcessPool: ")
+    assert out.stderr.strip().splitlines()[-1].startswith("dgn.errors.WorkerDied: ")
