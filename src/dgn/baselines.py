@@ -6,19 +6,23 @@ loop of both mixture families. Its E step runs cluster-major through the
 softmax it shares with moVMF EM (see the "Layout" notes of ``movmf``),
 on buffers allocated once per fit: the (n, k) squared distances, a
 (k, n) score buffer and the (n, k) posterior. ||f||^2 and 2F are
-computed once per fit. Every output is bitwise equal to the point-major
-loop that scores fresh (n, k) arrays on every pass.
+computed once per fit. The loop iterates on the raw weights, means and
+variances; ``GMMParams`` validates them once, when the fit returns. Every
+output is bitwise equal to the point-major loop that scores fresh (n, k)
+arrays on every pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _blocks, _check_weights,
-                    _has_unit_rows, _run_em, _softmax_columns, normalize_rows)
+                    _has_unit_rows, _log_weights, _run_em, _softmax_columns,
+                    normalize_rows)
 
 VARIANCE_FLOOR = 1e-6
 METRICS = ("euclidean", "cosine")
@@ -50,6 +54,15 @@ class GMMParams:
     @property
     def num_clusters(self) -> int:
         return self.means.shape[0]
+
+
+class _GMMArrays(NamedTuple):
+    """The raw arrays ``gmm_em`` iterates on, named as in ``GMMParams``
+    and validated by it once, when the fit ends."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
 
 
 def prototype_assign(F: np.ndarray, prototypes: np.ndarray, metric: str) -> np.ndarray:
@@ -124,9 +137,9 @@ def gmm_posterior(sq: np.ndarray, params: GMMParams, scratch: np.ndarray,
     """Responsibilities from the (n, k) squared distances ``sq`` of the
     points to ``params.means``, written into the (n, k) ``out``: computed in
     log space with the max over components subtracted, on the caller's
-    (k, n) ``scratch`` buffer as ``movmf`` does."""
-    with np.errstate(divide="ignore"):
-        log_norms = _gmm_log_norms(np.log(params.weights), params)[:, None]
+    (k, n) ``scratch`` buffer as ``movmf`` does. ``params`` is a GMMParams
+    or the unvalidated arrays of the same names ``gmm_em`` iterates on."""
+    log_norms = _gmm_log_norms(_log_weights(params.weights), params)[:, None]
     variances = params.variances[:, None]
     for b in _blocks(sq.shape[0]):
         _gmm_scores(sq[b].T, log_norms, variances, out=scratch[:, b])
@@ -162,16 +175,13 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
     sq = _sq_dists(F, init_means, np.empty((n, k)), f_terms)
     nearest = np.argmin(sq, axis=1)
     spread = float(np.mean(np.sum((F - init_means[nearest]) ** 2, axis=1))) / d
-    params = GMMParams(
-        np.full(k, 1.0 / k),
-        init_means,
-        np.full(k, max(spread, VARIANCE_FLOOR)),
-    )
+    state = _GMMArrays(np.full(k, 1.0 / k), init_means,
+                       np.full(k, max(spread, VARIANCE_FLOOR)))
 
     P = np.empty((k, n))   # the E step's log scores, cluster-major
     q = np.empty((n, k))   # the posterior the M step reads
 
-    def m_step(q: np.ndarray, params: GMMParams):
+    def m_step(q: np.ndarray, state: _GMMArrays):
         # masses and variance numerators are column sums taken point after
         # point, and the means the same BLAS call q.T @ F; a component
         # whose mass is <= 1e-12 is held
@@ -179,18 +189,19 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
         dead = mass <= 1e-12
         alive = ~dead
         weights = mass / n
-        means = params.means.copy()
-        variances = params.variances.copy()
-        means[alive] = (q.T @ F)[alive] / mass[alive, None]
+        means = np.divide(q.T @ F, mass[:, None], out=state.means.copy(),
+                          where=alive[:, None])
         # the next E step scores against these means, so it reuses sq
         _sq_dists(F, means, sq, f_terms)
         # q is read no more before the next E step overwrites it
         scatter = np.multiply(q, sq, out=q).sum(axis=0)
-        variances[alive] = np.maximum(scatter[alive] / (d * mass[alive]), VARIANCE_FLOOR)
-        shift = float(np.max(np.linalg.norm(means - params.means, axis=1)))
-        return GMMParams(weights / weights.sum(), means, variances), shift, np.flatnonzero(dead)
+        variances = np.divide(scatter, d * mass, out=state.variances.copy(), where=alive)
+        np.maximum(variances, VARIANCE_FLOOR, out=variances, where=alive)
+        shift = float(np.max(np.linalg.norm(means - state.means, axis=1)))
+        return _GMMArrays(weights / weights.sum(), means, variances), shift, dead
 
-    return _run_em(params, lambda p: gmm_posterior(sq, p, P, q), m_step, cfg)
+    return _run_em(state, lambda s: gmm_posterior(sq, s, P, q), m_step,
+                   lambda s: GMMParams(*s), cfg)
 
 
 def gmm_nll_loss(

@@ -65,16 +65,16 @@ def _through_unit(g: np.ndarray, U: np.ndarray, norms: np.ndarray) -> np.ndarray
 
 
 def vmf_loss(
-    features: np.ndarray, Q: np.ndarray, theta: MoVMFParams
+    V: np.ndarray, norms: np.ndarray, Q: np.ndarray, theta: MoVMFParams
 ) -> tuple[float, np.ndarray]:
     """Spherical alignment loss: the exact negation of ``movmf_objective``
     evaluated on the row-normalized features.
 
-    Takes the pre-normalization features so the gradient can flow through
-    v = f / ||f||; Q and the mixture parameters are constants. A zero
-    feature row has no direction: it scores log(alpha) and gets no gradient.
+    Takes the features as ``movmf.unit_rows`` splits them, unit rows V and
+    norms, so the gradient, wrt the features, flows through v = f / ||f||;
+    Q and the mixture parameters are constants. A zero feature row has no
+    direction: it scores log(alpha) and gets no gradient.
     """
-    V, norms = unit_rows(features)
     value = -movmf_objective(V, Q, theta)
     # dL/dv_i = -kappa * sum_c q_ic u_c, then project through normalization
     g = -theta.kappa * (np.asarray(Q, dtype=np.float64) @ theta.means)
@@ -95,20 +95,20 @@ def dis_loss(means: np.ndarray) -> float:
 
 
 def dis_loss_through_means(
-    features: np.ndarray, Q: np.ndarray, means: np.ndarray
+    V: np.ndarray, feat_norms: np.ndarray, Q: np.ndarray, means: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Discriminative loss with means recomputed inside the loss graph.
 
-    Each mean is the Q-weighted normalized sum of the normalized features
-    (Q constant), so the gradient reaches the raw features through the
-    mean directions. A cluster whose weighted sum vanished, such as an
-    empty hard-EM cluster, keeps its row of the fit's (k, d) unit
-    ``means``, as the EM's M step does, and that row is a constant that
-    passes no gradient. Returns (value, gradient wrt features).
+    Each mean is the Q-weighted normalized sum of the normalized features,
+    given as ``movmf.unit_rows`` splits them (unit rows V and norms), with
+    Q constant, so the gradient reaches the raw features through the mean
+    directions. A cluster whose weighted sum vanished, such as an empty
+    hard-EM cluster, keeps its row of the fit's (k, d) unit ``means``, as
+    the EM's M step does, and that row is a constant that passes no
+    gradient. Returns (value, gradient wrt features).
     """
     Q = np.asarray(Q, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
-    V, feat_norms = unit_rows(features)
     if Q.ndim != 2 or Q.shape[0] != V.shape[0] or means.shape != (Q.shape[1], V.shape[1]):
         raise DimensionMismatch(f"posterior {Q.shape}, means {means.shape}, features {V.shape}")
     U, sum_norms = unit_rows(Q.T @ V)

@@ -24,16 +24,24 @@ point-major (n, k) form (the (n, k) scores, then the row softmax):
   order. ``means @ V.T`` and ``P @ V`` are not used: with OpenBLAS they
   differ in the last bit for some shapes;
 - the sum over the k rows adds them in the order numpy adds the k
-  entries of one row (``Q.sum(axis=1)``): left to right below 8 rows;
-  from 8 to 128 rows, eight strided accumulators r_j (rows j, j+8, ...)
-  combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
-  rows one by one; above 128 rows, numpy's pairwise split;
+  entries of one row (``Q.sum(axis=1)``): left to right below 8 rows,
+  as ``np.add.reduce(P, axis=0)`` adds them; from 8 to 128 rows, eight
+  strided accumulators r_j (rows j, j+8, ...) combined as
+  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover rows one by
+  one; above 128 rows, numpy's pairwise split;
 - the M step reads the posterior back in the (n, k) layout, so ``Q.T @ V``
   is the same BLAS call, and the weights are column sums taken point
   after point, as ``Q.mean(axis=0)`` takes them (``np.einsum("ic->c",
   Q)``). The GMM variance numerators are ``(q * sq).sum(axis=0)`` with
   the product in a buffer: ``np.einsum("ic,ic->c", q, sq)`` is not
   bitwise equal to it.
+
+The loop iterates on raw arrays: weights, means and, for the GMM,
+variances. Its (n, k) and (k, n) buffers are allocated once per fit, and
+hard EM writes its one-hot posterior into the (n, k) one. ``MoVMFParams`` or
+``baselines.GMMParams`` is built, and validated, once, when the fit
+returns. The only check inside the loop is the E step's: all-zero or nan
+weights raise ``DegenerateRow``.
 """
 
 from __future__ import annotations
@@ -190,10 +198,7 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
     pairwise sum adds the k entries of one row of the (n, k) transpose."""
     k = P.shape[0]
     if k < 8:
-        s = P[0].copy()
-        for c in range(1, k):
-            s += P[c]
-        return s
+        return np.add.reduce(P, axis=0)   # row after row, as numpy adds < 8 entries
     if k > 128:
         half = k // 2
         half -= half % 8
@@ -218,6 +223,12 @@ def _blocks(n: int):
     """Slices of ``_BLOCK`` points covering n: a (n, k) -> (k, n) transpose
     taken one block at a time stays in cache."""
     return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    """log of the mixture weights, -inf at a zero weight without numpy's
+    divide warning; a nan weight stays nan."""
+    return np.log(weights, out=np.full(weights.shape, -np.inf), where=weights != 0)
 
 
 def _softmax_columns(P: np.ndarray) -> np.ndarray:
@@ -246,13 +257,12 @@ def _posterior_kn(
     kappa = 0 every column equals the (renormalized) weights exactly.
     """
     total = float(alphas.sum())
-    if not np.any(alphas > 0) or total <= 0:
+    if not (alphas > 0).any() or total <= 0:
         raise DegenerateRow("all mixture weights are zero")
     if kappa == 0.0:
         out[...] = (alphas / total)[:, None]
         return out
-    with np.errstate(divide="ignore"):
-        log_alphas = np.log(alphas)[:, None]
+    log_alphas = _log_weights(alphas)[:, None]
     S = _scores(V, means, kappa, out=scratch)
     for b in _blocks(S.shape[0]):
         np.add(S[b].T, log_alphas, out=out[:, b])
@@ -293,26 +303,30 @@ def one_hot(labels: np.ndarray, num_clusters: int) -> np.ndarray:
     return out
 
 
-def _run_em(params, e_step, m_step, cfg: EMConfig) -> EMResult:
+def _run_em(state, e_step, m_step, build, cfg: EMConfig) -> EMResult:
     """The one EM loop of soft and hard moVMF and ``baselines.gmm_em``.
-    ``e_step(params)`` returns the (n, k) posterior; ``m_step(Q, params)``,
-    which may overwrite Q, returns the next params, the shift of the means
-    and the indices of the held clusters. The loop stops after
-    ``cfg.max_iters`` M steps or at a shift below ``cfg.tol`` and returns
-    the E step at the last params with its row argmax."""
-    held: set[int] = set()
+
+    ``state`` is the tuple of raw arrays a fit iterates on (weights and
+    means, and for the GMM the variances). ``e_step(state)`` returns the
+    (n, k) posterior; ``m_step(Q, state)``, which may overwrite Q, returns
+    the next state, the shift of the means and the (k,) mask of the clusters
+    it held. ``build(state)`` makes the validated params, once, when the
+    loop ends. The loop stops after ``cfg.max_iters`` M steps or at a shift
+    below ``cfg.tol`` and returns the E step at the last state with its row
+    argmax."""
+    held = np.False_
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
-        params, shift, degenerate = m_step(e_step(params), params)
-        held.update(degenerate.tolist())
+        state, shift, dead = m_step(e_step(state), state)
+        held = held | dead
         iterations += 1
         if shift < cfg.tol:
             converged = True
             break
-    Q = e_step(params)
-    return EMResult(Q, np.argmax(Q, axis=1), params, iterations, converged,
-                    tuple(sorted(held)))
+    Q = e_step(state)
+    return EMResult(Q, np.argmax(Q, axis=1), build(state), iterations, converged,
+                    tuple(np.flatnonzero(held).tolist()))
 
 
 def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool) -> EMResult:
@@ -327,32 +341,42 @@ def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool) 
     _check_unit_rows(init_means, "init means")
 
     n, k = V.shape[0], init_means.shape[0]
-    Q = np.empty((n, k))   # the scores, then the soft posterior
+    kappa = cfg.kappa
+    Q = np.empty((n, k))   # the scores, then the posterior the M step reads
     P = np.empty((k, n))   # the posterior, cluster-major
+    if hard:
+        flat_Q = Q.reshape(-1)
+        row_starts = np.arange(0, n * k, k)   # where each point's row of Q starts
 
-    def e_step(theta: MoVMFParams) -> np.ndarray:
-        _posterior_kn(V, theta.means, theta.kappa, theta.alphas, Q, P)
+    def e_step(state) -> np.ndarray:
+        alphas, means = state
+        _posterior_kn(V, means, kappa, alphas, Q, P)
         if hard:
-            return one_hot(np.argmax(P, axis=0), k)
-        np.copyto(Q, P.T)
+            # one_hot into Q; numpy's argmax takes the first nan of a column
+            Q.fill(0.0)
+            flat_Q[row_starts + np.argmax(P, axis=0)] = 1.0
+        else:
+            np.copyto(Q, P.T)
         return Q
 
-    def m_step(Q: np.ndarray, theta: MoVMFParams):
+    def m_step(Q: np.ndarray, state):
         # alpha_c is the mean posterior mass (summed point after point),
         # renormalized to sum to 1 exactly; u_c the normalized Q-weighted
         # sum, held where its norm is <= 1e-12; the shift is the largest
         # rotation, 1 - cos(angle)
+        prev = state[1]
         alphas = np.einsum("ic->c", Q) / n
         sums = Q.T @ V
-        norms = np.linalg.norm(sums, axis=1)
-        means = theta.means.copy()
-        ok = norms > ZERO_NORM
-        means[ok] = sums[ok] / norms[ok, None]
-        shift = float(np.max(1.0 - np.einsum("cd,cd->c", means, theta.means)))
-        return (MoVMFParams(alphas / alphas.sum(), theta.kappa, means), shift,
-                np.flatnonzero(norms <= ZERO_NORM))
+        norms = np.sqrt(np.add.reduce(sums * sums, axis=1))   # np.linalg.norm's sum
+        means = np.divide(sums, norms[:, None], out=prev.copy(),
+                          where=(norms > ZERO_NORM)[:, None])
+        # 1 - x rounds monotonically, so the largest 1 - cos is 1 - the least cos
+        shift = 1.0 - float(np.einsum("cd,cd->c", means, prev).min())
+        alphas /= alphas.sum()
+        return (alphas, means), shift, norms <= ZERO_NORM
 
-    return _run_em(MoVMFParams(np.full(k, 1.0 / k), cfg.kappa, init_means), e_step, m_step, cfg)
+    return _run_em((np.full(k, 1.0 / k), init_means), e_step, m_step,
+                   lambda state: MoVMFParams(state[0], kappa, state[1]), cfg)
 
 
 def soft_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:

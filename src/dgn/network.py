@@ -6,6 +6,10 @@ with no activation so the feature space keeps its orientation. Logits are
 positive scaling of the feature vector. Forward/backward are written by
 hand; all arithmetic is float64.
 
+Adam keeps each of its two moments as one flat vector over
+``ModelParams.tensors``, so an update is one pass of elementwise ops over
+all parameters rather than one pass per tensor (``AdamState``).
+
 Forward and backward write their per-point arrays into a ``Workspace``
 instead of allocating them. Aliasing rule: a ``ForwardCache`` built on a
 shared workspace is valid until the next ``forward`` on that workspace,
@@ -270,16 +274,30 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """Adam's step count and its first and second moments, each one flat
+    vector over ``ModelParams.tensors`` in order, raveled row-major."""
 
     step: int
-    means: tuple[np.ndarray, ...]
-    variances: tuple[np.ndarray, ...]
+    means: np.ndarray
+    variances: np.ndarray
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    flat = params.tensors
-    return AdamState(0, tuple(map(np.zeros_like, flat)), tuple(map(np.zeros_like, flat)))
+    size = sum(t.size for t in params.tensors)
+    return AdamState(0, np.zeros(size), np.zeros(size))
+
+
+def _flat(tensors) -> np.ndarray:
+    return np.concatenate([t.ravel() for t in tensors])
+
+
+def _split(flat: np.ndarray, like) -> list[np.ndarray]:
+    """Views of ``flat`` shaped as the tensors of ``like``, in order."""
+    out, start = [], 0
+    for t in like:
+        out.append(flat[start:start + t.size].reshape(t.shape))
+        start += t.size
+    return out
 
 
 def adam_step(
@@ -288,24 +306,27 @@ def adam_step(
     """One Adam update. The per-parameter step is normalized by the
     gradient's running scale as a whole, not per loss term: the sum-form
     alignment losses still outweigh the mean-form supervised loss inside
-    that gradient, and one learning rate does not undo that."""
+    that gradient, and one learning rate does not undo that.
+
+    Every operation is elementwise, so one pass over the flat parameter,
+    gradient and moment vectors gives each entry the bits a pass per
+    tensor would; the new tensors are views of the new flat vector."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     flat_p, flat_g = params.tensors, grads.tensors
     _check_grad_shapes(flat_p, flat_g)
+    p, g = _flat(flat_p), _flat(flat_g)
+    if state.means.shape != p.shape or state.variances.shape != p.shape:
+        raise ShapeMismatch(
+            f"Adam moments {state.means.shape}/{state.variances.shape} != parameters {p.shape}"
+        )
     t = state.step + 1
-    new_p: list[np.ndarray] = []
-    new_m: list[np.ndarray] = []
-    new_v: list[np.ndarray] = []
-    for p, g, m, v in zip(flat_p, flat_g, state.means, state.variances):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        new_m.append(m)
-        new_v.append(v)
-    return ModelParams.from_tensors(new_p), AdamState(t, tuple(new_m), tuple(new_v))
+    m = ADAM_BETA1 * state.means + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.variances + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return ModelParams.from_tensors(_split(p, flat_p)), AdamState(t, m, v)
 
 
 def _pack_matrix(arr: np.ndarray) -> bytes:

@@ -12,6 +12,7 @@ Inference uses only the segment head (never the clustering stage).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,24 +157,26 @@ def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
     return movmf.EMConfig(max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa)
 
 
-# One fit per mixture family: (features, labels, bank, cfg) -> (EM result,
-# unit mean directions for the bank, alignment loss). The result carries the
-# posterior, the fitted params the loss takes, and the EM diagnostics. Layer
-# functions are looked up at call time, so a wrapped binding is the one called.
+# One fit per mixture family: (features, their unit rows and norms, labels,
+# bank, cfg) -> (EM result, unit mean directions for the bank, alignment
+# loss of (posterior, params)). The result carries the posterior, the fitted
+# params the loss takes, and the EM diagnostics. Layer functions are looked
+# up at call time, so a wrapped binding is the one called.
 
-def _fit_movmf(features, labels, prototype_bank, cfg):
-    V, _ = movmf.unit_rows(features)
+def _fit_movmf(features, unit, labels, prototype_bank, cfg):
+    V = unit[0]
     centers = bank_mod.init_centers(V, labels, prototype_bank, seed=cfg.seed)
     run = movmf.hard_movmf_em if cfg.alignment == "hard" else movmf.soft_movmf_em
     result = run(V, centers.centers, _em_config(cfg))
-    return result, result.params.means, losses.vmf_loss
+    return result, result.params.means, functools.partial(losses.vmf_loss, *unit)
 
 
-def _fit_gmm(features, labels, prototype_bank, cfg):
+def _fit_gmm(features, unit, labels, prototype_bank, cfg):
     init = bank_mod.euclidean_init_means(features, labels, prototype_bank, cfg.seed)
     result = baselines.gmm_em(features, init, _em_config(cfg))
     # the Euclidean counterpart of the spherical alignment loss
-    return result, movmf.unit_rows(result.params.means)[0], baselines.gmm_nll_loss
+    return (result, movmf.unit_rows(result.params.means)[0],
+            functools.partial(baselines.gmm_nll_loss, features))
 
 
 _FITS = {**dict.fromkeys(MOVMF_ALIGNMENTS, _fit_movmf), "gmm": _fit_gmm}
@@ -192,8 +195,10 @@ def train_step(
     """One forward/cluster/backward/update cycle on a single scene.
 
     ``workspace`` holds the network's per-point arrays and ``opt_state``
-    Adam's moments; each starts fresh when omitted. A diverging step raises
-    NonFiniteOutput in the forward or FloatingPointError after it.
+    Adam's moments; each starts fresh when omitted. The features are
+    normalized once per aligned step, for the fit and the losses alike. A
+    diverging step raises NonFiniteOutput in the forward or
+    FloatingPointError after it.
     """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
@@ -210,17 +215,18 @@ def train_step(
         d_logits += network.softmax_backward(d_prob, cache.probs)
 
     if epoch >= cfg.warmup_epochs and (cfg.use_vmf or cfg.use_dis or cfg.use_con):
+        unit = movmf.unit_rows(cache.features)
         result, means, align_loss = _FITS[cfg.alignment](
-            cache.features, labels, prototype_bank, cfg
+            cache.features, unit, labels, prototype_bank, cfg
         )
         Q = result.posterior
         em_iters = result.iterations
         degenerate = len(result.degenerate)
         if cfg.use_vmf:
-            vmf_val, grad = align_loss(cache.features, Q, result.params)
+            vmf_val, grad = align_loss(Q, result.params)
             d_features += grad
         if cfg.use_dis:
-            dis_val, grad = losses.dis_loss_through_means(cache.features, Q, means)
+            dis_val, grad = losses.dis_loss_through_means(*unit, Q, means)
             d_features += grad
         if cfg.use_con:
             con_val, grad = losses.con_loss(cache.probs, Q)
@@ -351,7 +357,9 @@ def explain(
     if prototype_bank is None:
         prototype_bank = bank_mod.empty_bank(scene.num_classes, params.feature_dim)
     try:
-        result, _, _ = _FITS[cfg.alignment](cache.features, scene.sparse, prototype_bank, cfg)
+        unit = movmf.unit_rows(cache.features)
+        result, _, _ = _FITS[cfg.alignment](cache.features, unit, scene.sparse,
+                                            prototype_bank, cfg)
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the scene's features overflow in clustering: {exc}") from None
     return result.posterior

@@ -617,7 +617,7 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
     sparse = data.SparseLabels(np.flatnonzero(keep), labels[keep])
     cfg = trainer.TrainConfig(alignment=variant, seed=2, **em)
     fresh = bank_mod.empty_bank(3, X.shape[1])
-    result, _, _ = trainer._FITS[variant](X, sparse, fresh, cfg)
+    result, _, _ = trainer._FITS[variant](X, movmf.unit_rows(X), sparse, fresh, cfg)
     assert result.iterations == iters
     assert np.array_equal(written[0].view(np.uint64), result.posterior.view(np.uint64))
     assignments = (tmp_path / "out.assignments").read_text().split()

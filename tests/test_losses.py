@@ -157,14 +157,14 @@ def _theta(alphas, kappa, means):
 def test_vmf_loss_single_aligned_cluster():
     f = np.array([[2.0, 0.0, 0.0]])  # normalizes onto the mean direction
     theta = _theta([1.0], 10.0, [[1.0, 0.0, 0.0]])
-    value, _ = losses.vmf_loss(f, np.array([[1.0]]), theta)
+    value, _ = losses.vmf_loss(*movmf.unit_rows(f), np.array([[1.0]]), theta)
     assert value == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_vmf_loss_hand_derived():
     f = np.array([[3.0, 0.0]])
     theta = _theta([0.5, 0.5], 10.0, [[1.0, 0.0], [-1.0, 0.0]])
-    value, _ = losses.vmf_loss(f, np.full((1, 2), 0.5), theta)
+    value, _ = losses.vmf_loss(*movmf.unit_rows(f), np.full((1, 2), 0.5), theta)
     assert value == pytest.approx(-math.log(0.5), abs=1e-12)
     assert value == pytest.approx(0.69315, abs=1e-5)
 
@@ -173,7 +173,7 @@ def test_vmf_loss_is_exact_negation_of_objective(rng):
     F = rng.standard_normal((25, 6)) * 2.0
     theta = _theta(rng.dirichlet(np.ones(3)), 12.0, random_unit_rows(rng, 3, 6))
     Q = rng.dirichlet(np.ones(3), size=25)
-    value, _ = losses.vmf_loss(F, Q, theta)
+    value, _ = losses.vmf_loss(*movmf.unit_rows(F), Q, theta)
     assert value == -movmf.movmf_objective(movmf.normalize_rows(F), Q, theta)
 
 
@@ -184,14 +184,14 @@ def test_vmf_gradient_through_normalization(seed):
     F = rng.standard_normal((n, d)) * 1.5 + 0.2
     theta = _theta(rng.dirichlet(np.ones(k)), 9.0, random_unit_rows(rng, k, d))
     Q = rng.dirichlet(np.ones(k), size=n)
-    _, grad = losses.vmf_loss(F, Q, theta)
+    _, grad = losses.vmf_loss(*movmf.unit_rows(F), Q, theta)
     step = 1e-5
     for _ in range(15):
         i, j = rng.integers(n), rng.integers(d)
         plus = F.copy(); plus[i, j] += step
         minus = F.copy(); minus[i, j] -= step
-        fd = (losses.vmf_loss(plus, Q, theta)[0]
-              - losses.vmf_loss(minus, Q, theta)[0]) / (2 * step)
+        fd = (losses.vmf_loss(*movmf.unit_rows(plus), Q, theta)[0]
+              - losses.vmf_loss(*movmf.unit_rows(minus), Q, theta)[0]) / (2 * step)
         denom = max(abs(fd), abs(grad[i, j]), 1e-8)
         assert abs(fd - grad[i, j]) / denom < 1e-5
 
@@ -251,13 +251,13 @@ def test_dis_through_means_gradient(seed):
     empty[:, 1] = 0.0
     empty /= empty.sum(axis=1, keepdims=True)
     for Q, held in ((live, []), (empty, [1])):
-        value, grad = losses.dis_loss_through_means(F, Q, means)
+        value, grad = losses.dis_loss_through_means(*movmf.unit_rows(F), Q, means)
         expected = _unit_weighted_sums(F, np.delete(Q, held, axis=1))
         expected = np.insert(expected, held[0], means[held], axis=0) if held else expected
         assert value == pytest.approx(losses.dis_loss(expected), abs=1e-12)
 
         def value_at(feats):
-            return losses.dis_loss_through_means(feats, Q, means)[0]
+            return losses.dis_loss_through_means(*movmf.unit_rows(feats), Q, means)[0]
 
         step = 1e-5
         for _ in range(15):
@@ -276,7 +276,7 @@ def test_dis_through_means_cancelled_cluster_passes_nothing():
     F = np.array([[1.0, 0.2], [0.1, 1.0], [0.0, 2.0], [0.0, -2.0]])
     Q = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     means = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
-    value, grad = losses.dis_loss_through_means(F, Q, means)
+    value, grad = losses.dis_loss_through_means(*movmf.unit_rows(F), Q, means)
     held = np.vstack([_unit_weighted_sums(F[:2], Q[:2, :2]), means[2:]])
     assert value == pytest.approx(losses.dis_loss(held), abs=1e-12)
     np.testing.assert_array_equal(grad[2:], 0.0)
@@ -290,9 +290,9 @@ def test_zero_feature_row_has_finite_value_and_zero_gradient(rng, loss):
     Q = rng.dirichlet(np.ones(3), size=6)
     theta = _theta(rng.dirichlet(np.ones(3)), 10.0, random_unit_rows(rng, 3, 4))
     if loss == "vmf":
-        value, grad = losses.vmf_loss(F, Q, theta)
+        value, grad = losses.vmf_loss(*movmf.unit_rows(F), Q, theta)
     else:
-        value, grad = losses.dis_loss_through_means(F, Q, theta.means)
+        value, grad = losses.dis_loss_through_means(*movmf.unit_rows(F), Q, theta.means)
     assert math.isfinite(value) and np.all(np.isfinite(grad))
     np.testing.assert_array_equal(grad[2], 0.0)
     assert np.all(np.any(grad[[0, 1, 3, 4, 5]] != 0.0, axis=1))

@@ -627,6 +627,27 @@ def test_every_fit_keeps_the_contract_of_the_one_em_loop(fit):
     assert fit(V, init, movmf.EMConfig(3, 0.0, kappa)).degenerate == ()
 
 
+@pytest.mark.parametrize("fit, params_type", [
+    (movmf.soft_movmf_em, movmf.MoVMFParams),
+    (movmf.hard_movmf_em, movmf.MoVMFParams),
+    (baselines.gmm_em, baselines.GMMParams),
+], ids=["soft", "hard", "gmm"])
+def test_every_fit_builds_its_params_once(monkeypatch, fit, params_type):
+    # the loop iterates on raw arrays; the params are validated when it ends
+    built = []
+    check = params_type.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(params_type, "__post_init__", counted)
+    V, init = _clustered(6, 300, 4, 5)
+    result = fit(V, init, movmf.EMConfig(5, 0.0, 10.0))
+    assert result.iterations == 5
+    assert len(built) == 1 and built[0] is result.params
+
+
 @pytest.mark.parametrize("k", [*range(1, 41), 127, 128, 129, 136, 257, 1000])
 def test_sum_rows_adds_in_the_order_of_a_numpy_row_sum(k):
     # magnitudes 1e-12 to 1e12, so any other order changes the last bits

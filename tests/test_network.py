@@ -259,6 +259,58 @@ def test_sgd_rejects_nonpositive_lr():
         network.sgd_step(params, params, 0.0)
 
 
+# ---------------------------------------------------------------------------
+# adam
+
+def reference_adam_step(params, grads, step, means, variances, lr):
+    """The per-tensor Adam update, one pass of the elementwise ops per
+    tensor with one pair of moment arrays per tensor: the oracle of the one
+    pass over flat vectors."""
+    t = step + 1
+    new_p, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params.tensors, grads.tensors, means, variances, strict=True):
+        m = network.ADAM_BETA1 * m + (1.0 - network.ADAM_BETA1) * g
+        v = network.ADAM_BETA2 * v + (1.0 - network.ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - network.ADAM_BETA1**t)
+        v_hat = v / (1.0 - network.ADAM_BETA2**t)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + network.ADAM_EPS))
+        new_m.append(m)
+        new_v.append(v)
+    return network.ModelParams.from_tensors(new_p), new_m, new_v
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_adam_step_is_bitwise_the_per_tensor_update(rng):
+    params = network.init_params([5, 6, 4, 3], 4, seed=2)
+    state = network.init_adam_state(params)
+    want = params
+    means = [np.zeros_like(t) for t in params.tensors]
+    variances = [np.zeros_like(t) for t in params.tensors]
+    for step in range(4):
+        tensors = [rng.standard_normal(t.shape) * 10.0 ** rng.integers(-8, 8, size=t.shape)
+                   for t in params.tensors]
+        tensors[0][0, 0] = 0.0      # a zero gradient entry
+        tensors[-1][-1, -1] = 1e150  # its square is still finite
+        grads = network.ModelParams.from_tensors(tensors)
+        params, state = network.adam_step(params, grads, state, 0.003)
+        want, means, variances = reference_adam_step(want, grads, step, means, variances, 0.003)
+        assert state.step == step + 1
+        for got, expected in zip(params.tensors, want.tensors, strict=True):
+            assert _same_bits(got, expected)
+        assert _same_bits(state.means, np.concatenate([m.ravel() for m in means]))
+        assert _same_bits(state.variances, np.concatenate([v.ravel() for v in variances]))
+
+
+def test_adam_step_rejects_moments_of_other_parameters():
+    params = network.init_params([2, 3], 2, seed=0)
+    other = network.init_adam_state(network.init_params([2, 4], 2, seed=0))
+    with pytest.raises(ShapeMismatch):
+        network.adam_step(params, params, other, 0.1)
+
+
 def test_init_params_deterministic_and_scaled():
     a = network.init_params([7, 32, 16], 4, seed=42)
     b = network.init_params([7, 32, 16], 4, seed=42)
