@@ -252,12 +252,10 @@ def with_sparse(scene: SceneBatch, sparse: SparseLabels) -> SceneBatch:
     return dataclasses.replace(scene, sparse=sparse)
 
 
-def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> IoUReport:
-    """Mean intersection-over-union between predicted and true classes.
-
-    Per class: IoU = TP / (TP + FP + FN). Classes missing from both pred
-    and gt are excluded; classes predicted but absent from gt count as 0.
-    """
+def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
+    """The (num_classes, num_classes) count of points by true class (row)
+    and predicted class (column). Counts of several batches add up to the
+    count of their concatenation."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape or pred.ndim != 1:
@@ -267,17 +265,30 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> IoUReport:
     for name, arr in (("pred", pred), ("gt", gt)):
         if np.any(arr < 0) or np.any(arr >= num_classes):
             raise DimensionMismatch(f"{name} contains invalid class indices")
-    confusion = np.bincount(
+    return np.bincount(
         gt * num_classes + pred, minlength=num_classes * num_classes
     ).reshape(num_classes, num_classes)
-    tp = np.diag(confusion).astype(np.float64)
-    fp = confusion.sum(axis=0) - tp
-    fn = confusion.sum(axis=1) - tp
+
+
+def iou_from_confusion(counts: np.ndarray) -> IoUReport:
+    """Per-class IoU = TP / (TP + FP + FN) and their mean, from a nonzero
+    ``confusion`` count. Classes missing from both prediction and truth
+    are excluded; classes predicted but absent from the truth count as 0."""
+    num_classes = counts.shape[0]
+    tp = np.diag(counts).astype(np.float64)
+    fp = counts.sum(axis=0) - tp
+    fn = counts.sum(axis=1) - tp
     denom = tp + fp + fn
     present = denom > 0
     per_class = np.full(num_classes, np.nan)
     per_class[present] = tp[present] / denom[present]
     return IoUReport(per_class, present, float(np.mean(per_class[present])))
+
+
+def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> IoUReport:
+    """Mean intersection-over-union between predicted and true classes:
+    ``iou_from_confusion`` of their ``confusion`` count."""
+    return iou_from_confusion(confusion(pred, gt, num_classes))
 
 
 def _format_rows(matrix: np.ndarray, row_format: str) -> str:

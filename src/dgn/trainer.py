@@ -20,7 +20,8 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
-from .data import SceneBatch, integer, miou, real, sample_sparse_labels, with_sparse
+from .data import (SceneBatch, confusion, integer, iou_from_confusion, miou, real,
+                   sample_sparse_labels, with_sparse)
 from .errors import DimensionMismatch, InvalidGrid, NonFiniteOutput
 from .workers import ordered_map
 
@@ -35,7 +36,9 @@ class TrainConfig:
     operating point: ``movmf.EMConfig``'s EM settings, beta 0.8. ``fit``
     draws each training scene's labels at ``label_rate`` from its dense
     ground truth and ignores the scene's ``sparse`` trailer, which only
-    ``explain`` reads.
+    ``explain`` reads. The last ``val_fraction`` of the scenes is held out:
+    ``fit`` scores its ``val_miou`` after each epoch, while ``train_miou``
+    is the head mIoU of the epoch's own steps, each before its update.
 
     ``alignment`` picks the mixture fitted to each scene's features after
     warmup: a moVMF (spherical, shared concentration ``kappa``) by ``soft``
@@ -112,8 +115,11 @@ class StepReport:
 
 @dataclass(frozen=True)
 class EpochReport:
-    """One epoch in report.txt line order: the steps' mean losses, the
-    head-only mIoU after the epoch, and the steps' summed EM counts."""
+    """One epoch in report.txt line order: the steps' mean losses; the
+    head mIoU of the epoch's steps (``train_miou``: each step's own
+    forward, before its update, counted over all training scenes) and of
+    the validation scenes after the epoch (``val_miou``); and the steps'
+    summed EM counts."""
 
     epoch: int
     tce: float
@@ -135,6 +141,7 @@ class StepResult:
     params: network.ModelParams
     bank: bank_mod.MemoryBank
     report: StepReport
+    predictions: np.ndarray     # (n,) head argmax of the step's forward
     opt_state: network.AdamState | None = None
 
 
@@ -195,10 +202,11 @@ def train_step(
     """One forward/cluster/backward/update cycle on a single scene.
 
     ``workspace`` holds the network's per-point arrays and ``opt_state``
-    Adam's moments; each starts fresh when omitted. The features are
-    normalized once per aligned step, for the fit and the losses alike. A
-    diverging step raises NonFiniteOutput in the forward or
-    FloatingPointError after it.
+    Adam's moments; each starts fresh when omitted. The result's
+    ``predictions`` are the head's argmax from this step's forward, before
+    the update. The features are normalized once per aligned step, for the
+    fit and the losses alike. A diverging step raises NonFiniteOutput in
+    the forward or FloatingPointError after it.
     """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
@@ -238,6 +246,7 @@ def train_step(
 
     total = tce_val + vmf_val + dis_val + con_val
     report = StepReport(tce_val, vmf_val, dis_val, con_val, total, em_iters, degenerate)
+    predictions = np.argmax(cache.probs, axis=1)
     grads = network.backward(params, cache, d_features, d_logits, workspace)
     if cfg.optimizer == "adam":
         if opt_state is None:
@@ -245,7 +254,7 @@ def train_step(
         new_params, opt_state = network.adam_step(params, grads, opt_state, cfg.lr)
     else:
         new_params = network.sgd_step(params, grads, cfg.lr)
-    return StepResult(new_params, prototype_bank, report, opt_state)
+    return StepResult(new_params, prototype_bank, report, predictions, opt_state)
 
 
 def predict(
@@ -281,9 +290,13 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
 
     Sparse annotations are drawn once per scene up front at
     ``cfg.label_rate``; the first ``train_step`` creates Adam's moments.
-    Evaluation after each epoch scores head-only predictions (the
-    clustering stage is never run at inference). A diverging step or
-    evaluation ends the fit in NonFiniteOutput naming the epoch and scene.
+    Each epoch's ``train_miou`` comes from the steps' own forwards: their
+    head predictions, each before its step's update, are added into one
+    confusion count as they come. Only the validation scenes are forwarded
+    again, after the epoch, for ``val_miou``. Both score head-only
+    predictions (the clustering stage is never run at inference). A
+    diverging step or evaluation ends the fit in NonFiniteOutput naming
+    the epoch and scene.
     """
     dataset = list(dataset)
     if not dataset:
@@ -311,6 +324,7 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     for epoch in range(cfg.epochs):
         # += in step order, not sum(), whose rounding differs across Pythons
         sums = dict.fromkeys(_STEP_FIELDS, 0)
+        counts = np.zeros((num_classes, num_classes), dtype=np.int64)
         try:
             for i, scene in enumerate(train_scenes):
                 where = f"training scene {i}"
@@ -318,6 +332,7 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
                     scene, params, prototype_bank, cfg, epoch, opt_state, workspace
                 )
                 params, prototype_bank, opt_state = step.params, step.bank, step.opt_state
+                counts += confusion(step.predictions, scene.gt_labels, num_classes)
                 for name in sums:
                     sums[name] += getattr(step.report, name)
             where = "evaluation"
@@ -326,7 +341,7 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
             reports.append(
                 EpochReport(
                     epoch=epoch,
-                    train_miou=_eval_miou(params, train_scenes, workspace),
+                    train_miou=iou_from_confusion(counts).miou,
                     val_miou=_eval_miou(params, val_scenes, workspace),
                     **{k: v / n if isinstance(v, float) else v for k, v in sums.items()},
                 )

@@ -68,6 +68,45 @@ def test_train_step_workspace_is_bitwise_neutral(epoch):
     assert fresh.opt_state.step == shared.opt_state.step
     np.testing.assert_array_equal(fresh.opt_state.means, shared.opt_state.means)
     np.testing.assert_array_equal(fresh.opt_state.variances, shared.opt_state.variances)
+    np.testing.assert_array_equal(fresh.predictions, shared.predictions)
+
+
+def test_train_miou_is_the_head_miou_of_the_epochs_own_steps():
+    # fit's epochs replayed as a plain loop of train_step: train_miou is the
+    # mIoU of each step's head argmax before its update, over all training
+    # scenes; the losses, val_miou and the final parameters are fit's, bit
+    # for bit
+    scenes = _scenes()
+    cfg = _cfg()
+    result = trainer.fit(scenes, cfg)
+    train, val = trainer.split_dataset(scenes, cfg.val_fraction)
+    train = [data.with_sparse(s, data.sample_sparse_labels(s, cfg.label_rate,
+                                                           seed=cfg.seed + 7919 * i))
+             for i, s in enumerate(train)]
+    params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 3, seed=cfg.seed)
+    prototypes = bank_mod.empty_bank(3, cfg.feat_dim, cfg.bank_momentum)
+    opt = None
+    train_gt = np.concatenate([s.gt_labels for s in train])
+    val_gt = np.concatenate([s.gt_labels for s in val])
+    for epoch, report in enumerate(result.reports):
+        preds = []
+        sums = dict.fromkeys(("tce", "vmf", "dis", "con", "total", "em_iters", "degenerate"), 0)
+        for scene in train:
+            before = trainer.predict(params, scene)
+            step = trainer.train_step(scene, params, prototypes, cfg, epoch, opt)
+            np.testing.assert_array_equal(step.predictions, before)
+            preds.append(before)
+            params, prototypes, opt = step.params, step.bank, step.opt_state
+            for name in sums:
+                sums[name] += getattr(step.report, name)
+        assert report.train_miou == data.miou(np.concatenate(preds), train_gt, 3).miou
+        val_pred = np.concatenate([trainer.predict(params, s) for s in val])
+        assert report.val_miou == data.miou(val_pred, val_gt, 3).miou
+        for name in ("tce", "vmf", "dis", "con", "total"):
+            assert getattr(report, name) == sums[name] / len(train)
+        assert (report.em_iters, report.degenerate) == (sums["em_iters"], sums["degenerate"])
+    for x, y in zip(_param_arrays(params), _param_arrays(result.params), strict=True):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_predict_workspace_is_bitwise_neutral():
