@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import SparseLabels
 from .errors import DimensionMismatch
-from .movmf import ZERO_NORM, _has_unit_rows, unit_rows
+from .movmf import ZERO_NORM, _has_unit_rows
 
 PROVENANCE_SCENE = "scene_labeled"
 PROVENANCE_BANK = "bank"
@@ -100,13 +100,13 @@ def init_centers(
 
 
 def euclidean_init_means(
-    F: np.ndarray, labels: SparseLabels, bank: MemoryBank, seed: int = 0
+    F: np.ndarray, V: np.ndarray, labels: SparseLabels, bank: MemoryBank, seed: int = 0
 ) -> np.ndarray:
-    """Euclidean analogue of ``init_centers`` for the raw features F: the
-    labeled raw mean where a class has labels, else its ``init_centers``
-    direction (from the unit rows of F) scaled to the mean row norm of F."""
+    """Euclidean analogue of ``init_centers`` for the raw features F, whose
+    ``unit_rows`` are V: the labeled raw mean where a class has labels, else
+    its ``init_centers`` direction from V scaled to the mean row norm of F."""
     F = np.asarray(F, dtype=np.float64)
-    means = init_centers(unit_rows(F)[0], labels, bank, seed=seed).centers
+    means = init_centers(V, labels, bank, seed=seed).centers
     means *= float(np.mean(np.linalg.norm(F, axis=1)))
     for c in range(bank.num_classes):
         mask = labels.classes == c

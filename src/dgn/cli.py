@@ -3,11 +3,14 @@
 Subcommands: cluster, train, ablate, explain, gen-data, eval. Every
 command takes all randomness from --seed (or the config seed) and writes
 deterministic, diffable text tables (see ``dgn.data``). Exit codes: 0
-success, 2 parse or configuration errors, 3 dimension or data errors,
-running out of memory (say, for widths that cannot be allocated), a worker
-that dies (WorkerDied: say, killed for memory) and values that overflow
-(NonFiniteOutput: a diverged run, an overflowing checkpoint or a cluster
-matrix), 1 internal errors. Each error ends in one line on stderr.
+success, 2 parse or configuration errors (say, a checkpoint whose bank is
+not its head's shape, or an ablate grid that holds out no validation
+scene), 3 dimension or data errors (say, explaining a scene whose class
+count is not the checkpoint head's), running out of memory (say, for
+widths that cannot be allocated), a worker that dies (WorkerDied: say,
+killed for memory) and values that overflow (NonFiniteOutput: a diverged
+run, an overflowing checkpoint or a cluster matrix), 1 internal errors.
+Each error ends in one line on stderr.
 
 gen-data (one task per scene) and ablate (one task per fit) run their
 tasks in forked workers, one per CPU in the process's affinity mask, and
@@ -122,7 +125,8 @@ def cmd_cluster(args) -> int:
         raise DimensionMismatch("label file contains classes outside [-1, --classes)")
 
     # the Euclidean variants work on the raw rows, the others on unit rows; init:
-    # k-means++ seeding without labels, labeled means with them
+    # k-means++ seeding without labels, with them the labeled init of trainer._init
+    # (proto-euclid takes gmm's, proto-cosine soft's)
     euclidean = args.variant in ("gmm", "proto-euclid")
     try:
         with np.errstate(over="raise", invalid="raise"):  # as in trainer.train_step
@@ -134,22 +138,17 @@ def cmd_cluster(args) -> int:
             else:
                 keep = labels >= 0
                 sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
-                fresh = bank_mod.empty_bank(k, X.shape[1], 0.9)
-                if euclidean:
-                    init = bank_mod.euclidean_init_means(rows, sparse, fresh, seed=args.seed)
-                else:
-                    init = bank_mod.init_centers(rows, sparse, fresh, seed=args.seed).centers
+                V = movmf.unit_rows(X)[0] if euclidean else rows
+                init = trainer._init("gmm" if euclidean else "soft", X, V, sparse,
+                                     bank_mod.empty_bank(k, X.shape[1], 0.9), args.seed)
 
             if args.variant.startswith("proto-"):
                 metric = "euclidean" if euclidean else "cosine"
                 assignment = baselines.prototype_assign(X, init, metric)
                 posterior = movmf.one_hot(assignment, k)
             else:
-                if args.variant == "gmm":
-                    result = baselines.gmm_em(rows, init, cfg)
-                else:
-                    run = movmf.soft_movmf_em if args.variant == "soft" else movmf.hard_movmf_em
-                    result = run(rows, init, cfg)
+                # the family's EM reads the raw rows (gmm) or the unit rows
+                result = trainer._fit(args.variant, X, rows, init, cfg)[0]
                 assignment, posterior = result.assignment, result.posterior
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the matrix overflows in clustering: {exc}") from None

@@ -93,13 +93,16 @@ def normalize_rows(features: np.ndarray) -> np.ndarray:
     return V
 
 
+@np.errstate(over="ignore")  # a row too long to square has an inf norm
 def _has_unit_rows(rows: np.ndarray) -> bool:
     """Whether every row's norm is within ``UNIT_ATOL`` of 1. A nan or inf
-    row fails; a matrix with no rows passes."""
+    row fails, as does a finite row whose norm overflows; a matrix with no
+    rows passes."""
     norms = np.linalg.norm(rows, axis=1)
     return norms.size == 0 or float(np.max(np.abs(norms - 1.0))) <= UNIT_ATOL
 
 
+@np.errstate(over="ignore")  # as in _has_unit_rows
 def _check_unit_rows(mat: np.ndarray, what: str) -> None:
     if not _has_unit_rows(mat):
         norms = np.linalg.norm(mat, axis=1)

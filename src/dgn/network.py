@@ -25,6 +25,10 @@ Checkpoint container (binary, little-endian):
     f64     ModelParams.tensors in order: W_0 row-major, b_0, ..., head
     u8      bank flag (0 = absent)
     [u32 x2 bank shape, f64 momentum, u8 x k seen flags, f64 prototypes]
+
+The bank shape is the head shape (num_classes, feat_dim), and the bank
+holds what ``MemoryBank`` accepts: a checkpoint whose bank is not is a
+ParseError at the bank shape's offset.
 """
 
 from __future__ import annotations
@@ -391,11 +395,18 @@ def load_checkpoint(path: str) -> tuple[ModelParams, MemoryBank | None]:
     (flag,) = struct.unpack("<B", r.take(1))
     bank = None
     if flag == 1:
+        at = r.offset
         k, d = r.u32(2)
+        if (k, d) != head_shape:
+            raise ParseError(str(path), at,
+                             f"bank shape ({k}, {d}) is not the head's {head_shape}")
         (momentum,) = struct.unpack("<d", r.take(8))
         seen = np.frombuffer(r.take(k), dtype=np.uint8).astype(bool)
         protos = r.f64_array((k, d))
-        bank = MemoryBank(protos, seen, momentum)
+        try:
+            bank = MemoryBank(protos, seen, momentum)
+        except ValueError as exc:  # a momentum or a seen prototype out of range
+            raise ParseError(str(path), at, f"bad bank: {exc}") from None
     elif flag != 0:
         raise ParseError(str(path), r.offset, f"bad bank flag {flag}")
     if r.offset != len(blob):

@@ -12,7 +12,6 @@ Inference uses only the segment head (never the clustering stage).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -164,29 +163,30 @@ def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
     return movmf.EMConfig(max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa)
 
 
-# One fit per mixture family: (features, their unit rows and norms, labels,
-# bank, cfg) -> (EM result, unit mean directions for the bank, alignment
-# loss of (posterior, params)). The result carries the posterior, the fitted
-# params the loss takes, and the EM diagnostics. Layer functions are looked
-# up at call time, so a wrapped binding is the one called.
+# The one mixture-fit path of train_step, explain and `dgn cluster`: a family's
+# init, then its EM. Layer functions are looked up at call time, so a wrapped
+# binding is the one called.
 
-def _fit_movmf(features, unit, labels, prototype_bank, cfg):
-    V = unit[0]
-    centers = bank_mod.init_centers(V, labels, prototype_bank, seed=cfg.seed)
-    run = movmf.hard_movmf_em if cfg.alignment == "hard" else movmf.soft_movmf_em
-    result = run(V, centers.centers, _em_config(cfg))
-    return result, result.params.means, functools.partial(losses.vmf_loss, *unit)
+def _init(alignment, features, V, labels, prototype_bank, seed):
+    """The family's labeled/bank init from the features and their unit rows V."""
+    if alignment == "gmm":
+        return bank_mod.euclidean_init_means(features, V, labels, prototype_bank, seed)
+    return bank_mod.init_centers(V, labels, prototype_bank, seed=seed).centers
 
 
-def _fit_gmm(features, unit, labels, prototype_bank, cfg):
-    init = bank_mod.euclidean_init_means(features, labels, prototype_bank, cfg.seed)
-    result = baselines.gmm_em(features, init, _em_config(cfg))
-    # the Euclidean counterpart of the spherical alignment loss
-    return (result, movmf.unit_rows(result.params.means)[0],
-            functools.partial(baselines.gmm_nll_loss, features))
-
-
-_FITS = {**dict.fromkeys(MOVMF_ALIGNMENTS, _fit_movmf), "gmm": _fit_gmm}
+def _fit(alignment, features, V, init, em_cfg):
+    """The family's EM from ``init``, moVMF on V and gmm on ``features``: the
+    EM result, its unit mean directions for the bank, and the family's
+    alignment loss of (features, their ``unit_rows``, posterior, params)."""
+    if alignment == "gmm":
+        result = baselines.gmm_em(features, init, em_cfg)
+        # the Euclidean counterpart of the spherical alignment loss
+        return (result, movmf.unit_rows(result.params.means)[0],
+                lambda F, unit, Q, params: baselines.gmm_nll_loss(F, Q, params))
+    run = movmf.hard_movmf_em if alignment == "hard" else movmf.soft_movmf_em
+    result = run(V, init, em_cfg)
+    return (result, result.params.means,
+            lambda F, unit, Q, params: losses.vmf_loss(*unit, Q, params))
 
 
 @np.errstate(over="raise", invalid="raise")  # a diverging step stops at its first inf or nan
@@ -224,14 +224,14 @@ def train_step(
 
     if epoch >= cfg.warmup_epochs and (cfg.use_vmf or cfg.use_dis or cfg.use_con):
         unit = movmf.unit_rows(cache.features)
-        result, means, align_loss = _FITS[cfg.alignment](
-            cache.features, unit, labels, prototype_bank, cfg
-        )
+        init = _init(cfg.alignment, cache.features, unit[0], labels, prototype_bank, cfg.seed)
+        result, means, align_loss = _fit(cfg.alignment, cache.features, unit[0], init,
+                                         _em_config(cfg))
         Q = result.posterior
         em_iters = result.iterations
         degenerate = len(result.degenerate)
         if cfg.use_vmf:
-            vmf_val, grad = align_loss(Q, result.params)
+            vmf_val, grad = align_loss(cache.features, unit, Q, result.params)
             d_features += grad
         if cfg.use_dis:
             dis_val, grad = losses.dis_loss_through_means(*unit, Q, means)
@@ -365,16 +365,21 @@ def explain(
     their mean, one without from ``prototype_bank`` (the bank a
     checkpoint saved), and a class the bank has not seen from a seeded
     direction. Without a bank every unlabeled class takes that last path,
-    so its column need not line up with the head's class. Features or a
-    fit that overflow raise NonFiniteOutput.
+    so its column need not line up with the head's class. The posterior
+    has one column per class of the head: a scene whose class count is not
+    ``params.num_classes`` raises DimensionMismatch. Features or a fit that
+    overflow raise NonFiniteOutput.
     """
+    if scene.num_classes != params.num_classes:
+        raise DimensionMismatch(f"the scene has {scene.num_classes} classes but the "
+                                f"model's head has {params.num_classes}")
     cache = network.forward(params, scene.network_input())
     if prototype_bank is None:
-        prototype_bank = bank_mod.empty_bank(scene.num_classes, params.feature_dim)
+        prototype_bank = bank_mod.empty_bank(params.num_classes, params.feature_dim)
     try:
-        unit = movmf.unit_rows(cache.features)
-        result, _, _ = _FITS[cfg.alignment](cache.features, unit, scene.sparse,
-                                            prototype_bank, cfg)
+        V = movmf.unit_rows(cache.features)[0]
+        init = _init(cfg.alignment, cache.features, V, scene.sparse, prototype_bank, cfg.seed)
+        result = _fit(cfg.alignment, cache.features, V, init, _em_config(cfg))[0]
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the scene's features overflow in clustering: {exc}") from None
     return result.posterior
@@ -386,8 +391,10 @@ def ablate(dataset, base_cfg: TrainConfig, param: str, values, seeds=None):
     validation mIoU. Raises InvalidGrid for ``param`` as ``parse_sweep`` does.
 
     Every config is built before the first fit, so a value the config
-    rejects raises ValueError first. The fits run in forked workers through
-    ``workers.ordered_map`` and give the rows of one fit after another.
+    rejects raises ValueError first, as does a config whose ``val_fraction``
+    holds out no validation scene, which would score nan. The fits run in
+    forked workers through ``workers.ordered_map`` and give the rows of one
+    fit after another.
     """
     _check_sweep(param)
     if not values:
@@ -400,6 +407,10 @@ def ablate(dataset, base_cfg: TrainConfig, param: str, values, seeds=None):
         for value in values
         for seed in seeds
     ]
+    for cfg in cfgs:
+        if not split_dataset(dataset, cfg.val_fraction)[1]:
+            raise ValueError(f"val_fraction={cfg.val_fraction:g} holds out no validation "
+                             f"scene of {len(dataset)}; ablate scores val_miou")
     finals = ordered_map(lambda cfg: fit(dataset, cfg).reports[-1].val_miou, cfgs)
     rows = []
     for value, per_seed in zip(values, np.reshape(finals, (len(values), len(seeds)))):

@@ -1,7 +1,11 @@
 import multiprocessing
 import os
 
-import numpy as np
+# one BLAS thread, set before numpy loads: the two-CPU worker tests fork, and
+# forking a multi-threaded process is deprecated from Python 3.12
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 

@@ -91,6 +91,29 @@ def test_ablate_rejects_a_bad_value_before_any_fit(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenes, param, values, fraction", [
+    (1, "lr", "0.01", "0.2"), (3, "lr", "0.01", "0"), (3, "val_fraction", "0.5,0", "0"),
+], ids=["one-scene", "no-fraction", "swept-fraction"])
+def test_ablate_rejects_a_grid_without_a_validation_scene_before_any_fit(
+        tmp_path, capsys, monkeypatch, scenes, param, values, fraction):
+    # every cell would score nan; one CPU, so a fit would be counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    fits = []
+    real_fit = trainer.fit
+    monkeypatch.setattr(trainer, "fit", lambda *a: fits.append(a) or real_fit(*a))
+    _write_scenes(tmp_path, count=scenes)
+    (tmp_path / "base.cfg").write_text("epochs = 1\n" if param == "val_fraction"
+                                       else f"epochs = 1\nval_fraction = {fraction}\n")
+    out = tmp_path / "table.txt"
+    code = cli.main(["ablate", "--config", str(tmp_path / "base.cfg"), "--data", str(tmp_path),
+                     "--param", param, "--values", values, "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: val_fraction={fraction} holds out no "
+                                       f"validation scene of {scenes}; ablate scores val_miou\n")
+    assert fits == []
+    assert not out.exists()
+
+
 def test_ablate_reports_the_first_diverging_fit_as_one_line(tmp_path, capsys, cpus):
     # the second value diverges; its first seed's fit is the one reported
     assert cli.main(["gen-data", "--out", str(tmp_path / "d"), "--scenes", "4",
@@ -600,9 +623,10 @@ def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
 @pytest.mark.parametrize("iters", [0, 7])
 @pytest.mark.parametrize("variant", trainer.ALIGNMENTS)
 def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant, iters):
-    # `dgn cluster` and trainer._FITS dispatch the families separately: on the
-    # same rows, labels, empty bank, seed and EM settings they agree bit for
-    # bit, at the init (hard EM soon forgets it) and after EM
+    # `dgn cluster` fits through trainer._init and trainer._fit, the dispatch
+    # train_step and explain use: on the same rows, labels, empty bank, seed
+    # and EM settings the command writes the dispatch's fit bit for bit, at the
+    # init (hard EM soon forgets it) and after EM
     X, labels, args = _cluster_input(tmp_path, labeled=True)
     flags, em = ["--iters", str(iters), "--tol", "0"], {"em_iters": iters, "em_tol": 0.0}
     if variant in trainer.MOVMF_ALIGNMENTS:
@@ -617,11 +641,34 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
     sparse = data.SparseLabels(np.flatnonzero(keep), labels[keep])
     cfg = trainer.TrainConfig(alignment=variant, seed=2, **em)
     fresh = bank_mod.empty_bank(3, X.shape[1])
-    result, _, _ = trainer._FITS[variant](X, movmf.unit_rows(X), sparse, fresh, cfg)
+    V = movmf.unit_rows(X)[0]
+    init = trainer._init(variant, X, V, sparse, fresh, cfg.seed)
+    result = trainer._fit(variant, X, V, init, trainer._em_config(cfg))[0]
     assert result.iterations == iters
     assert np.array_equal(written[0].view(np.uint64), result.posterior.view(np.uint64))
     assignments = (tmp_path / "out.assignments").read_text().split()
     assert assignments == [str(c) for c in result.assignment.tolist()]
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
+def test_cluster_inits_and_fits_through_the_trainer_dispatch(tmp_path, monkeypatch, variant,
+                                                             labeled):
+    # labels take the family's init (proto-euclid gmm's, proto-cosine soft's),
+    # and every EM variant fits through trainer._fit
+    calls = []
+    for name in ("_init", "_fit"):
+        real = getattr(trainer, name)
+        monkeypatch.setattr(trainer, name, lambda family, *a, name=name, real=real:
+                            calls.append((name, family)) or real(family, *a))
+    _, _, args = _cluster_input(tmp_path, labeled)
+    code = cli.main(["cluster", *args, "--variant", variant,
+                     "--out-prefix", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    family = "gmm" if variant in ("gmm", "proto-euclid") else "soft"
+    inits = [("_init", family)] if labeled else []
+    fits = [("_fit", variant)] if variant in trainer.ALIGNMENTS else []
+    assert calls == inits + fits
 
 
 @pytest.mark.parametrize(
@@ -720,6 +767,65 @@ def test_explain_output_equals_per_value_writer(tmp_path):
         assert out.read_bytes() == _old_lines(_old_format_rows(posterior))
         posteriors.append(posterior)
     assert not np.array_equal(*posteriors)
+
+
+@pytest.mark.parametrize("classes", [3, 8])
+def test_explain_of_a_scene_whose_class_count_is_not_the_heads_exits_3(tmp_path, capsys,
+                                                                         classes):
+    # fewer classes than the head wrote a posterior column per head class,
+    # more failed deep in the init
+    _write_scenes(tmp_path, num_classes=classes)
+    ckpt = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(ckpt), network.init_params([7, 4], 6, seed=0))
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", str(tmp_path / "scene_000.dgn"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: the scene has {classes} classes but the model's head has 6\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 6)], ids=["classes", "dim"])
+def test_explain_of_a_checkpoint_whose_bank_is_not_the_heads_shape_exits_2(tmp_path, capsys,
+                                                                            shape):
+    _write_scenes(tmp_path, num_classes=3)
+    params = network.init_params([7, 4], 3, seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(ckpt), params)
+    at = ckpt.stat().st_size  # the bank shape follows the bank flag
+    network.save_checkpoint(str(ckpt), params, bank_mod.empty_bank(*shape))
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", str(tmp_path / "scene_000.dgn"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}:{at}: bank shape {shape} is not the head's (3, 4)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("momentum, scale, reason", [
+    (1.5, 1.0, "momentum must be in [0, 1)"),
+    (0.9, 2.0, "seen prototypes must have unit rows"),
+    (0.9, 1e300, "seen prototypes must have unit rows"),   # its norm overflows
+], ids=["momentum", "prototype", "huge-prototype"])
+def test_explain_of_a_checkpoint_whose_bank_is_out_of_range_exits_2(tmp_path, capsys,
+                                                                     momentum, scale, reason):
+    _write_scenes(tmp_path, num_classes=3)
+    params = network.init_params([7, 4], 3, seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(ckpt), params)
+    at = ckpt.stat().st_size
+    bank = bank_mod.MemoryBank(np.eye(3, 4), np.ones(3, dtype=bool), 0.9)
+    object.__setattr__(bank, "momentum", momentum)   # MemoryBank would reject these
+    object.__setattr__(bank, "prototypes", bank.prototypes * scale)
+    network.save_checkpoint(str(ckpt), params, bank)
+    out = tmp_path / "posteriors.txt"
+    code = cli.main(["explain", "--scene", str(tmp_path / "scene_000.dgn"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {ckpt}:{at}: bad bank: {reason}\n"
+    assert not out.exists()
 
 
 def test_explain_of_a_checkpoint_claiming_a_huge_layer_exits_2(tmp_path, capsys):

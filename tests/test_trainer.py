@@ -202,6 +202,22 @@ def test_explain_fits_the_configured_family(alignment):
 
 
 @pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_train_step_and_explain_fit_through_the_one_dispatch(monkeypatch, alignment):
+    fits = []
+    real = trainer._fit
+    monkeypatch.setattr(trainer, "_fit",
+                        lambda family, *a: fits.append(family) or real(family, *a))
+    scene = _scenes(count=1)[0]
+    scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.1, seed=1))
+    cfg = _cfg(alignment=alignment)
+    params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 3, seed=cfg.seed)
+    prototypes = bank_mod.empty_bank(3, cfg.feat_dim, cfg.bank_momentum)
+    trainer.train_step(scene, params, prototypes, cfg, cfg.warmup_epochs)
+    trainer.explain(scene, params, cfg)
+    assert fits == [alignment, alignment]
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
 def test_fit_survives_a_zero_feature_row(alignment):
     # a point at the origin has a zero input row; the biases start at zero,
     # so its feature row is exactly zero in the first aligned step

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,18 @@ def test_ordered_map_runs_in_forked_workers_only_with_more_than_one_cpu(cpus):
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids
+
+
+def test_the_process_that_forks_the_workers_runs_one_thread(cpus):
+    # forking a multi-threaded process is deprecated from Python 3.12;
+    # conftest pins BLAS to one thread before numpy loads
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("no /proc/self/status to read the thread count from")
+    threads = [line.split()[1] for line in status.read_text().splitlines()
+               if line.startswith("Threads:")]
+    assert threads == ["1"]
+    assert workers.ordered_map(abs, range(-2, 2)) == [2, 1, 0, 1]
 
 
 def test_ordered_map_raises_the_first_failure_in_item_order(cpus):
