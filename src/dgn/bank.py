@@ -100,14 +100,20 @@ def init_centers(
 
 
 def euclidean_init_means(
-    F: np.ndarray, V: np.ndarray, labels: SparseLabels, bank: MemoryBank, seed: int = 0
+    F: np.ndarray,
+    V: np.ndarray,
+    labels: SparseLabels,
+    bank: MemoryBank,
+    seed: int = 0,
+    norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Euclidean analogue of ``init_centers`` for the raw features F, whose
-    ``unit_rows`` are V: the labeled raw mean where a class has labels, else
-    its ``init_centers`` direction from V scaled to the mean row norm of F."""
+    ``unit_rows`` are V and ``norms``: the labeled raw mean where a class has
+    labels, else its ``init_centers`` direction from V scaled to the mean
+    row norm of F. The norms are computed when not given."""
     F = np.asarray(F, dtype=np.float64)
     means = init_centers(V, labels, bank, seed=seed).centers
-    means *= float(np.mean(np.linalg.norm(F, axis=1)))
+    means *= float(np.mean(np.linalg.norm(F, axis=1) if norms is None else norms))
     for c in range(bank.num_classes):
         mask = labels.classes == c
         if np.any(mask):

@@ -4,10 +4,11 @@ isotropic Gaussian mixture, used for the distribution-comparison runs.
 ``gmm_em`` passes its E and M steps to ``movmf._run_em``, the one EM
 loop of both mixture families. Its E step runs cluster-major through the
 softmax it shares with moVMF EM (see the "Layout" notes of ``movmf``),
-on buffers allocated once per fit: the (n, k) squared distances, a
-(k, n) score buffer and the (n, k) posterior. ||f||^2 and 2F are
-computed once per fit. The loop iterates on the raw weights, means and
-variances; ``GMMParams`` validates them once, when the fit returns. Every
+on buffers taken once per fit from the caller's workspace: the (n, k)
+squared distances, a (k, n) score buffer and the (n, k) posterior.
+||f||^2 and 2F are computed once per fit. The loop iterates on the raw
+weights, means and variances; ``GMMParams`` validates them once, when
+the fit returns. Every
 output is bitwise equal to the point-major loop that scores fresh (n, k)
 arrays on every pass.
 """
@@ -23,6 +24,7 @@ from .errors import DimensionMismatch
 from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _blocks, _check_weights,
                     _has_unit_rows, _log_weights, _run_em, _softmax_columns,
                     normalize_rows)
+from .workspace import SCRATCH, Workspace
 
 VARIANCE_FLOOR = 1e-6
 METRICS = ("euclidean", "cosine")
@@ -88,9 +90,10 @@ def prototype_assign(F: np.ndarray, prototypes: np.ndarray, metric: str) -> np.n
     return np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1)
 
 
-def _f_terms(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the terms of _sq_dists that depend on F alone: ||f||^2 as (n, 1), and 2F
-    return np.einsum("nd,nd->n", F, F)[:, None], 2.0 * F
+def _f_terms(F: np.ndarray, twice: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # the terms of _sq_dists that depend on F alone: ||f||^2 as (n, 1), and 2F,
+    # written into ``twice`` when given
+    return np.einsum("nd,nd->n", F, F)[:, None], np.multiply(2.0, F, out=twice)
 
 
 def _sq_dists(
@@ -125,11 +128,13 @@ def _gmm_scores(sq, log_norms, variances, out=None) -> np.ndarray:
     return np.subtract(log_norms, out, out=out)
 
 
-def _gmm_floored_scores(F: np.ndarray, params: GMMParams) -> np.ndarray:
-    # weight log floored at 1e-12 so one-hot Q at a dead component stays finite
+def _gmm_floored_scores(F: np.ndarray, params: GMMParams, out: np.ndarray | None = None,
+                        twice: np.ndarray | None = None) -> np.ndarray:
+    # weight log floored at 1e-12 so one-hot Q at a dead component stays
+    # finite; the (n, k) scores go into ``out`` and 2F into ``twice`` when given
     log_w = np.log(np.maximum(params.weights, ALPHA_FLOOR))
-    return _gmm_scores(_sq_dists(F, params.means), _gmm_log_norms(log_w, params),
-                       params.variances)
+    sq = _sq_dists(F, params.means, out, _f_terms(F, twice))
+    return _gmm_scores(sq, _gmm_log_norms(log_w, params), params.variances, out=sq)
 
 
 def gmm_posterior(sq: np.ndarray, params: GMMParams, scratch: np.ndarray,
@@ -148,7 +153,15 @@ def gmm_posterior(sq: np.ndarray, params: GMMParams, scratch: np.ndarray,
     return out
 
 
-def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
+def _scatter_sums(prod: np.ndarray) -> np.ndarray:
+    """The column sums of the (n, k) ``prod``, bitwise ``prod.sum(axis=0)``:
+    at k >= 2 numpy adds each column point after point, as ``einsum``
+    does, but faster; at k = 1 it adds the one contiguous column pairwise."""
+    return prod.sum(axis=0) if prod.shape[1] == 1 else np.einsum("ic->c", prod)
+
+
+def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
+           workspace: Workspace | None = None) -> EMResult:
     """EM for an isotropic GMM, run by ``movmf._run_em``, the loop of the
     moVMF fits: the same iteration budget, ``tol`` stop, tie-break and
     held components. The shift is the largest Euclidean move of a mean.
@@ -156,7 +169,9 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
     Weights start uniform; the initial per-component variance is the mean
     squared deviation from the init means divided by d. Variances are
     floored at 1e-6. Components whose responsibility mass vanishes are
-    held and reported as degenerate.
+    held and reported as degenerate. The posterior and the fit's other
+    per-point arrays are taken from ``workspace`` (a fresh one when
+    omitted; see ``network``).
     """
     F = np.asarray(F, dtype=np.float64)
     init_means = np.asarray(init_means, dtype=np.float64)
@@ -171,15 +186,20 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
     if not np.all(np.isfinite(init_means)):
         raise ValueError("init means must be finite")
 
-    f_terms = _f_terms(F)
-    sq = _sq_dists(F, init_means, np.empty((n, k)), f_terms)
+    ws = Workspace() if workspace is None else workspace
+    f_terms = _f_terms(F, ws.take("twice", n, d))
+    sq = _sq_dists(F, init_means, ws.take(SCRATCH[1], n, k), f_terms)
     nearest = np.argmin(sq, axis=1)
-    spread = float(np.mean(np.sum((F - init_means[nearest]) ** 2, axis=1))) / d
+    # the squared deviations, in the buffer the E step takes next; argmin's
+    # indices are in range, and mode="clip" writes them without a copy
+    dev = np.take(init_means, nearest, axis=0, out=ws.take(SCRATCH[0], n, d), mode="clip")
+    np.subtract(F, dev, out=dev)
+    spread = float(np.mean(np.sum(np.square(dev, out=dev), axis=1))) / d
     state = _GMMArrays(np.full(k, 1.0 / k), init_means,
                        np.full(k, max(spread, VARIANCE_FLOOR)))
 
-    P = np.empty((k, n))   # the E step's log scores, cluster-major
-    q = np.empty((n, k))   # the posterior the M step reads
+    P = ws.take(SCRATCH[0], k, n)      # the E step's log scores, cluster-major
+    q = ws.take("posterior", n, k)     # the posterior the M step reads
 
     def m_step(q: np.ndarray, state: _GMMArrays):
         # masses and variance numerators are column sums taken point after
@@ -194,7 +214,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
         # the next E step scores against these means, so it reuses sq
         _sq_dists(F, means, sq, f_terms)
         # q is read no more before the next E step overwrites it
-        scatter = np.multiply(q, sq, out=q).sum(axis=0)
+        scatter = _scatter_sums(np.multiply(q, sq, out=q))
         variances = np.divide(scatter, d * mass, out=state.variances.copy(), where=alive)
         np.maximum(variances, VARIANCE_FLOOR, out=variances, where=alive)
         shift = float(np.max(np.linalg.norm(means - state.means, axis=1)))
@@ -205,13 +225,14 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
 
 
 def gmm_nll_loss(
-    F: np.ndarray, Q: np.ndarray, params: GMMParams
+    F: np.ndarray, Q: np.ndarray, params: GMMParams, workspace: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
     """Negative expected complete-data log-likelihood and its gradient wrt F.
 
     Includes the Gaussian normalizers (variances differ per component), the
     Euclidean counterpart of the spherical alignment loss. Q and the mixture
-    parameters are treated as constants.
+    parameters are treated as constants. The gradient and the temporaries
+    are taken from ``workspace`` (a fresh one when omitted; see ``network``).
     """
     F = np.asarray(F, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
@@ -219,8 +240,13 @@ def gmm_nll_loss(
         raise DimensionMismatch(
             f"posterior {Q.shape} != ({F.shape[0]}, {params.num_clusters})"
         )
-    value = -float((Q * _gmm_floored_scores(F, params)).sum())
+    ws = Workspace() if workspace is None else workspace
+    (n, d), k = F.shape, Q.shape[1]
+    twice = ws.take("twice", n, d)
+    scores = _gmm_floored_scores(F, params, ws.take(SCRATCH[0], n, k), twice)
+    value = -float(np.multiply(Q, scores, out=scores).sum())
     # d(-score)/dF_i = sum_c q_ic (f_i - m_c) / var_c
-    ratio = Q / params.variances[None, :]
-    grad = ratio.sum(axis=1)[:, None] * F - ratio @ params.means
+    ratio = np.divide(Q, params.variances[None, :], out=scores)
+    grad = np.multiply(ratio.sum(axis=1)[:, None], F, out=ws.take(SCRATCH[1], n, d))
+    grad -= np.matmul(ratio, params.means, out=twice)
     return value, grad

@@ -4,12 +4,14 @@ Subcommands: cluster, train, ablate, explain, gen-data, eval. Every
 command takes all randomness from --seed (or the config seed) and writes
 deterministic, diffable text tables (see ``dgn.data``). Exit codes: 0
 success, 2 parse or configuration errors (say, a checkpoint whose bank is
-not its head's shape, or an ablate grid that holds out no validation
-scene), 3 dimension or data errors (say, explaining a scene whose class
-count is not the checkpoint head's), running out of memory (say, for
-widths that cannot be allocated), a worker that dies (WorkerDied: say,
-killed for memory) and values that overflow (NonFiniteOutput: a diverged
-run, an overflowing checkpoint or a cluster matrix), 1 internal errors.
+not its head's shape, an ablate grid that holds out no validation scene,
+or an explain --config whose alignment or kappa is not the one the
+checkpoint was trained with), 3 dimension or data errors (say, explaining
+a scene whose class count is not the checkpoint head's), running out of
+memory (say, for widths that cannot be allocated), a worker that dies
+(WorkerDied: say, killed for memory) and values that overflow
+(NonFiniteOutput: a diverged run, an overflowing checkpoint or a cluster
+matrix), 1 internal errors.
 Each error ends in one line on stderr.
 
 gen-data (one task per scene) and ablate (one task per fit) run their
@@ -56,6 +58,8 @@ from .errors import (
 from .workers import ordered_map
 
 EXIT_OK = 0
+# the config a checkpoint was trained with, written beside it by `dgn train`
+TRAINED_CONFIG = "config.txt"
 
 CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
 _ROWS_PER_WRITE = 4096
@@ -183,9 +187,10 @@ def cmd_train(args) -> int:
     lines = [_report_line(r) for r in result.reports] or ["epochs=0"]
     _write_lines(str(out / "report.txt"), lines)
     network.save_checkpoint(str(out / "model.ckpt"), result.params, result.bank)
+    (out / TRAINED_CONFIG).write_text(trainer.format_config(cfg))
     final = result.reports[-1].val_miou if result.reports else float("nan")
     print(f"trained {cfg.epochs} epochs; final val_miou={_fmt6(final)}")
-    print(f"wrote {out / 'report.txt'} and {out / 'model.ckpt'}")
+    print(f"wrote {out / 'report.txt'}, {out / 'model.ckpt'} and {out / TRAINED_CONFIG}")
     return EXIT_OK
 
 
@@ -219,7 +224,17 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg = _load_train_config(args.config, args.seed)
+    # the config `dgn train` saved beside the checkpoint, if it did: an explain
+    # --config must fit the family and kappa the checkpoint was trained with
+    saved = Path(args.checkpoint).parent / TRAINED_CONFIG
+    saved = str(saved) if saved.is_file() else None
+    cfg = _load_train_config(args.config or saved, args.seed)
+    if args.config and saved:
+        trained = trainer.load_config(saved)
+        for name in ("alignment", "kappa"):
+            if getattr(cfg, name) != getattr(trained, name):
+                raise ValueError(f"--config sets {name} = {getattr(cfg, name)}, but the "
+                                 f"checkpoint was trained with {getattr(trained, name)} ({saved})")
     scene = read_scene(args.scene)
     params, prototype_bank = network.load_checkpoint(args.checkpoint)
     posterior = trainer.explain(scene, params, cfg, prototype_bank)
@@ -321,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="export per-point posteriors for a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", help="config file (clustering settings)")
+    p.add_argument("--config", help="config file (clustering settings; default: the "
+                   f"{TRAINED_CONFIG} that 'dgn train' wrote beside the checkpoint)")
     p.add_argument("--seed", type=integer, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)

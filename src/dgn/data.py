@@ -130,8 +130,10 @@ class SceneBatch:
     def num_points(self) -> int:
         return int(self.coords.shape[0])
 
-    def network_input(self) -> np.ndarray:
-        return np.hstack([self.coords, self.extra_feats])
+    def network_input(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The (n, 3 + d_extra) coordinates and extra features side by side,
+        written into ``out`` when given."""
+        return np.concatenate([self.coords, self.extra_feats], axis=1, out=out)
 
 
 @dataclass(frozen=True)
@@ -322,30 +324,33 @@ def _ascii(line: str) -> str:
     return line if line.isascii() else " ".join(line.split()).encode("ascii", "replace").decode()
 
 
-def _loadtxt(lines, row: np.dtype) -> np.ndarray | None:
+def _loadtxt(lines, row: np.dtype, ascii_text: bool = False) -> np.ndarray | None:
     """``np.loadtxt`` of ``lines`` as records of dtype ``row`` (as a matrix
-    for a plain dtype), or None when it cannot read them."""
+    for a plain dtype), or None when it cannot read them. ``ascii_text``
+    says that every line is ASCII, so none needs ``_ascii``."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # on no rows or blank lines only
-            return np.loadtxt(map(_ascii, lines), dtype=row, comments=None,
-                              ndmin=1 if row.names else 2)
+            return np.loadtxt(lines if ascii_text else map(_ascii, lines), dtype=row,
+                              comments=None, ndmin=1 if row.names else 2)
     except ValueError:
         return None
 
 
-def _parse_rows(path, lines, row, fault, check=None, first_line=1, count=None):
+def _parse_rows(path, lines, row, fault, check=None, first_line=1, count=None,
+                ascii_text=False):
     """The ``count`` records of dtype ``row`` in ``lines`` (a list, or a
     text file open at its start, from line ``first_line``), by one
-    ``_loadtxt`` call. ``check(records)`` is the reason for the first
-    record it rejects, or None. If the call fails, finds another count, or
-    ``check`` rejects a record, a scan raises the ParseError of the first
-    line ``fault(line)`` gives a reason for. With ``count`` None, any number
-    of records is due and the scan skips blank lines, as ``loadtxt`` does."""
+    ``_loadtxt`` call (``ascii_text`` as there). ``check(records)`` is the
+    reason for the first record it rejects, or None. If the call fails,
+    finds another count, or ``check`` rejects a record, a scan raises the
+    ParseError of the first line ``fault(line)`` gives a reason for. With
+    ``count`` None, any number of records is due and the scan skips blank
+    lines, as ``loadtxt`` does."""
     # loadtxt allocates rows of ``row``'s width before it parses one, so the
     # width a header claims is trusted only once the first line has it
     if count is None or (len(lines) == count and not (count and fault(lines[0]))):
-        records = _loadtxt(lines, row)
+        records = _loadtxt(lines, row, ascii_text)
         if (records is not None and (count is None or len(records) == count)
                 and not (check and check(records))):
             return records
@@ -366,7 +371,7 @@ def _fields_fault(row: np.dtype, width_reason: str, check=None):
         got = len(line.split())
         if got != row.itemsize // 8:  # every field is an 8-byte number
             return width_reason.format(got=got)
-        record = _loadtxt([line], row)
+        record = _loadtxt([line], row, line.isascii())
         return "malformed number" if record is None else check and check(record)
 
     return fault
@@ -415,9 +420,11 @@ def _read_labels(path: str, n: int) -> np.ndarray:
 def read_scene(path: str) -> SceneBatch:
     """Parse a dgn/1 scene file; raises ParseError with a line number."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file")
+    ascii_text = text.isascii()  # O(1) on a str: its storage records it
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dgn/1":
         raise ParseError(path, 1, "expected header 'dgn/1 n d_extra num_classes'")
@@ -442,7 +449,8 @@ def read_scene(path: str) -> SceneBatch:
         return "non-finite number" if not finite[first] else f"label {labels[first]} out of range"
 
     fault = _fields_fault(body, f"expected {3 + d_extra + 1} fields, got {{got}}", check_rows)
-    rows = _parse_rows(path, lines[1 : n + 1], body, fault, check_rows, first_line=2, count=n)
+    rows = _parse_rows(path, lines[1 : n + 1], body, fault, check_rows, first_line=2, count=n,
+                       ascii_text=ascii_text)
     coords, feats, labels = rows["coords"], rows["feats"], rows["label"]
 
     cursor = n + 1
@@ -459,7 +467,7 @@ def read_scene(path: str) -> SceneBatch:
         pair = np.dtype([("index", np.int64), ("class", np.int64)])
         pairs = _parse_rows(path, lines[cursor + 1 : cursor + 1 + m], pair,
                             _fields_fault(pair, "expected 'index class'"),
-                            first_line=cursor + 2, count=m)
+                            first_line=cursor + 2, count=m, ascii_text=ascii_text)
         sparse = SparseLabels(pairs["index"], pairs["class"])
     else:
         keep = labels >= 0

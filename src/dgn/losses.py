@@ -4,6 +4,11 @@ Gradients are taken with respect to network outputs only: the clustering
 posterior, mixture parameters, and pseudo-label targets are constants by
 construction (the alignment stage runs to convergence before backprop).
 Probabilities and mixture weights are floored at 1e-12 inside logs.
+
+Each loss takes its per-point gradient and temporaries from an optional
+trailing ``workspace`` (a fresh one when omitted), on the two keys the
+alignment stage shares with ``network.backward`` (see ``network``): a
+gradient so returned is valid until the next loss call on that workspace.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import numpy as np
 from .data import SparseLabels
 from .errors import DimensionMismatch, EmptyLabelSet, InvalidBeta, SingleCluster
 from .movmf import ZERO_NORM, MoVMFParams, movmf_objective, unit_rows
+from .workspace import SCRATCH, Workspace
 
 PROB_FLOOR = 1e-12
 
@@ -33,7 +39,7 @@ def _labeled_probs(P: np.ndarray, labels: SparseLabels) -> np.ndarray:
 
 
 def tce_loss(
-    P: np.ndarray, labels: SparseLabels, beta: float
+    P: np.ndarray, labels: SparseLabels, beta: float, workspace: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
     """Truncated cross-entropy: -(1/m) sum min(log p_i^{y_i}, log beta).
 
@@ -47,7 +53,8 @@ def tce_loss(
     p = _labeled_probs(P, labels)
     p_f = np.maximum(p, PROB_FLOOR)
     value = float(-np.mean(np.minimum(np.log(p_f), np.log(beta))))
-    grad = np.zeros_like(P)
+    ws = Workspace() if workspace is None else workspace
+    grad = ws.zeros(SCRATCH[0], *P.shape)
     m = labels.size
     grad[labels.indices, labels.classes] = np.where(
         (p > beta) | (p <= PROB_FLOOR), 0.0, -1.0 / (m * p_f)
@@ -55,17 +62,27 @@ def tce_loss(
     return value, grad
 
 
-def _through_unit(g: np.ndarray, U: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _through_unit(
+    g: np.ndarray, U: np.ndarray, norms: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Chain a gradient wrt the unit rows U = X / ||X|| back to X:
     (g - (g.u)u) / ||x|| per row, with ``norms`` as ``unit_rows`` returns
-    them. A zero row of X passes a zero gradient, not g over a floored norm."""
-    tangent = g - np.einsum("nd,nd->n", g, U)[:, None] * U
+    them, written into ``out`` (neither ``g`` nor ``U``) or a fresh array.
+    A zero row of X passes a zero gradient, not g over a floored norm."""
+    tangent = np.multiply(np.einsum("nd,nd->n", g, U)[:, None], U, out=out)
+    np.subtract(g, tangent, out=tangent)
     zero = norms <= ZERO_NORM
-    return np.divide(tangent, norms, out=np.zeros_like(tangent), where=~zero)
+    np.divide(tangent, norms, out=tangent, where=~zero)
+    tangent[zero[:, 0]] = 0.0
+    return tangent
 
 
 def vmf_loss(
-    V: np.ndarray, norms: np.ndarray, Q: np.ndarray, theta: MoVMFParams
+    V: np.ndarray,
+    norms: np.ndarray,
+    Q: np.ndarray,
+    theta: MoVMFParams,
+    workspace: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Spherical alignment loss: the exact negation of ``movmf_objective``
     evaluated on the row-normalized features.
@@ -75,10 +92,13 @@ def vmf_loss(
     Q and the mixture parameters are constants. A zero feature row has no
     direction: it scores log(alpha) and gets no gradient.
     """
-    value = -movmf_objective(V, Q, theta)
+    ws = Workspace() if workspace is None else workspace
+    n, k, d = len(V), theta.num_clusters, theta.dim
+    value = -movmf_objective(V, Q, theta, ws.take(SCRATCH[0], n, k))
     # dL/dv_i = -kappa * sum_c q_ic u_c, then project through normalization
-    g = -theta.kappa * (np.asarray(Q, dtype=np.float64) @ theta.means)
-    return value, _through_unit(g, V, norms)
+    g = np.matmul(np.asarray(Q, dtype=np.float64), theta.means, out=ws.take(SCRATCH[0], n, d))
+    np.multiply(-theta.kappa, g, out=g)
+    return value, _through_unit(g, V, norms, ws.take(SCRATCH[1], n, d))
 
 
 def dis_loss(means: np.ndarray) -> float:
@@ -95,7 +115,11 @@ def dis_loss(means: np.ndarray) -> float:
 
 
 def dis_loss_through_means(
-    V: np.ndarray, feat_norms: np.ndarray, Q: np.ndarray, means: np.ndarray
+    V: np.ndarray,
+    feat_norms: np.ndarray,
+    Q: np.ndarray,
+    means: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Discriminative loss with means recomputed inside the loss graph.
 
@@ -118,11 +142,15 @@ def dis_loss_through_means(
 
     k = Q.shape[1]
     g_mean = 2.0 * (U.sum(axis=0)[None, :] - U) / (k * (k - 1))
-    g_v = Q @ _through_unit(g_mean, U, sum_norms)
-    return value, _through_unit(g_v, V, feat_norms)
+    ws = Workspace() if workspace is None else workspace
+    n, d = V.shape
+    g_v = np.matmul(Q, _through_unit(g_mean, U, sum_norms), out=ws.take(SCRATCH[0], n, d))
+    return value, _through_unit(g_v, V, feat_norms, ws.take(SCRATCH[1], n, d))
 
 
-def con_loss(P: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
+def con_loss(
+    P: np.ndarray, Q: np.ndarray, workspace: Workspace | None = None
+) -> tuple[float, np.ndarray]:
     """Cross-entropy from the clustering posterior (pseudo-label target) to
     the predicted probabilities: -(1/n) sum_i q_i . log p_i.
 
@@ -132,6 +160,12 @@ def con_loss(P: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape != P.shape:
         raise DimensionMismatch(f"posterior {Q.shape} vs probabilities {P.shape}")
+    ws = Workspace() if workspace is None else workspace
     n = P.shape[0]
-    value = float(-(Q * np.log(np.maximum(P, PROB_FLOOR))).sum() / n)
-    return value, (P - Q) / n
+    # the weighted logs, then the gradient, in one buffer
+    t = np.maximum(P, PROB_FLOOR, out=ws.take(SCRATCH[0], *P.shape))
+    np.log(t, out=t)
+    value = float(-np.multiply(Q, t, out=t).sum() / n)
+    grad = np.subtract(P, Q, out=t)
+    grad /= n
+    return value, grad

@@ -33,12 +33,15 @@ point-major (n, k) form (the (n, k) scores, then the row softmax):
   is the same BLAS call, and the weights are column sums taken point
   after point, as ``Q.mean(axis=0)`` takes them (``np.einsum("ic->c",
   Q)``). The GMM variance numerators are ``(q * sq).sum(axis=0)`` with
-  the product in a buffer: ``np.einsum("ic,ic->c", q, sq)`` is not
-  bitwise equal to it.
+  the product in a buffer, taken as ``np.einsum("ic->c", ...)`` at
+  k >= 2, where it is bitwise equal and faster (numpy sums the one column
+  of k = 1 pairwise); ``np.einsum("ic,ic->c", q, sq)`` is not bitwise
+  equal to it.
 
 The loop iterates on raw arrays: weights, means and, for the GMM,
-variances. Its (n, k) and (k, n) buffers are allocated once per fit, and
-hard EM writes its one-hot posterior into the (n, k) one. ``MoVMFParams`` or
+variances. Its (n, k) and (k, n) buffers are taken once per fit from the
+caller's workspace (fresh arrays without one), and hard EM writes its
+one-hot posterior into the (n, k) one. ``MoVMFParams`` or
 ``baselines.GMMParams`` is built, and validated, once, when the fit
 returns. The only check inside the loop is the E step's: all-zero or nan
 weights raise ``DegenerateRow``.
@@ -57,6 +60,7 @@ from .errors import (
     NonUnitInput,
     ZeroVectorRow,
 )
+from .workspace import SCRATCH, Workspace
 
 UNIT_ATOL = 1e-9
 ZERO_NORM = 1e-12
@@ -64,8 +68,12 @@ ALPHA_FLOOR = 1e-12
 _BLOCK = 4096   # points per block of a (n, k) <-> (k, n) transpose
 
 
-def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(
+    features: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row of ``features`` divided by its norm, and the (n, 1) norms.
+    The rows are written into ``out`` (which may not be ``features``) or a
+    fresh array.
 
     The one normaliser for network features: a row whose norm is <= 1e-12
     stays zero, so it scores equally against every cluster and, through
@@ -74,9 +82,13 @@ def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DimensionMismatch(f"expected 2-d matrix, got shape {features.shape}")
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    # np.linalg.norm's ops, its squares held in the rows' buffer
+    V = np.multiply(features, features, out=out)
+    norms = np.add.reduce(V, axis=1, keepdims=True)
+    np.sqrt(norms, out=norms)
     zero = norms <= ZERO_NORM  # a nan row is not zero: it stays nan
-    V = np.divide(features, norms, out=np.zeros_like(features), where=~zero)
+    np.divide(features, norms, out=V, where=~zero)
+    V[zero[:, 0]] = 0.0
     return V, norms
 
 
@@ -272,29 +284,34 @@ def _posterior_kn(
     return _softmax_columns(out)
 
 
-def log_scores(V: np.ndarray, theta: MoVMFParams) -> np.ndarray:
-    """Per-point per-cluster log(alpha_c) + kappa * dot(u_c, v_i).
+def log_scores(V: np.ndarray, theta: MoVMFParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-point per-cluster log(alpha_c) + kappa * dot(u_c, v_i), written
+    into the (n, k) ``out`` or a fresh array.
 
     The shared-kappa normalization constant cancels in the posterior and
     only shifts the objective, so it is omitted here. Weights are floored
     at 1e-12 inside the log so one-hot targets stay finite.
     """
     _check_dims(V, theta)
-    q = _scores(V, theta.means, theta.kappa)
+    q = _scores(V, theta.means, theta.kappa, out=out)
     q += np.log(np.maximum(theta.alphas, ALPHA_FLOOR))
     return q
 
 
-def movmf_objective(V: np.ndarray, Q: np.ndarray, theta: MoVMFParams) -> float:
+def movmf_objective(
+    V: np.ndarray, Q: np.ndarray, theta: MoVMFParams, out: np.ndarray | None = None
+) -> float:
     """Q-weighted expected complete-data log-likelihood, without the
-    kappa-only constant n * log C_d(kappa)."""
+    kappa-only constant n * log C_d(kappa). ``out`` is an optional (n, k)
+    buffer for the weighted scores."""
     V = np.asarray(V, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape != (V.shape[0], theta.num_clusters):
         raise DimensionMismatch(
             f"posterior shape {Q.shape} != ({V.shape[0]}, {theta.num_clusters})"
         )
-    per_point = (Q * log_scores(V, theta)).sum(axis=1)
+    weighted = log_scores(V, theta, out)
+    per_point = np.multiply(Q, weighted, out=weighted).sum(axis=1)
     return float(per_point.sum())
 
 
@@ -332,7 +349,8 @@ def _run_em(state, e_step, m_step, build, cfg: EMConfig) -> EMResult:
                     tuple(np.flatnonzero(held).tolist()))
 
 
-def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool) -> EMResult:
+def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool,
+              workspace: Workspace | None) -> EMResult:
     V = np.asarray(V, dtype=np.float64)
     init_means = np.asarray(init_means, dtype=np.float64)
     if init_means.ndim != 2 or init_means.shape[1] != V.shape[1]:
@@ -345,8 +363,9 @@ def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool) 
 
     n, k = V.shape[0], init_means.shape[0]
     kappa = cfg.kappa
-    Q = np.empty((n, k))   # the scores, then the posterior the M step reads
-    P = np.empty((k, n))   # the posterior, cluster-major
+    ws = Workspace() if workspace is None else workspace
+    Q = ws.take("posterior", n, k)   # the scores, then the posterior the M step reads
+    P = ws.take(SCRATCH[0], k, n)    # the posterior, cluster-major
     if hard:
         flat_Q = Q.reshape(-1)
         row_starts = np.arange(0, n * k, k)   # where each point's row of Q starts
@@ -382,7 +401,8 @@ def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool) 
                    lambda state: MoVMFParams(state[0], kappa, state[1]), cfg)
 
 
-def soft_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
+def soft_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
+                  workspace: Workspace | None = None) -> EMResult:
     """Fit a shared-kappa moVMF by soft EM from the given unit init means.
 
     Weights start uniform at 1/k. The E step computes the posterior, the
@@ -391,13 +411,18 @@ def soft_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMRes
     per-cluster mean rotation drops below ``cfg.tol`` (measured as
     1 - cos(angle)). With max_iters = 0 the returned posterior and
     assignment are evaluated at the initialization and means are unchanged.
+
+    The posterior is taken from ``workspace`` (a fresh one when omitted),
+    as are the fit's other per-point arrays (see ``network``).
     """
-    return _movmf_em(V, init_means, cfg, hard=False)
+    return _movmf_em(V, init_means, cfg, False, workspace)
 
 
-def hard_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig) -> EMResult:
+def hard_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
+                  workspace: Workspace | None = None) -> EMResult:
     """Hard-assignment EM variant: the E step one-hots each posterior row
     at its argmax (ties to the lowest index) before the M step, and the
     returned posterior is one-hot. Empty clusters keep their previous mean
-    and take weight from their (zero) counts."""
-    return _movmf_em(V, init_means, cfg, hard=True)
+    and take weight from their (zero) counts. ``workspace`` as in
+    ``soft_movmf_em``."""
+    return _movmf_em(V, init_means, cfg, True, workspace)

@@ -11,10 +11,27 @@ Adam keeps each of its two moments as one flat vector over
 all parameters rather than one pass per tensor (``AdamState``).
 
 Forward and backward write their per-point arrays into a ``Workspace``
-instead of allocating them. Aliasing rule: a ``ForwardCache`` built on a
-shared workspace is valid until the next ``forward`` on that workspace,
-which overwrites it; ``backward`` reuses only its own buffers, so it may
-follow the ``forward`` whose cache it reads.
+instead of allocating them, and so does the rest of an aligned training
+step (``trainer.train_step``). The keys of one step:
+
+- ``input``: the network input; ``act0``, ``act1``, ...: each layer's
+  output, the last of them the features; ``logits`` and ``probs``: the
+  head's (``forward``);
+- ``unit``: the unit rows of the features (``movmf.unit_rows``);
+  ``posterior``: the mixture fit's (n, k) posterior; ``twice``: twice the
+  features, for the gmm fit and loss; ``d_features`` and ``d_logits``: the
+  summed loss gradients that ``backward`` reads;
+- ``grad0`` and ``grad1`` (``workspace.SCRATCH``): backward's per-layer
+  gradients. The alignment stage shares them: the fit's (k, n) buffer and
+  its other per-point arrays, the loss temporaries and the per-term
+  gradients are taken from these two keys, since all of them are dead
+  before ``backward`` runs.
+
+Aliasing rule: an array returned on a shared workspace is valid until the
+next call that takes its key. A ``ForwardCache`` lasts until the next
+``forward``, and ``backward`` reuses only its own buffers, so it may
+follow the ``forward`` whose cache it reads. A posterior or a loss
+gradient lasts until the next step or loss call on that workspace.
 
 Checkpoint container (binary, little-endian):
 
@@ -41,6 +58,7 @@ import numpy as np
 
 from .bank import MemoryBank
 from .errors import DimensionMismatch, NonFiniteOutput, ParseError, ShapeMismatch, StaleCache
+from .workspace import SCRATCH, Workspace
 
 MAGIC = b"DGNCK001"
 ADAM_BETA1 = 0.9
@@ -123,25 +141,6 @@ def init_params(layer_dims, num_classes: int, seed: int) -> ModelParams:
     return ModelParams.from_tensors(tensors)
 
 
-class Workspace:
-    """Scratch arrays reused across ``forward``/``backward`` calls.
-
-    Each key owns one flat float64 buffer that grows to the largest
-    request seen; ``take`` returns a C-contiguous (rows, cols) view of its
-    leading part, so batches of any size and width share it.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, key: str, rows: int, cols: int) -> np.ndarray:
-        size = rows * cols
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
-        return buf[:size].reshape(rows, cols)
-
-
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row softmax with max subtraction, written into ``out`` (which may be
     ``logits`` itself) or a fresh array."""
@@ -153,10 +152,12 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def softmax_backward(dP: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Chain a gradient wrt probabilities back to the logits."""
+def softmax_backward(dP: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Chain a gradient wrt probabilities back to the logits, written into
+    ``out`` (which may not be ``P``) or a fresh array."""
     inner = np.einsum("nk,nk->n", dP, P)
-    return P * (dP - inner[:, None])
+    out = np.subtract(dP, inner[:, None], out=out)
+    return np.multiply(P, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ def backward(
     # two buffers alternate so a layer's input gradient never overwrites
     # it. Float addition commutes exactly, so the sum below is bitwise
     # d_features + d_logits @ head.
-    dz = ws.take("grad0", n, params.feature_dim)
+    dz = ws.take(SCRATCH[0], n, params.feature_dim)
     np.matmul(d_logits, params.head_weights, out=dz)
     dz += d_features
 
@@ -254,7 +255,7 @@ def backward(
         grads[2 * i + 1] = dz.sum(axis=0)
         if i:
             w = params.layer_weights[i]
-            key = f"grad{(num_layers - i) % 2}"
+            key = SCRATCH[(num_layers - i) % 2]
             dz = np.matmul(dz, w, out=ws.take(key, n, w.shape[1]))
     return ModelParams.from_tensors(grads)
 

@@ -23,6 +23,7 @@ from .data import (SceneBatch, confusion, integer, iou_from_confusion, miou, rea
                    sample_sparse_labels, with_sparse)
 from .errors import DimensionMismatch, InvalidGrid, NonFiniteOutput
 from .workers import ordered_map
+from .workspace import SCRATCH
 
 MOVMF_ALIGNMENTS = ("soft", "hard")  # the families with a concentration kappa
 ALIGNMENTS = (*MOVMF_ALIGNMENTS, "gmm")
@@ -167,26 +168,36 @@ def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
 # init, then its EM. Layer functions are looked up at call time, so a wrapped
 # binding is the one called.
 
-def _init(alignment, features, V, labels, prototype_bank, seed):
-    """The family's labeled/bank init from the features and their unit rows V."""
+def _init(alignment, features, V, labels, prototype_bank, seed, norms=None):
+    """The family's labeled/bank init from the features and their unit rows
+    V; gmm's also reads the row norms, computed when not given."""
     if alignment == "gmm":
-        return bank_mod.euclidean_init_means(features, V, labels, prototype_bank, seed)
+        return bank_mod.euclidean_init_means(features, V, labels, prototype_bank, seed, norms)
     return bank_mod.init_centers(V, labels, prototype_bank, seed=seed).centers
 
 
-def _fit(alignment, features, V, init, em_cfg):
+def _fit(alignment, features, V, init, em_cfg, workspace=None):
     """The family's EM from ``init``, moVMF on V and gmm on ``features``: the
     EM result, its unit mean directions for the bank, and the family's
-    alignment loss of (features, their ``unit_rows``, posterior, params)."""
+    alignment loss of (features, their ``unit_rows``, posterior, params).
+    The EM and the loss take their per-point arrays from ``workspace``."""
     if alignment == "gmm":
-        result = baselines.gmm_em(features, init, em_cfg)
+        result = baselines.gmm_em(features, init, em_cfg, workspace)
         # the Euclidean counterpart of the spherical alignment loss
         return (result, movmf.unit_rows(result.params.means)[0],
-                lambda F, unit, Q, params: baselines.gmm_nll_loss(F, Q, params))
+                lambda F, unit, Q, params: baselines.gmm_nll_loss(F, Q, params, workspace))
     run = movmf.hard_movmf_em if alignment == "hard" else movmf.soft_movmf_em
-    result = run(V, init, em_cfg)
+    result = run(V, init, em_cfg, workspace)
     return (result, result.params.means,
-            lambda F, unit, Q, params: losses.vmf_loss(*unit, Q, params))
+            lambda F, unit, Q, params: losses.vmf_loss(*unit, Q, params, workspace))
+
+
+def _forward(params, scene, workspace):
+    """``network.forward`` of the scene, its input also taken from ``workspace``."""
+    ws = network.Workspace() if workspace is None else workspace
+    width = 3 + scene.extra_feats.shape[1]
+    return network.forward(params, scene.network_input(ws.take("input", scene.num_points, width)),
+                           ws)
 
 
 @np.errstate(over="raise", invalid="raise")  # a diverging step stops at its first inf or nan
@@ -201,32 +212,36 @@ def train_step(
 ) -> StepResult:
     """One forward/cluster/backward/update cycle on a single scene.
 
-    ``workspace`` holds the network's per-point arrays and ``opt_state``
-    Adam's moments; each starts fresh when omitted. The result's
-    ``predictions`` are the head's argmax from this step's forward, before
-    the update. The features are normalized once per aligned step, for the
-    fit and the losses alike. A diverging step raises NonFiniteOutput in
-    the forward or FloatingPointError after it.
+    ``workspace`` holds every per-point array of the step (the network's,
+    the fit's and the losses'; see ``network``) and ``opt_state`` Adam's
+    moments; each starts fresh when omitted. The result's ``predictions``
+    are the head's argmax from this step's forward, before the update. The
+    features are normalized once per aligned step, for the fit and the
+    losses alike. A diverging step raises NonFiniteOutput in the forward or
+    FloatingPointError after it.
     """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    cache = network.forward(params, scene.network_input(), workspace)
+    ws = network.Workspace() if workspace is None else workspace
+    n, k = scene.num_points, params.num_classes
+    cache = _forward(params, scene, ws)
     labels = scene.sparse
 
-    d_features = np.zeros_like(cache.features)
-    d_logits = np.zeros_like(cache.logits)
+    d_features = ws.zeros("d_features", n, params.feature_dim)
+    d_logits = ws.zeros("d_logits", n, k)
     tce_val = vmf_val = dis_val = con_val = 0.0
     em_iters = degenerate = 0
 
     if cfg.use_tce and labels.size:
-        tce_val, d_prob = losses.tce_loss(cache.probs, labels, cfg.beta)
-        d_logits += network.softmax_backward(d_prob, cache.probs)
+        tce_val, d_prob = losses.tce_loss(cache.probs, labels, cfg.beta, ws)
+        d_logits += network.softmax_backward(d_prob, cache.probs, ws.take(SCRATCH[1], n, k))
 
     if epoch >= cfg.warmup_epochs and (cfg.use_vmf or cfg.use_dis or cfg.use_con):
-        unit = movmf.unit_rows(cache.features)
-        init = _init(cfg.alignment, cache.features, unit[0], labels, prototype_bank, cfg.seed)
+        unit = movmf.unit_rows(cache.features, ws.take("unit", n, params.feature_dim))
+        init = _init(cfg.alignment, cache.features, unit[0], labels, prototype_bank, cfg.seed,
+                     unit[1])
         result, means, align_loss = _fit(cfg.alignment, cache.features, unit[0], init,
-                                         _em_config(cfg))
+                                         _em_config(cfg), ws)
         Q = result.posterior
         em_iters = result.iterations
         degenerate = len(result.degenerate)
@@ -234,10 +249,10 @@ def train_step(
             vmf_val, grad = align_loss(cache.features, unit, Q, result.params)
             d_features += grad
         if cfg.use_dis:
-            dis_val, grad = losses.dis_loss_through_means(*unit, Q, means)
+            dis_val, grad = losses.dis_loss_through_means(*unit, Q, means, ws)
             d_features += grad
         if cfg.use_con:
-            con_val, grad = losses.con_loss(cache.probs, Q)
+            con_val, grad = losses.con_loss(cache.probs, Q, ws)
             d_logits += grad
         present = np.unique(labels.classes)
         # a gmm mean at the origin has no direction to store
@@ -247,7 +262,7 @@ def train_step(
     total = tce_val + vmf_val + dis_val + con_val
     report = StepReport(tce_val, vmf_val, dis_val, con_val, total, em_iters, degenerate)
     predictions = np.argmax(cache.probs, axis=1)
-    grads = network.backward(params, cache, d_features, d_logits, workspace)
+    grads = network.backward(params, cache, d_features, d_logits, ws)
     if cfg.optimizer == "adam":
         if opt_state is None:
             opt_state = network.init_adam_state(params)
@@ -263,7 +278,7 @@ def predict(
     workspace: network.Workspace | None = None,
 ) -> np.ndarray:
     """Head-only inference: argmax of the class probabilities."""
-    cache = network.forward(params, scene.network_input(), workspace)
+    cache = _forward(params, scene, workspace)
     return np.argmax(cache.probs, axis=1)
 
 
@@ -477,6 +492,19 @@ def parse_config_text(text: str, path: str = "<config>") -> TrainConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
     return TrainConfig(**overrides)
+
+
+def format_config(cfg: TrainConfig) -> str:
+    """``cfg`` as config text, one ``key = value`` line per field, that
+    ``parse_config_text`` reads back to an equal TrainConfig: a float as
+    ``str`` writes it, which reads back exactly, a boolean as true or false
+    and the widths comma-separated."""
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(map(str, value))
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    return "".join(f"{name} = {text(getattr(cfg, name))}\n" for name in _CONFIG_FIELDS)
 
 
 def load_config(path: str) -> TrainConfig:

@@ -8,6 +8,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
+from dgn.workspace import SCRATCH, Workspace  # noqa: E402
+
 
 def random_unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
@@ -20,6 +22,16 @@ def perturb_direction(rng, u, angle):
     t -= (t @ u) * u
     t /= np.linalg.norm(t)
     return np.cos(angle) * u + np.sin(angle) * t
+
+
+def stale_workspace(size=1 << 16):
+    """A workspace whose every key of an aligned training step already holds
+    a larger buffer of nan, so that a call reading a buffer before it has
+    written all of it gives other bits than a call without a workspace."""
+    ws = Workspace()
+    for key in (*SCRATCH, "input", "unit", "posterior", "twice", "d_features", "d_logits"):
+        ws.take(key, 1, size).fill(np.nan)
+    return ws
 
 
 @pytest.fixture

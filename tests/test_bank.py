@@ -5,6 +5,7 @@ from conftest import random_unit_rows
 from dgn import bank as bank_mod
 from dgn.data import SparseLabels
 from dgn.errors import DimensionMismatch
+from dgn.movmf import unit_rows
 
 
 def _labels(indices, classes):
@@ -140,3 +141,13 @@ def test_update_antipodal_collapse_adopts_new_mean():
     bank = bank_mod.MemoryBank(np.array([[1.0, 0.0]]), np.array([True]), 0.5)
     out = bank_mod.update_bank(bank, np.array([[-1.0, 0.0]]), [0])
     np.testing.assert_array_equal(out.prototypes[0], [-1.0, 0.0])
+
+
+def test_euclidean_init_means_from_given_norms_equals_computed(rng):
+    # the norms unit_rows returns are the ones euclidean_init_means computes
+    F = 3.0 * rng.standard_normal((200, 4))
+    V, norms = unit_rows(F)
+    labels = _labels([0, 5], [0, 2])
+    fresh = bank_mod.empty_bank(4, 4)
+    want = bank_mod.euclidean_init_means(F, V, labels, fresh, 3)
+    assert np.array_equal(bank_mod.euclidean_init_means(F, V, labels, fresh, 3, norms), want)

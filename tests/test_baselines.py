@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stale_workspace
 from dgn import baselines
 from dgn.errors import DimensionMismatch
 from dgn.movmf import EMConfig, EMResult
@@ -319,8 +320,47 @@ def test_gmm_posterior_bitwise_equals_point_major(rng, k):
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("n", [7, 100, 4100])
+def test_scatter_sums_are_numpys_column_sums(k, n):
+    # numpy adds a column of a (n, k >= 2) array point after point, as einsum
+    # does, but the one column of a (n, 1) array pairwise, which einsum does
+    # not: at n = 100 this data tells the two apart
+    rng = np.random.default_rng(k)
+    prod = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, k))
+    assert np.array_equal(baselines._scatter_sums(prod), prod.sum(axis=0))
+    if (n, k) == (100, 1):
+        assert not np.array_equal(np.einsum("ic->c", prod), prod.sum(axis=0))
+
+
+def test_gmm_em_gives_the_same_bits_with_a_stale_workspace():
+    F, init = _blobs(2, 4100, 5, 3)
+    want = baselines.gmm_em(F, init, EMConfig(6, 0.0, 0.0))
+    got = baselines.gmm_em(F, init, EMConfig(6, 0.0, 0.0), stale_workspace())
+    assert np.array_equal(got.posterior, want.posterior)
+    assert np.array_equal(got.assignment, want.assignment)
+    for name in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(got.params, name), getattr(want.params, name)), name
+    assert (got.iterations, got.converged, got.degenerate) == (
+        want.iterations, want.converged, want.degenerate)
+
+
 # ---------------------------------------------------------------------------
 # GMM alignment loss
+
+def test_gmm_nll_loss_gives_the_allocating_forms_bits_with_or_without_a_workspace(rng):
+    n, d, k = 300, 4, 3
+    F = 2.0 * rng.standard_normal((n, d))
+    Q = rng.dirichlet(np.ones(k), size=n)
+    params = baselines.GMMParams(np.array([0.5, 0.5, 0.0]), rng.standard_normal((k, d)),
+                                 np.array([0.5, 1.0, 3.0]))
+    want_value = -float((Q * baselines._gmm_floored_scores(F, params)).sum())
+    ratio = Q / params.variances[None, :]
+    want_grad = ratio.sum(axis=1)[:, None] * F - ratio @ params.means
+    for workspace in (None, stale_workspace()):
+        value, grad = baselines.gmm_nll_loss(F, Q, params, workspace)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
 
 def test_gmm_nll_at_component_mean():
     d = 6

@@ -769,6 +769,68 @@ def test_explain_output_equals_per_value_writer(tmp_path):
     assert not np.array_equal(*posteriors)
 
 
+def _train_tiny(tmp_path, config_text):
+    """`dgn train` of four 3-class scenes under ``config_text`` at seed 2:
+    the output directory and a scene to explain."""
+    scenes = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(scenes), "--scenes", "4", "--classes", "3",
+                     "--points", "20:30", "--label-rate", "0.2", "--seed", "5"]) == cli.EXIT_OK
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 2\nwarmup_epochs = 1\nem_iters = 3\nhidden_dims = 8, 8\n"
+                      "feat_dim = 4\n" + config_text)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--data", str(scenes),
+                     "--out", str(out), "--seed", "2"]) == cli.EXIT_OK
+    assert trainer.load_config(str(out / cli.TRAINED_CONFIG)) == dataclasses.replace(
+        trainer.load_config(str(config)), seed=2)
+    return out, str(scenes / "scene_003.dgn")
+
+
+def test_explain_without_config_fits_the_family_the_checkpoint_was_trained_with(tmp_path):
+    # without the saved config a gmm-trained checkpoint got a soft moVMF fit
+    out, scene = _train_tiny(tmp_path, "alignment = gmm\n")
+    gmm = tmp_path / "gmm.cfg"
+    gmm.write_text("alignment = gmm\nem_iters = 3\nseed = 2\n")
+    defaults = tmp_path / "defaults.cfg"
+    defaults.write_text("")
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "model.ckpt").write_bytes((out / "model.ckpt").read_bytes())
+    posteriors = {}
+    for name, ckpt, flags in [("saved", out, []), ("given", out, ["--config", str(gmm)]),
+                              ("bare", bare, []), ("default", bare, ["--config", str(defaults)])]:
+        path = tmp_path / f"{name}.txt"
+        assert cli.main(["explain", "--scene", scene, "--checkpoint", str(ckpt / "model.ckpt"),
+                         *flags, "--out", str(path)]) == cli.EXIT_OK
+        posteriors[name] = path.read_bytes()
+    assert posteriors["saved"] == posteriors["given"]
+    # a checkpoint without the file is explained with the defaults, as before
+    assert posteriors["bare"] == posteriors["default"] != posteriors["saved"]
+
+
+@pytest.mark.parametrize("text, name, given, trained", [
+    ("alignment = hard", "alignment", "hard", "soft"),
+    ("kappa = 1", "kappa", "1.0", "10.0"),
+    ("alignment = gmm", "alignment", "gmm", "soft"),
+])
+def test_explain_with_a_config_the_checkpoint_was_not_trained_with_exits_2(
+        tmp_path, capsys, text, name, given, trained):
+    out, scene = _train_tiny(tmp_path, "")
+    config = tmp_path / "explain.cfg"
+    explain = ["explain", "--scene", scene, "--checkpoint", str(out / "model.ckpt"),
+               "--config", str(config), "--out", str(tmp_path / "post.txt")]
+    config.write_text("em_iters = 5\nseed = 9\n")  # agrees on the family and kappa
+    assert cli.main(explain) == cli.EXIT_OK
+    capsys.readouterr()
+    (tmp_path / "post.txt").unlink()
+    config.write_text(text + "\n")
+    assert cli.main(explain) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: --config sets {name} = {given}, but the checkpoint was trained with "
+        f"{trained} ({out / cli.TRAINED_CONFIG})\n")
+    assert not (tmp_path / "post.txt").exists()
+
+
 @pytest.mark.parametrize("classes", [3, 8])
 def test_explain_of_a_scene_whose_class_count_is_not_the_heads_exits_3(tmp_path, capsys,
                                                                          classes):

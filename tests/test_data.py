@@ -532,6 +532,21 @@ def test_sparse_count_is_one_integer_grammar(tmp_path, token):
     assert err.value.line == line and err.value.exit_code == 2
 
 
+def test_read_scene_hands_the_lines_of_an_ascii_file_to_numpy_as_they_are(tmp_path,
+                                                                          monkeypatch):
+    scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(20, 30), seed=3))
+    scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.2, seed=3))
+    path = str(tmp_path / "scene.dgn")
+    data.write_scene(path, scene)
+    want = data.read_scene(path)
+    monkeypatch.setattr(data, "_ascii", lambda line: pytest.fail("_ascii ran on an ASCII file"))
+    got = data.read_scene(path)
+    for name in ("coords", "extra_feats", "gt_labels"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.sparse.indices, want.sparse.indices)
+    assert np.array_equal(got.sparse.classes, want.sparse.classes)
+
+
 def test_an_integer_field_with_a_non_ascii_character_is_malformed(tmp_path):
     # numpy's integer parser reads out of bounds on a character past U+00FF
     # and often crashes the process on one, so the reads run in a child

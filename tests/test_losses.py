@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unit_rows
+from conftest import random_unit_rows, stale_workspace
 from dgn import losses, movmf
 from dgn.data import SparseLabels
 from dgn.errors import (
@@ -359,3 +359,66 @@ def test_con_bounded_below_by_target_entropy(n, k, seed):
 def test_con_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         losses.con_loss(np.ones((2, 3)) / 3, np.ones((2, 2)) / 2)
+
+
+# ---------------------------------------------------------------------------
+# workspace buffers: every loss gives the same bits with a stale workspace as
+# without one, and the bits of the allocating form it replaced
+
+def _old_through_unit(g, U, norms):
+    tangent = g - np.einsum("nd,nd->n", g, U)[:, None] * U
+    zero = norms <= movmf.ZERO_NORM
+    return np.divide(tangent, norms, out=np.zeros_like(tangent), where=~zero)
+
+
+def _old_unit_rows(F):
+    norms = np.linalg.norm(F, axis=1, keepdims=True)
+    zero = norms <= movmf.ZERO_NORM
+    return np.divide(F, norms, out=np.zeros_like(F), where=~zero), norms
+
+
+def _old_loss(name, F, P, Q, theta, labels):
+    V, norms = _old_unit_rows(F)
+    if name == "tce":
+        return pce_loss(P, labels)
+    if name == "vmf":
+        value = -float((Q * movmf.log_scores(V, theta)).sum(axis=1).sum())
+        return value, _old_through_unit(-theta.kappa * (Q @ theta.means), V, norms)
+    if name == "dis":
+        U, sum_norms = _old_unit_rows(Q.T @ V)
+        dead = sum_norms[:, 0] <= movmf.ZERO_NORM
+        U[dead] = theta.means[dead]
+        k = Q.shape[1]
+        g_mean = 2.0 * (U.sum(axis=0)[None, :] - U) / (k * (k - 1))
+        g_v = Q @ _old_through_unit(g_mean, U, sum_norms)
+        return losses.dis_loss(U), _old_through_unit(g_v, V, norms)
+    n = P.shape[0]
+    return float(-(Q * np.log(np.maximum(P, losses.PROB_FLOOR))).sum() / n), (P - Q) / n
+
+
+@pytest.mark.parametrize("name", ["tce", "vmf", "dis", "con"])
+def test_losses_give_the_allocating_forms_bits_with_or_without_a_workspace(rng, name):
+    n, d, k = 300, 5, 4
+    F = rng.standard_normal((n, d))
+    F[7] = 0.0  # a zero row passes a zero gradient
+    P = _rand_probs(rng, n, k)
+    P[3] = [1.0, 0.0, 0.0, 0.0]  # a probability below the floor
+    Q = rng.dirichlet(np.ones(k), size=n)
+    theta = _theta(rng.dirichlet(np.ones(k)), 7.0, random_unit_rows(rng, k, d))
+    labels = _labels([0, 3, 9, 40], [0, 1, 2, 3])
+
+    def call(workspace):
+        if name == "tce":
+            return losses.tce_loss(P, labels, 1.0, workspace)
+        if name == "con":
+            return losses.con_loss(P, Q, workspace)
+        unit = movmf.unit_rows(F)
+        if name == "vmf":
+            return losses.vmf_loss(*unit, Q, theta, workspace)
+        return losses.dis_loss_through_means(*unit, Q, theta.means, workspace)
+
+    want_value, want_grad = _old_loss(name, F, P, Q, theta, labels)
+    for workspace in (None, stale_workspace()):
+        value, grad = call(workspace)
+        assert value == want_value
+        assert grad.shape == want_grad.shape and np.array_equal(grad, want_grad)

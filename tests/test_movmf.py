@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, ive
 
-from conftest import perturb_direction, random_unit_rows
+from conftest import perturb_direction, random_unit_rows, stale_workspace
 from dgn import baselines, movmf
 from dgn.errors import DegenerateRow, DimensionMismatch, NonUnitInput, ZeroVectorRow
 
@@ -777,3 +777,38 @@ def test_sampler_2d_supported():
     X = sample_vmf(np.array([1.0, 0.0]), 30.0, 500, seed=9)
     np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
     assert X[:, 0].mean() > 0.9
+
+
+# ---------------------------------------------------------------------------
+# workspace buffers
+
+def test_unit_rows_into_a_stale_buffer_gives_the_linalg_norm_bits(rng):
+    F = rng.standard_normal((500, 6)) * 10.0 ** rng.integers(-5, 6, (500, 1))
+    F[3] = 0.0
+    F[4] = 1e-14    # a norm at or below 1e-12 is a zero row
+    F[5] = np.nan   # and a nan row stays nan
+    want_norms = np.linalg.norm(F, axis=1, keepdims=True)
+    zero = want_norms <= movmf.ZERO_NORM
+    want = np.divide(F, want_norms, out=np.zeros_like(F), where=~zero)
+    for out in (None, np.full_like(F, np.nan)):
+        V, norms = movmf.unit_rows(F, out)
+        assert out is None or V is out
+        assert np.array_equal(norms, want_norms, equal_nan=True)
+        assert np.array_equal(V, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("run", [movmf.soft_movmf_em, movmf.hard_movmf_em])
+def test_em_gives_the_same_bits_with_a_stale_workspace(rng, run):
+    # 4100 points span two transpose blocks
+    V = random_unit_rows(rng, 4100, 5)
+    V[10] = 0.0
+    init = random_unit_rows(rng, 6, 5)
+    cfg = movmf.EMConfig(5, 0.0, 3.0)
+    want = run(V, init, cfg)
+    got = run(V, init, cfg, stale_workspace())
+    assert np.array_equal(got.posterior, want.posterior)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.params.alphas, want.params.alphas)
+    assert np.array_equal(got.params.means, want.params.means)
+    assert (got.iterations, got.converged, got.degenerate) == (
+        want.iterations, want.converged, want.degenerate)

@@ -415,3 +415,14 @@ def test_load_checkpoint_raises_only_typed_errors(
         network.load_checkpoint(str(path))
     except (DgnError, ValueError, OSError):
         pass
+
+
+def test_softmax_backward_into_a_stale_buffer_gives_the_allocating_forms_bits():
+    rng = np.random.default_rng(4)
+    P = network.softmax(rng.standard_normal((300, 5)))
+    dP = rng.standard_normal((300, 5))
+    want = P * (dP - np.einsum("nk,nk->n", dP, P)[:, None])
+    for out in (None, np.full_like(P, np.nan)):
+        got = network.softmax_backward(dP, P, out)
+        assert out is None or got is out
+        assert np.array_equal(got, want)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,65 @@ def test_train_step_workspace_is_bitwise_neutral(epoch):
     np.testing.assert_array_equal(fresh.opt_state.means, shared.opt_state.means)
     np.testing.assert_array_equal(fresh.opt_state.variances, shared.opt_state.variances)
     np.testing.assert_array_equal(fresh.predictions, shared.predictions)
+
+
+def _subset(scene, n, seed):
+    """n points of ``scene`` drawn without replacement, labeled at rate 0.1."""
+    keep = np.sort(np.random.default_rng(seed).choice(scene.num_points, n, replace=False))
+    gt = scene.gt_labels[keep]
+    cut = data.SceneBatch(scene.coords[keep], scene.extra_feats[keep], gt,
+                          data.SparseLabels(np.arange(gt.size), gt), scene.num_classes)
+    return data.with_sparse(cut, data.sample_sparse_labels(cut, 0.1, seed=seed))
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_train_steps_on_one_shared_workspace_equal_steps_on_fresh_ones(alignment):
+    # the scenes shrink and grow, so each step finds the buffers that the
+    # network, the fit and the losses of a step of another size left behind
+    big = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=4))
+    scenes = [_subset(big, n, seed) for seed, n in enumerate((50, 20, 80, 33))]
+    cfg = _cfg(alignment=alignment)
+    params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 3, seed=cfg.seed)
+    prototypes = bank_mod.empty_bank(3, cfg.feat_dim, cfg.bank_momentum)
+    fresh = shared = trainer.StepResult(params, prototypes, None, None)
+    ws = network.Workspace()
+    for epoch in (0, 1, 2):  # warmup, then aligned
+        for scene in scenes:
+            fresh = trainer.train_step(scene, fresh.params, fresh.bank, cfg, epoch,
+                                       fresh.opt_state)
+            shared = trainer.train_step(scene, shared.params, shared.bank, cfg, epoch,
+                                        shared.opt_state, ws)
+            for x, y in zip(_param_arrays(fresh.params), _param_arrays(shared.params),
+                            strict=True):
+                np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(fresh.bank.prototypes, shared.bank.prototypes)
+            np.testing.assert_array_equal(fresh.bank.seen, shared.bank.seen)
+            assert fresh.report == shared.report
+            np.testing.assert_array_equal(fresh.predictions, shared.predictions)
+    assert shared.report.em_iters > 0
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_an_aligned_step_on_a_used_workspace_allocates_less_than_one_feature_array(alignment):
+    # after one step, every per-point float array of the next lives in the
+    # workspace; the step still allocates its predictions, the fit's
+    # assignment, the row norms and backward's rectifier masks
+    scene = data.gen_scene(data.SceneSpec(num_classes=4, points_per_class=(1000, 1000), seed=2))
+    scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.01, seed=1))
+    cfg = trainer.TrainConfig(alignment=alignment, warmup_epochs=0, em_iters=3)
+    params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 4, seed=0)
+    ws = network.Workspace()
+    step = trainer.train_step(scene, params, bank_mod.empty_bank(4, cfg.feat_dim), cfg, 0,
+                              None, ws)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step = trainer.train_step(scene, step.params, step.bank, cfg, 0, step.opt_state, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.report.em_iters > 0
+    assert peak - start < scene.num_points * cfg.feat_dim * 8
 
 
 def test_train_miou_is_the_head_miou_of_the_epochs_own_steps():
@@ -289,6 +349,19 @@ _CONFIG_LINES = st.integers(0, 9).flatmap(
     lambda i: st.text(max_size=10) if i == 0
     else st.tuples(_CONFIG_KEYS, _CONFIG_VALUES).map(" = ".join)
 )
+
+
+@pytest.mark.parametrize("cfg", [
+    trainer.TrainConfig(),
+    trainer.TrainConfig(alignment="gmm", optimizer="sgd", hidden_dims=(), use_dis=False,
+                        lr=0.1 + 0.2, label_rate=5e-324, em_tol=0.0, beta=1.0,
+                        val_fraction=0.0, seed=2**40 + 1),
+    trainer.TrainConfig(alignment="hard", kappa=1e-300, hidden_dims=(3, 1, 7), feat_dim=1,
+                        epochs=0, warmup_epochs=0, em_iters=0, use_tce=False,
+                        bank_momentum=1 / 3),
+], ids=["defaults", "gmm", "hard"])
+def test_format_config_reads_back_to_an_equal_config(cfg):
+    assert trainer.parse_config_text(trainer.format_config(cfg)) == cfg
 
 
 @settings(max_examples=300, deadline=None)
