@@ -100,20 +100,15 @@ def init_centers(
 
 
 def euclidean_init_means(
-    F: np.ndarray,
-    V: np.ndarray,
-    labels: SparseLabels,
-    bank: MemoryBank,
-    seed: int = 0,
-    norms: np.ndarray | None = None,
+    F: np.ndarray, V: np.ndarray, labels: SparseLabels, bank: MemoryBank, seed: int,
+    norms: np.ndarray,
 ) -> np.ndarray:
     """Euclidean analogue of ``init_centers`` for the raw features F, whose
-    ``unit_rows`` are V and ``norms``: the labeled raw mean where a class has
-    labels, else its ``init_centers`` direction from V scaled to the mean
-    row norm of F. The norms are computed when not given."""
+    ``unit_rows`` are V and ``norms``: a class's labeled raw mean, else its
+    ``init_centers`` direction from V scaled to the mean row norm of F."""
     F = np.asarray(F, dtype=np.float64)
     means = init_centers(V, labels, bank, seed=seed).centers
-    means *= float(np.mean(np.linalg.norm(F, axis=1) if norms is None else norms))
+    means *= float(np.mean(norms))
     for c in range(bank.num_classes):
         mask = labels.classes == c
         if np.any(mask):

@@ -61,7 +61,9 @@ EXIT_OK = 0
 # the config a checkpoint was trained with, written beside it by `dgn train`
 TRAINED_CONFIG = "config.txt"
 
-CLUSTER_VARIANTS = (*trainer.ALIGNMENTS, "proto-euclid", "proto-cosine")
+# each variant's family; the proto-* ones assign a row to its nearest init centre
+CLUSTER_VARIANTS = {**trainer.FAMILIES, "proto-euclid": trainer.FAMILIES["gmm"],
+                    "proto-cosine": trainer.FAMILIES["soft"]}
 _ROWS_PER_WRITE = 4096
 
 
@@ -115,9 +117,10 @@ def cmd_cluster(args) -> int:
     if args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
     # a flag the variant ignores is an error; EMConfig holds the defaults
-    if args.kappa is not None and args.variant not in trainer.MOVMF_ALIGNMENTS:
+    family, proto = CLUSTER_VARIANTS[args.variant], args.variant.startswith("proto-")
+    if args.kappa is not None and (family.euclidean or proto):
         raise ValueError("--kappa applies to --variant soft or hard only")
-    if args.variant.startswith("proto-") and (args.iters, args.tol) != (None, None):
+    if proto and (args.iters, args.tol) != (None, None):
         raise ValueError("--iters and --tol do not apply to the proto-* variants")
     given = {"max_iters": args.iters, "tol": args.tol, "kappa": args.kappa}
     cfg = movmf.EMConfig(**{name: v for name, v in given.items() if v is not None})
@@ -128,31 +131,27 @@ def cmd_cluster(args) -> int:
     if labels is not None and np.any((labels < -1) | (labels >= k)):
         raise DimensionMismatch("label file contains classes outside [-1, --classes)")
 
-    # the Euclidean variants work on the raw rows, the others on unit rows; init:
-    # k-means++ seeding without labels, with them the labeled init of trainer._init
-    # (proto-euclid takes gmm's, proto-cosine soft's)
-    euclidean = args.variant in ("gmm", "proto-euclid")
+    # the family fits X (Euclidean; only its labeled init reads X's unit rows and norms)
+    # or X's unit rows; init: k-means++ without labels, else the family's labeled init
     try:
         with np.errstate(over="raise", invalid="raise"):  # as in trainer.train_step
-            rows = X if euclidean else movmf.normalize_rows(X)
+            rows = X if family.euclidean else movmf.normalize_rows(X)
+            unit = movmf.unit_rows(X) if family.euclidean and labels is not None else (rows, None)
             if labels is None:
                 init = _kmeanspp_init(rows, k, args.seed)
-                if not euclidean:
+                if not family.euclidean:
                     init = movmf.normalize_rows(init)
             else:
                 keep = labels >= 0
                 sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
-                V = movmf.unit_rows(X)[0] if euclidean else rows
-                init = trainer._init("gmm" if euclidean else "soft", X, V, sparse,
-                                     bank_mod.empty_bank(k, X.shape[1], 0.9), args.seed)
+                init = family.init(X, unit, sparse, bank_mod.empty_bank(k, X.shape[1]), args.seed)
 
-            if args.variant.startswith("proto-"):
-                metric = "euclidean" if euclidean else "cosine"
+            if proto:
+                metric = "euclidean" if family.euclidean else "cosine"
                 assignment = baselines.prototype_assign(X, init, metric)
                 posterior = movmf.one_hot(assignment, k)
             else:
-                # the family's EM reads the raw rows (gmm) or the unit rows
-                result = trainer._fit(args.variant, X, rows, init, cfg)[0]
+                result = family.fit(X, unit, init, cfg)[0]
                 assignment, posterior = result.assignment, result.posterior
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the matrix overflows in clustering: {exc}") from None

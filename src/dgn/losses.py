@@ -2,7 +2,7 @@
 
 Gradients are taken with respect to network outputs only: the clustering
 posterior, mixture parameters, and pseudo-label targets are constants by
-construction (the alignment stage runs to convergence before backprop).
+construction (the EM, at most ``em_iters`` iterations, ends before backprop).
 Probabilities and mixture weights are floored at 1e-12 inside logs.
 
 Each loss takes its per-point gradient and temporaries from an optional

@@ -3,9 +3,10 @@ descent on the network (M), plus ablation sweeps and posterior export.
 
 The alignment stage is gated behind a warmup during which only the
 truncated cross-entropy contributes. Per step: forward, normalize
-features, initialize cluster centers from labeled means and the memory
-bank, run the configured clustering variant to convergence, then take one
-SGD step on the enabled losses with the clustering outputs held constant.
+features, initialize the configured family from labeled means and the
+memory bank, run at most ``em_iters`` EM iterations (fewer only once the
+means move less than ``em_tol``), then take one optimizer step on the
+enabled losses with the clustering outputs held constant.
 Inference uses only the segment head (never the clustering stage).
 """
 
@@ -25,9 +26,44 @@ from .errors import DimensionMismatch, InvalidGrid, NonFiniteOutput
 from .workers import ordered_map
 from .workspace import SCRATCH
 
-MOVMF_ALIGNMENTS = ("soft", "hard")  # the families with a concentration kappa
-ALIGNMENTS = (*MOVMF_ALIGNMENTS, "gmm")
 OPTIMIZERS = ("adam", "sgd")
+
+
+@dataclass(frozen=True)
+class Family:
+    """A mixture family: the one labeled/bank ``init``, EM ``fit`` (its result
+    and unit mean directions for the bank) and alignment ``loss`` of
+    ``train_step``, ``explain`` and ``dgn cluster``. A Euclidean family (an
+    isotropic GMM, no kappa) fits the raw features, a spherical one (a moVMF,
+    shared kappa) their unit rows: ``unit`` is ``movmf.unit_rows``' (rows,
+    norms). ``em`` names the EM in ``baselines`` or ``movmf``. Every layer
+    function is looked up at call time, so a wrapped binding is the one
+    called, and ``workspace`` goes on to the EM and the loss unchanged."""
+
+    euclidean: bool
+    em: str
+
+    def init(self, features, unit, labels, bank, seed):
+        if self.euclidean:
+            return bank_mod.euclidean_init_means(features, unit[0], labels, bank, seed, unit[1])
+        return bank_mod.init_centers(unit[0], labels, bank, seed=seed).centers
+
+    def fit(self, features, unit, init, em_cfg, workspace=None):
+        layer, rows = (baselines, features) if self.euclidean else (movmf, unit[0])
+        result = getattr(layer, self.em)(rows, init, em_cfg, workspace)
+        means = result.params.means
+        return result, movmf.unit_rows(means)[0] if self.euclidean else means
+
+    def loss(self, features, unit, Q, params, workspace=None):
+        if self.euclidean:
+            return baselines.gmm_nll_loss(features, Q, params, workspace)
+        return losses.vmf_loss(*unit, Q, params, workspace)
+
+
+FAMILIES = {"soft": Family(euclidean=False, em="soft_movmf_em"),
+            "hard": Family(euclidean=False, em="hard_movmf_em"),
+            "gmm": Family(euclidean=True, em="gmm_em")}
+ALIGNMENTS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -40,16 +76,14 @@ class TrainConfig:
     ``fit`` scores its ``val_miou`` after each epoch, while ``train_miou``
     is the head mIoU of the epoch's own steps, each before its update.
 
-    ``alignment`` picks the mixture fitted to each scene's features after
-    warmup: a moVMF (spherical, shared concentration ``kappa``) by ``soft``
-    or ``hard`` EM, or an isotropic ``gmm`` by soft EM, which has no
-    concentration and rejects a ``kappa`` other than the default. For every
-    family ``use_vmf`` adds the family's alignment loss
-    (``losses.vmf_loss`` or ``baselines.gmm_nll_loss``), ``use_dis`` the
-    separation of the posterior-weighted mean directions and ``use_con``
-    the cross-entropy from the posterior to the head; each backpropagates
-    into the network. Floats must be finite, ``beta`` in (0, 1], ``seed``
-    at least 0, and ``feat_dim`` and every ``hidden_dims`` width at least 1.
+    ``alignment`` names the mixture family fitted to each scene's features
+    after warmup; ``FAMILIES`` is the one place the families are defined.
+    ``gmm`` has no concentration and rejects a ``kappa`` other than the default.
+    ``use_vmf`` adds the family's alignment loss, ``use_dis`` the separation
+    of the posterior-weighted mean directions and ``use_con`` the
+    cross-entropy from the posterior to the head; each backpropagates into
+    the network. Floats must be finite, ``beta`` in (0, 1], ``seed`` at
+    least 0, and ``feat_dim`` and every ``hidden_dims`` width at least 1.
     """
 
     kappa: float = movmf.EMConfig.kappa
@@ -80,7 +114,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}")
-        if self.alignment not in MOVMF_ALIGNMENTS and self.kappa != movmf.EMConfig.kappa:
+        if FAMILIES[self.alignment].euclidean and self.kappa != movmf.EMConfig.kappa:
             raise ValueError("kappa applies to the moVMF alignments (soft, hard), not gmm")
         if self.feat_dim < 1 or any(width < 1 for width in self.hidden_dims):
             raise ValueError("feat_dim and every hidden_dims width must be >= 1")
@@ -164,34 +198,6 @@ def _em_config(cfg: TrainConfig) -> movmf.EMConfig:
     return movmf.EMConfig(max_iters=cfg.em_iters, tol=cfg.em_tol, kappa=cfg.kappa)
 
 
-# The one mixture-fit path of train_step, explain and `dgn cluster`: a family's
-# init, then its EM. Layer functions are looked up at call time, so a wrapped
-# binding is the one called.
-
-def _init(alignment, features, V, labels, prototype_bank, seed, norms=None):
-    """The family's labeled/bank init from the features and their unit rows
-    V; gmm's also reads the row norms, computed when not given."""
-    if alignment == "gmm":
-        return bank_mod.euclidean_init_means(features, V, labels, prototype_bank, seed, norms)
-    return bank_mod.init_centers(V, labels, prototype_bank, seed=seed).centers
-
-
-def _fit(alignment, features, V, init, em_cfg, workspace=None):
-    """The family's EM from ``init``, moVMF on V and gmm on ``features``: the
-    EM result, its unit mean directions for the bank, and the family's
-    alignment loss of (features, their ``unit_rows``, posterior, params).
-    The EM and the loss take their per-point arrays from ``workspace``."""
-    if alignment == "gmm":
-        result = baselines.gmm_em(features, init, em_cfg, workspace)
-        # the Euclidean counterpart of the spherical alignment loss
-        return (result, movmf.unit_rows(result.params.means)[0],
-                lambda F, unit, Q, params: baselines.gmm_nll_loss(F, Q, params, workspace))
-    run = movmf.hard_movmf_em if alignment == "hard" else movmf.soft_movmf_em
-    result = run(V, init, em_cfg, workspace)
-    return (result, result.params.means,
-            lambda F, unit, Q, params: losses.vmf_loss(*unit, Q, params, workspace))
-
-
 def _forward(params, scene, workspace):
     """``network.forward`` of the scene, its input also taken from ``workspace``."""
     ws = network.Workspace() if workspace is None else workspace
@@ -237,16 +243,15 @@ def train_step(
         d_logits += network.softmax_backward(d_prob, cache.probs, ws.take(SCRATCH[1], n, k))
 
     if epoch >= cfg.warmup_epochs and (cfg.use_vmf or cfg.use_dis or cfg.use_con):
+        family = FAMILIES[cfg.alignment]
         unit = movmf.unit_rows(cache.features, ws.take("unit", n, params.feature_dim))
-        init = _init(cfg.alignment, cache.features, unit[0], labels, prototype_bank, cfg.seed,
-                     unit[1])
-        result, means, align_loss = _fit(cfg.alignment, cache.features, unit[0], init,
-                                         _em_config(cfg), ws)
+        init = family.init(cache.features, unit, labels, prototype_bank, cfg.seed)
+        result, means = family.fit(cache.features, unit, init, _em_config(cfg), ws)
         Q = result.posterior
         em_iters = result.iterations
         degenerate = len(result.degenerate)
         if cfg.use_vmf:
-            vmf_val, grad = align_loss(cache.features, unit, Q, result.params)
+            vmf_val, grad = family.loss(cache.features, unit, Q, result.params, ws)
             d_features += grad
         if cfg.use_dis:
             dis_val, grad = losses.dis_loss_through_means(*unit, Q, means, ws)
@@ -392,9 +397,10 @@ def explain(
     if prototype_bank is None:
         prototype_bank = bank_mod.empty_bank(params.num_classes, params.feature_dim)
     try:
-        V = movmf.unit_rows(cache.features)[0]
-        init = _init(cfg.alignment, cache.features, V, scene.sparse, prototype_bank, cfg.seed)
-        result = _fit(cfg.alignment, cache.features, V, init, _em_config(cfg))[0]
+        family = FAMILIES[cfg.alignment]
+        unit = movmf.unit_rows(cache.features)
+        init = family.init(cache.features, unit, scene.sparse, prototype_bank, cfg.seed)
+        result = family.fit(cache.features, unit, init, _em_config(cfg))[0]
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the scene's features overflow in clustering: {exc}") from None
     return result.posterior

@@ -144,10 +144,10 @@ def test_update_antipodal_collapse_adopts_new_mean():
 
 
 def test_euclidean_init_means_from_given_norms_equals_computed(rng):
-    # the norms unit_rows returns are the ones euclidean_init_means computes
+    # the norms unit_rows returns give the init that np.linalg.norm's give
     F = 3.0 * rng.standard_normal((200, 4))
     V, norms = unit_rows(F)
     labels = _labels([0, 5], [0, 2])
     fresh = bank_mod.empty_bank(4, 4)
-    want = bank_mod.euclidean_init_means(F, V, labels, fresh, 3)
+    want = bank_mod.euclidean_init_means(F, V, labels, fresh, 3, np.linalg.norm(F, axis=1))
     assert np.array_equal(bank_mod.euclidean_init_means(F, V, labels, fresh, 3, norms), want)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgn
-from dgn import baselines, cli, data, errors, movmf, network, trainer
+from dgn import baselines, cli, data, errors, losses, movmf, network, trainer
 from dgn import bank as bank_mod
 from dgn.errors import LengthMismatch, ParseError
 
@@ -623,13 +623,14 @@ def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
 @pytest.mark.parametrize("iters", [0, 7])
 @pytest.mark.parametrize("variant", trainer.ALIGNMENTS)
 def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant, iters):
-    # `dgn cluster` fits through trainer._init and trainer._fit, the dispatch
-    # train_step and explain use: on the same rows, labels, empty bank, seed
-    # and EM settings the command writes the dispatch's fit bit for bit, at the
-    # init (hard EM soon forgets it) and after EM
+    # `dgn cluster` fits through the family's init and fit in trainer.FAMILIES,
+    # the dispatch train_step and explain use: on the same rows, labels, empty
+    # bank, seed and EM settings the command writes the dispatch's fit bit for
+    # bit, at the init (hard EM soon forgets it) and after EM
     X, labels, args = _cluster_input(tmp_path, labeled=True)
+    family = trainer.FAMILIES[variant]
     flags, em = ["--iters", str(iters), "--tol", "0"], {"em_iters": iters, "em_tol": 0.0}
-    if variant in trainer.MOVMF_ALIGNMENTS:
+    if not family.euclidean:
         flags, em = [*flags, "--kappa", "5"], {**em, "kappa": 5.0}
     written = []
     monkeypatch.setattr(cli, "_write_rows", lambda path, matrix: written.append(matrix))
@@ -641,9 +642,9 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
     sparse = data.SparseLabels(np.flatnonzero(keep), labels[keep])
     cfg = trainer.TrainConfig(alignment=variant, seed=2, **em)
     fresh = bank_mod.empty_bank(3, X.shape[1])
-    V = movmf.unit_rows(X)[0]
-    init = trainer._init(variant, X, V, sparse, fresh, cfg.seed)
-    result = trainer._fit(variant, X, V, init, trainer._em_config(cfg))[0]
+    unit = movmf.unit_rows(X)
+    init = family.init(X, unit, sparse, fresh, cfg.seed)
+    result = family.fit(X, unit, init, trainer._em_config(cfg))[0]
     assert result.iterations == iters
     assert np.array_equal(written[0].view(np.uint64), result.posterior.view(np.uint64))
     assignments = (tmp_path / "out.assignments").read_text().split()
@@ -655,20 +656,62 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
 def test_cluster_inits_and_fits_through_the_trainer_dispatch(tmp_path, monkeypatch, variant,
                                                              labeled):
     # labels take the family's init (proto-euclid gmm's, proto-cosine soft's),
-    # and every EM variant fits through trainer._fit
+    # and every EM variant fits through its family's fit
     calls = []
-    for name in ("_init", "_fit"):
-        real = getattr(trainer, name)
-        monkeypatch.setattr(trainer, name, lambda family, *a, name=name, real=real:
+    for name in ("init", "fit"):
+        real = getattr(trainer.Family, name)
+        monkeypatch.setattr(trainer.Family, name, lambda family, *a, name=name, real=real:
                             calls.append((name, family)) or real(family, *a))
     _, _, args = _cluster_input(tmp_path, labeled)
     code = cli.main(["cluster", *args, "--variant", variant,
                      "--out-prefix", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
-    family = "gmm" if variant in ("gmm", "proto-euclid") else "soft"
-    inits = [("_init", family)] if labeled else []
-    fits = [("_fit", variant)] if variant in trainer.ALIGNMENTS else []
+    init_family = {"proto-euclid": "gmm", "proto-cosine": "soft"}.get(variant, variant)
+    inits = [("init", trainer.FAMILIES[init_family])] if labeled else []
+    fits = [("fit", trainer.FAMILIES[variant])] if variant in trainer.ALIGNMENTS else []
     assert calls == inits + fits
+
+
+# each family's EM, labeled init (with the init_centers it calls) and loss
+_FAMILY_LAYERS = {
+    "soft": ("soft_movmf_em", ("init_centers",), "vmf_loss"),
+    "hard": ("hard_movmf_em", ("init_centers",), "vmf_loss"),
+    "gmm": ("gmm_em", ("euclidean_init_means", "init_centers"), "gmm_nll_loss"),
+}
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_each_family_calls_only_its_own_layer_functions(tmp_path, monkeypatch, alignment):
+    # the families look their layer functions up by module attribute at call
+    # time, so a wrapped binding (as the bench tracer installs) sees every call
+    # of an aligned train_step, explain and `dgn cluster`
+    calls = []
+    for module, names in [(movmf, ("soft_movmf_em", "hard_movmf_em")),
+                          (baselines, ("gmm_em", "gmm_nll_loss")), (losses, ("vmf_loss",)),
+                          (bank_mod, ("init_centers", "euclidean_init_means"))]:
+        for name in names:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **kw:
+                                calls.append(name) or real(*a, **kw))
+    em, init, loss = _FAMILY_LAYERS[alignment]
+    fit_calls = sorted([em, *init])
+
+    scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(20, 30), seed=1))
+    scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.1, seed=1))
+    cfg = trainer.TrainConfig(alignment=alignment, warmup_epochs=0, em_iters=3,
+                              hidden_dims=(8,), feat_dim=4)
+    params = network.init_params([7, 8, 4], 3, seed=0)
+    trainer.train_step(scene, params, bank_mod.empty_bank(3, 4), cfg, epoch=0)
+    assert sorted(calls) == sorted([*fit_calls, loss])
+    calls.clear()
+    trainer.explain(scene, params, cfg)
+    assert sorted(calls) == fit_calls
+    calls.clear()
+    _, _, args = _cluster_input(tmp_path, labeled=True)
+    code = cli.main(["cluster", *args, "--variant", alignment,
+                     "--out-prefix", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert sorted(calls) == fit_calls
 
 
 @pytest.mark.parametrize(

@@ -264,8 +264,8 @@ def test_explain_fits_the_configured_family(alignment):
 @pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
 def test_train_step_and_explain_fit_through_the_one_dispatch(monkeypatch, alignment):
     fits = []
-    real = trainer._fit
-    monkeypatch.setattr(trainer, "_fit",
+    real = trainer.Family.fit
+    monkeypatch.setattr(trainer.Family, "fit",
                         lambda family, *a: fits.append(family) or real(family, *a))
     scene = _scenes(count=1)[0]
     scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.1, seed=1))
@@ -274,7 +274,7 @@ def test_train_step_and_explain_fit_through_the_one_dispatch(monkeypatch, alignm
     prototypes = bank_mod.empty_bank(3, cfg.feat_dim, cfg.bank_momentum)
     trainer.train_step(scene, params, prototypes, cfg, cfg.warmup_epochs)
     trainer.explain(scene, params, cfg)
-    assert fits == [alignment, alignment]
+    assert fits == [trainer.FAMILIES[alignment]] * 2
 
 
 @pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -29,15 +30,33 @@ def test_ordered_map_runs_in_forked_workers_only_with_more_than_one_cpu(cpus):
         assert os.getpid() not in pids
 
 
+def _thread_names() -> list[str]:
+    names = []
+    for comm in Path("/proc/self/task").glob("*/comm"):
+        try:
+            names.append(comm.read_text().strip())
+        except FileNotFoundError:  # the thread has exited since the listing
+            pass
+    return names
+
+
 def test_the_process_that_forks_the_workers_runs_one_thread(cpus):
     # forking a multi-threaded process is deprecated from Python 3.12;
     # conftest pins BLAS to one thread before numpy loads
     status = Path("/proc/self/status")
     if not status.exists():
         pytest.skip("no /proc/self/status to read the thread count from")
-    threads = [line.split()[1] for line in status.read_text().splitlines()
-               if line.startswith("Threads:")]
-    assert threads == ["1"]
+    # an earlier test's pool may have joined its manager thread before the thread
+    # left the kernel's list of this process's threads: wait up to 5 s for it to go
+    deadline = time.monotonic() + 5.0
+    while True:
+        threads = [line.split()[1] for line in status.read_text().splitlines()
+                   if line.startswith("Threads:")]
+        if threads == ["1"] or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    assert threads == ["1"], (f"the process's threads: {_thread_names()}, of which "
+                              f"Python's: {[t.name for t in threading.enumerate()]}")
     assert workers.ordered_map(abs, range(-2, 2)) == [2, 1, 0, 1]
 
 
