@@ -1,5 +1,6 @@
-"""Alternative feature-space descriptors: category prototypes and an
-isotropic Gaussian mixture, used for the distribution-comparison runs.
+"""The isotropic Gaussian mixture, the Euclidean family beside the moVMF
+of ``movmf`` in the distribution-comparison runs: its EM, posterior and
+alignment loss.
 
 ``gmm_em`` passes its E and M steps to ``movmf._run_em``, the one EM
 loop of both mixture families. Its E step runs cluster-major through the
@@ -10,7 +11,9 @@ squared distances, a (k, n) score buffer and the (n, k) posterior.
 weights, means and variances; ``GMMParams`` validates them once, when
 the fit returns. Every
 output is bitwise equal to the point-major loop that scores fresh (n, k)
-arrays on every pass.
+arrays on every pass. Weights and variances start shared, so with
+``max_iters = 0`` the assignment is each point's nearest init mean by
+squared distance: ``dgn cluster --variant proto-euclid``.
 """
 
 from __future__ import annotations
@@ -22,12 +25,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _blocks, _check_weights,
-                    _has_unit_rows, _log_weights, _run_em, _softmax_columns,
-                    normalize_rows)
+                    _log_weights, _run_em, _softmax_columns)
 from .workspace import SCRATCH, Workspace
 
 VARIANCE_FLOOR = 1e-6
-METRICS = ("euclidean", "cosine")
 
 
 @dataclass(frozen=True)
@@ -65,29 +66,6 @@ class _GMMArrays(NamedTuple):
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-
-
-def prototype_assign(F: np.ndarray, prototypes: np.ndarray, metric: str) -> np.ndarray:
-    """Assign each row of F to the nearest of the (k, d) ``prototypes``.
-
-    Euclidean: smallest distance; cosine: largest similarity after row
-    normalization, to prototypes that must be unit rows. Ties go to the
-    lowest class index.
-    """
-    F = np.asarray(F, dtype=np.float64)
-    prototypes = np.asarray(prototypes, dtype=np.float64)
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}")
-    if F.ndim != 2 or prototypes.ndim != 2 or F.shape[1] != prototypes.shape[1]:
-        raise DimensionMismatch(
-            f"features {F.shape} incompatible with prototypes {prototypes.shape}"
-        )
-    if metric == "cosine":
-        if not _has_unit_rows(prototypes):
-            raise ValueError("cosine prototypes must have unit rows")
-        return np.argmax(normalize_rows(F) @ prototypes.T, axis=1)
-    diffs = F[:, None, :] - prototypes[None, :, :]
-    return np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1)
 
 
 def _f_terms(F: np.ndarray, twice: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ success, 2 parse or configuration errors (say, a checkpoint whose bank is
 not its head's shape, an ablate grid that holds out no validation scene,
 or an explain --config whose alignment or kappa is not the one the
 checkpoint was trained with), 3 dimension or data errors (say, explaining
-a scene whose class count is not the checkpoint head's), running out of
+a scene whose class count is not the checkpoint head's, or clustering
+fewer rows than --classes with --variant gmm or proto-euclid), running out of
 memory (say, for widths that cannot be allocated), a worker that dies
 (WorkerDied: say, killed for memory) and values that overflow
 (NonFiniteOutput: a diverged run, an overflowing checkpoint or a cluster
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bank as bank_mod
-from . import baselines, movmf, network, trainer
+from . import movmf, network, trainer
 from .data import (
     SceneSpec,
     SparseLabels,
@@ -61,9 +62,11 @@ EXIT_OK = 0
 # the config a checkpoint was trained with, written beside it by `dgn train`
 TRAINED_CONFIG = "config.txt"
 
-# each variant's family; the proto-* ones assign a row to its nearest init centre
+# each variant's family; a proto-* variant is its family's E step at the init
+# (uniform weights, and for the GMM one shared variance), so it assigns each
+# row to its nearest init centre: by squared distance, or by cosine
 CLUSTER_VARIANTS = {**trainer.FAMILIES, "proto-euclid": trainer.FAMILIES["gmm"],
-                    "proto-cosine": trainer.FAMILIES["soft"]}
+                    "proto-cosine": trainer.FAMILIES["hard"]}
 _ROWS_PER_WRITE = 4096
 
 
@@ -116,13 +119,14 @@ def cmd_cluster(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
-    # a flag the variant ignores is an error; EMConfig holds the defaults
+    # a flag the variant ignores is an error; EMConfig holds the defaults, and a
+    # proto-* variant runs no EM iteration
     family, proto = CLUSTER_VARIANTS[args.variant], args.variant.startswith("proto-")
     if args.kappa is not None and (family.euclidean or proto):
         raise ValueError("--kappa applies to --variant soft or hard only")
     if proto and (args.iters, args.tol) != (None, None):
         raise ValueError("--iters and --tol do not apply to the proto-* variants")
-    given = {"max_iters": args.iters, "tol": args.tol, "kappa": args.kappa}
+    given = {"max_iters": 0 if proto else args.iters, "tol": args.tol, "kappa": args.kappa}
     cfg = movmf.EMConfig(**{name: v for name, v in given.items() if v is not None})
 
     X = _read_matrix(args.input)
@@ -135,8 +139,11 @@ def cmd_cluster(args) -> int:
     # or X's unit rows; init: k-means++ without labels, else the family's labeled init
     try:
         with np.errstate(over="raise", invalid="raise"):  # as in trainer.train_step
-            rows = X if family.euclidean else movmf.normalize_rows(X)
-            unit = movmf.unit_rows(X) if family.euclidean and labels is not None else (rows, None)
+            if family.euclidean:
+                rows, unit = X, (None if labels is None else movmf.unit_rows(X))
+            else:
+                rows = movmf.normalize_rows(X)
+                unit = (rows, None)
             if labels is None:
                 init = _kmeanspp_init(rows, k, args.seed)
                 if not family.euclidean:
@@ -145,19 +152,13 @@ def cmd_cluster(args) -> int:
                 keep = labels >= 0
                 sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
                 init = family.init(X, unit, sparse, bank_mod.empty_bank(k, X.shape[1]), args.seed)
-
-            if proto:
-                metric = "euclidean" if family.euclidean else "cosine"
-                assignment = baselines.prototype_assign(X, init, metric)
-                posterior = movmf.one_hot(assignment, k)
-            else:
-                result = family.fit(X, unit, init, cfg)[0]
-                assignment, posterior = result.assignment, result.posterior
+            result = family.fit(X, unit, init, cfg)[0]
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the matrix overflows in clustering: {exc}") from None
 
+    posterior = movmf.one_hot(result.assignment, k) if proto else result.posterior
     prefix = args.out_prefix or args.input
-    _write_lines(prefix + ".assignments", map(str, assignment.tolist()))
+    _write_lines(prefix + ".assignments", map(str, result.assignment.tolist()))
     _write_rows(prefix + ".posteriors", posterior)
     print(f"wrote {prefix}.assignments and {prefix}.posteriors")
     return EXIT_OK
@@ -300,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster a matrix file")
     p.add_argument("input", help="text matrix, one row of floats per line")
-    p.add_argument("--variant", choices=CLUSTER_VARIANTS, default="soft")
+    p.add_argument("--variant", choices=CLUSTER_VARIANTS, default="soft",
+                   help="soft or hard moVMF EM on the unit rows, gmm: isotropic GMM EM "
+                   "on the rows; proto-cosine and proto-euclid: the nearest init centre "
+                   "under the hard moVMF or GMM family's own score, with no EM "
+                   "(default soft)")
     p.add_argument("--classes", type=integer, required=True)
     p.add_argument("--kappa", type=real, help="shared moVMF concentration, soft and "
                    f"hard only (default {movmf.EMConfig.kappa:g})")

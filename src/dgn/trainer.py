@@ -82,8 +82,9 @@ class TrainConfig:
     ``use_vmf`` adds the family's alignment loss, ``use_dis`` the separation
     of the posterior-weighted mean directions and ``use_con`` the
     cross-entropy from the posterior to the head; each backpropagates into
-    the network. Floats must be finite, ``beta`` in (0, 1], ``seed`` at
-    least 0, and ``feat_dim`` and every ``hidden_dims`` width at least 1.
+    the network. Floats must be finite, ``beta`` in (0, 1], ``bank_momentum``
+    in [0, 1), ``seed`` at least 0, and ``feat_dim`` and every
+    ``hidden_dims`` width at least 1.
     """
 
     kappa: float = movmf.EMConfig.kappa
@@ -131,6 +132,8 @@ class TrainConfig:
             raise ValueError("label_rate must be in (0, 1]")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
+        if not 0.0 <= self.bank_momentum < 1.0:
+            raise ValueError("bank_momentum must be in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stale_workspace
-from dgn import baselines
-from dgn.errors import DimensionMismatch
-from dgn.movmf import EMConfig, EMResult
+from dgn import baselines, cli
+from dgn.errors import DimensionMismatch, NonUnitInput
+from dgn.movmf import EMConfig, EMResult, normalize_rows
 
 
 def gmm_expected_objective(F, Q, params):
@@ -25,35 +25,49 @@ def gmm_expected_objective(F, Q, params):
 
 
 # ---------------------------------------------------------------------------
-# prototype assignment
+# prototype assignment: `dgn cluster --variant proto-*`, its family's fit at
+# the init with no EM iteration
 
 _PROTOS = np.array([[1.0, 0.0], [0.0, 1.0]])
+_PROTO_VARIANTS = {"euclidean": "proto-euclid", "cosine": "proto-cosine"}
+
+
+def prototype_assign(F, prototypes, metric):
+    """The assignment `dgn cluster` writes for the init ``prototypes``: the
+    variant's family fits F (Euclidean) or F's unit rows with max_iters = 0."""
+    family = cli.CLUSTER_VARIANTS[_PROTO_VARIANTS[metric]]
+    rows = F if family.euclidean else normalize_rows(F)
+    result = family.fit(F, (rows, None), prototypes, EMConfig(max_iters=0))[0]
+    assert result.iterations == 0
+    return result.assignment
 
 
 def test_prototype_assign_euclidean():
-    got = baselines.prototype_assign(np.array([[0.9, 0.1]]), _PROTOS, "euclidean")
-    assert got.tolist() == [0]
+    # the GMM needs as many points as components
+    got = prototype_assign(np.array([[0.9, 0.1], [0.3, 0.6]]), _PROTOS, "euclidean")
+    assert got.tolist() == [0, 1]
 
 
 def test_prototype_assign_cosine():
-    got = baselines.prototype_assign(np.array([[0.9, 0.1]]), _PROTOS, "cosine")
+    got = prototype_assign(np.array([[0.9, 0.1]]), _PROTOS, "cosine")
     assert got.tolist() == [0]
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_prototype_assign_tie_breaks_low_index(metric):
-    point = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
-    assert baselines.prototype_assign(point, _PROTOS, metric).tolist() == [0]
+    points = np.array([[1.0, 1.0], [0.0, 1.0]]) / [[math.sqrt(2.0)], [1.0]]
+    assert prototype_assign(points, _PROTOS, metric).tolist() == [0, 1]
 
 
 def test_prototype_assign_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        baselines.prototype_assign(np.ones((3, 3)), _PROTOS, "euclidean")
+    for metric in _PROTO_VARIANTS:
+        with pytest.raises(DimensionMismatch):
+            prototype_assign(np.ones((3, 3)), _PROTOS, metric)
 
 
 def test_cosine_prototypes_must_be_unit():
-    with pytest.raises(ValueError):
-        baselines.prototype_assign(np.ones((1, 2)), np.array([[2.0, 0.0]]), "cosine")
+    with pytest.raises(NonUnitInput):
+        prototype_assign(np.ones((1, 2)), np.array([[2.0, 0.0]]), "cosine")
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,10 +77,10 @@ def test_cosine_assignment_scale_invariant(scale, seed):
     F = rng.standard_normal((12, 4)) + 0.1
     protos = rng.standard_normal((3, 4))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-    base = baselines.prototype_assign(F, protos, "cosine")
+    base = prototype_assign(F, protos, "cosine")
     scaled = F.copy()
     scaled[3] *= scale
-    assert baselines.prototype_assign(scaled, protos, "cosine")[3] == base[3]
+    assert prototype_assign(scaled, protos, "cosine")[3] == base[3]
 
 
 # ---------------------------------------------------------------------------

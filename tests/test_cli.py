@@ -202,6 +202,17 @@ def test_train_checks_beta_before_reading_data(tmp_path, capsys):
     assert err == "error: beta must be in (0, 1]\n"
 
 
+def test_train_with_a_bank_momentum_outside_0_1_exits_2_before_reading_data(tmp_path,
+                                                                            capsys):
+    (tmp_path / "momentum.cfg").write_text("bank_momentum = 1.5\n")
+    code = cli.main(["train", "--config", str(tmp_path / "momentum.cfg"),
+                     "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == "error: bank_momentum must be in [0, 1)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_on_one_class_scenes_is_a_data_error(tmp_path, capsys):
     # the discriminative loss needs two clusters: bad data, not an internal error
     for i in range(3):
@@ -620,18 +631,27 @@ def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("iters", [0, 7])
-@pytest.mark.parametrize("variant", trainer.ALIGNMENTS)
+# the family each proto-* variant fits through, with no EM iteration
+_PROTO_FAMILY = {"proto-euclid": "gmm", "proto-cosine": "hard"}
+
+
+@pytest.mark.parametrize("variant, iters", [
+    *((variant, iters) for variant in trainer.ALIGNMENTS for iters in (0, 7)),
+    *((variant, 0) for variant in _PROTO_FAMILY)])
 def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant, iters):
     # `dgn cluster` fits through the family's init and fit in trainer.FAMILIES,
     # the dispatch train_step and explain use: on the same rows, labels, empty
     # bank, seed and EM settings the command writes the dispatch's fit bit for
-    # bit, at the init (hard EM soon forgets it) and after EM
+    # bit, at the init (hard EM soon forgets it) and after EM; a proto-*
+    # variant writes the one-hot assignment of its family's fit at the init
     X, labels, args = _cluster_input(tmp_path, labeled=True)
-    family = trainer.FAMILIES[variant]
+    alignment = _PROTO_FAMILY.get(variant, variant)
+    family = trainer.FAMILIES[alignment]
     flags, em = ["--iters", str(iters), "--tol", "0"], {"em_iters": iters, "em_tol": 0.0}
     if not family.euclidean:
         flags, em = [*flags, "--kappa", "5"], {**em, "kappa": 5.0}
+    if variant in _PROTO_FAMILY:
+        flags, em = [], {"em_iters": 0}
     written = []
     monkeypatch.setattr(cli, "_write_rows", lambda path, matrix: written.append(matrix))
     code = cli.main(["cluster", *args, "--variant", variant, *flags,
@@ -640,36 +660,83 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
 
     keep = labels >= 0
     sparse = data.SparseLabels(np.flatnonzero(keep), labels[keep])
-    cfg = trainer.TrainConfig(alignment=variant, seed=2, **em)
+    cfg = trainer.TrainConfig(alignment=alignment, seed=2, **em)
     fresh = bank_mod.empty_bank(3, X.shape[1])
     unit = movmf.unit_rows(X)
     init = family.init(X, unit, sparse, fresh, cfg.seed)
     result = family.fit(X, unit, init, trainer._em_config(cfg))[0]
     assert result.iterations == iters
-    assert np.array_equal(written[0].view(np.uint64), result.posterior.view(np.uint64))
+    posterior = movmf.one_hot(result.assignment, 3) if variant in _PROTO_FAMILY else (
+        result.posterior)
+    assert np.array_equal(written[0].view(np.uint64), posterior.view(np.uint64))
     assignments = (tmp_path / "out.assignments").read_text().split()
     assert assignments == [str(c) for c in result.assignment.tolist()]
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("variant", _PROTO_FAMILY)
+def test_cluster_proto_outputs_equal_the_nearest_prototype_rule_on_8_classes(
+        tmp_path, variant, labeled):
+    # about 4k rows of 8 classes, unlabeled and at 1% labels: the family's E
+    # step at the init assigns each row as the direct rule of _old_cluster does
+    scene = data.gen_scene(data.SceneSpec(num_classes=8, points_per_class=(450, 550), seed=6))
+    X = scene.network_input()
+    path = tmp_path / "matrix.txt"
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in X.tolist()))
+    args = [str(path), "--classes", "8", "--seed", "5", "--variant", variant,
+            "--out-prefix", str(tmp_path / "out")]
+    labels = None
+    if labeled:
+        sparse = data.sample_sparse_labels(scene, 0.01, seed=6)
+        labels = np.full(X.shape[0], -1)
+        labels[sparse.indices] = sparse.classes
+        (tmp_path / "labels.txt").write_text("".join(f"{c}\n" for c in labels.tolist()))
+        args += ["--labels", str(tmp_path / "labels.txt")]
+    assert cli.main(["cluster", *args]) == cli.EXIT_OK
+
+    assignment, posterior = _old_cluster(X, variant, 8, 5, labels)
+    assert (tmp_path / "out.assignments").read_bytes() == _old_lines(map(str, assignment))
+    assert (tmp_path / "out.posteriors").read_bytes() == _old_lines(_old_format_rows(posterior))
+
+
+@pytest.mark.parametrize("variant, code", [("proto-euclid", cli.EXIT_DATA),
+                                           ("proto-cosine", cli.EXIT_OK)])
+def test_cluster_proto_on_fewer_rows_than_classes(tmp_path, capsys, variant, code):
+    # the GMM needs a point per component, as --variant gmm does; the moVMF does not
+    (tmp_path / "matrix.txt").write_text("1.0 2.0\n3.0 -1.0\n")
+    got = cli.main(["cluster", str(tmp_path / "matrix.txt"), "--classes", "3",
+                    "--variant", variant, "--out-prefix", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert got == code
+    if code == cli.EXIT_OK:
+        assert err == ""
+        assert len((tmp_path / "out.assignments").read_text().split()) == 2
+    else:
+        assert err == "error: need at least 3 points, got 2\n"
+        assert not list(tmp_path.glob("out.*"))
 
 
 @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
 @pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
 def test_cluster_inits_and_fits_through_the_trainer_dispatch(tmp_path, monkeypatch, variant,
                                                              labeled):
-    # labels take the family's init (proto-euclid gmm's, proto-cosine soft's),
-    # and every EM variant fits through its family's fit
+    # labels take the family's init, and every variant fits through its
+    # family's fit: proto-euclid gmm's and proto-cosine hard's, with no EM
+    # iteration
     calls = []
-    for name in ("init", "fit"):
-        real = getattr(trainer.Family, name)
-        monkeypatch.setattr(trainer.Family, name, lambda family, *a, name=name, real=real:
-                            calls.append((name, family)) or real(family, *a))
+    real_init, real_fit = trainer.Family.init, trainer.Family.fit
+    monkeypatch.setattr(trainer.Family, "init", lambda family, *a:
+                        calls.append(("init", family)) or real_init(family, *a))
+    monkeypatch.setattr(trainer.Family, "fit", lambda family, *a:
+                        calls.append(("fit", family, a[3].max_iters)) or real_fit(family, *a))
     _, _, args = _cluster_input(tmp_path, labeled)
     code = cli.main(["cluster", *args, "--variant", variant,
                      "--out-prefix", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
-    init_family = {"proto-euclid": "gmm", "proto-cosine": "soft"}.get(variant, variant)
-    inits = [("init", trainer.FAMILIES[init_family])] if labeled else []
-    fits = [("fit", trainer.FAMILIES[variant])] if variant in trainer.ALIGNMENTS else []
-    assert calls == inits + fits
+    family = trainer.FAMILIES[_PROTO_FAMILY.get(variant, variant)]
+    inits = [("init", family)] if labeled else []
+    iters = 0 if variant in _PROTO_FAMILY else movmf.EMConfig.max_iters
+    assert calls == [*inits, ("fit", family, iters)]
 
 
 # each family's EM, labeled init (with the init_centers it calls) and loss

@@ -190,6 +190,25 @@ def test_ablate_rejects_grid_keys_it_cannot_sweep(param, values, match):
         trainer.ablate(_scenes(count=2), _cfg(epochs=1), param, values, seeds=[1])
 
 
+@pytest.mark.parametrize("momentum", [1.0, 1.5, -0.1])
+def test_config_rejects_a_bank_momentum_outside_0_1(momentum):
+    with pytest.raises(ValueError, match=r"^bank_momentum must be in \[0, 1\)$"):
+        trainer.TrainConfig(bank_momentum=momentum)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_config_accepts_a_bank_momentum_in_0_1(momentum):
+    assert trainer.TrainConfig(bank_momentum=momentum).bank_momentum == momentum
+
+
+def test_ablate_rejects_a_bank_momentum_before_any_fit(monkeypatch):
+    fits = []
+    monkeypatch.setattr(trainer, "fit", lambda *a: fits.append(a))
+    with pytest.raises(ValueError, match="bank_momentum"):
+        trainer.ablate(_scenes(count=2), _cfg(epochs=1), "bank_momentum", [0.5, 1.5])
+    assert fits == []
+
+
 def test_ablate_rows_equal_one_fit_after_another(cpus):
     scenes = _scenes(count=4)
     base = _cfg(epochs=2)
