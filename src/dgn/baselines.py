@@ -176,7 +176,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
     state = _GMMArrays(np.full(k, 1.0 / k), init_means,
                        np.full(k, max(spread, VARIANCE_FLOOR)))
 
-    P = ws.take(SCRATCH[0], k, n)      # the E step's log scores, cluster-major
+    P = ws.take(SCRATCH[0], n, k).reshape(k, n)   # the E step's log scores, cluster-major
     q = ws.take("posterior", n, k)     # the posterior the M step reads
 
     def m_step(q: np.ndarray, state: _GMMArrays):

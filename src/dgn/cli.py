@@ -98,19 +98,28 @@ def _write_rows(path: str, matrix: np.ndarray) -> None:
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Deterministic k-means++-style seeding on squared Euclidean distance."""
+    """Deterministic k-means++-style seeding on squared Euclidean distance.
+
+    Each point's squared distance to a new center takes the ops of
+    ``np.sum((X - c) ** 2, axis=1)`` in one reused (n, d) buffer."""
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
+    buf = np.empty_like(X)
+
+    def sq_dists(center):
+        np.square(np.subtract(X, center, out=buf), out=buf)
+        return np.add.reduce(buf, axis=1)
+
     centers[0] = X[rng.integers(n)]
-    dists = np.sum((X - centers[0]) ** 2, axis=1)
+    dists = sq_dists(centers[0])
     for c in range(1, k):
         total = float(dists.sum())
         if total <= 0:
             centers[c] = X[rng.integers(n)]
         else:
             centers[c] = X[rng.choice(n, p=dists / total)]
-        dists = np.minimum(dists, np.sum((X - centers[c]) ** 2, axis=1))
+        np.minimum(dists, sq_dists(centers[c]), out=dists)
     return centers
 
 
@@ -142,7 +151,8 @@ def cmd_cluster(args) -> int:
             if family.euclidean:
                 rows, unit = X, (None if labels is None else movmf.unit_rows(X))
             else:
-                rows = movmf.normalize_rows(X)
+                # a spherical family reads only the unit rows, so the raw matrix goes
+                X = rows = movmf.normalize_rows(X)
                 unit = (rows, None)
             if labels is None:
                 init = _kmeanspp_init(rows, k, args.seed)

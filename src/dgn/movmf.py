@@ -365,7 +365,7 @@ def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool,
     kappa = cfg.kappa
     ws = Workspace() if workspace is None else workspace
     Q = ws.take("posterior", n, k)   # the scores, then the posterior the M step reads
-    P = ws.take(SCRATCH[0], k, n)    # the posterior, cluster-major
+    P = ws.take(SCRATCH[0], n, k).reshape(k, n)   # the posterior, cluster-major
     if hard:
         flat_Q = Q.reshape(-1)
         row_starts = np.arange(0, n * k, k)   # where each point's row of Q starts

@@ -10,28 +10,33 @@ Adam keeps each of its two moments as one flat vector over
 ``ModelParams.tensors``, so an update is one pass of elementwise ops over
 all parameters rather than one pass per tensor (``AdamState``).
 
-Forward and backward write their per-point arrays into a ``Workspace``
-instead of allocating them, and so does the rest of an aligned training
-step (``trainer.train_step``). The keys of one step:
+Forward writes its per-point arrays into a ``Workspace`` instead of
+allocating them, and so does the rest of an aligned training step
+(``trainer.train_step``); backward forms its per-point gradients in the
+forward's own buffers. The keys of one step:
 
 - ``input``: the network input; ``act0``, ``act1``, ...: each layer's
   output, the last of them the features; ``logits`` and ``probs``: the
-  head's (``forward``);
+  head's (``forward``). ``backward`` overwrites the features and the
+  hidden activations with their gradients;
 - ``unit``: the unit rows of the features (``movmf.unit_rows``);
   ``posterior``: the mixture fit's (n, k) posterior; ``twice``: twice the
   features, for the gmm fit and loss; ``d_features`` and ``d_logits``: the
   summed loss gradients that ``backward`` reads;
-- ``grad0`` and ``grad1`` (``workspace.SCRATCH``): backward's per-layer
-  gradients. The alignment stage shares them: the fit's (k, n) buffer and
-  its other per-point arrays, the loss temporaries and the per-term
-  gradients are taken from these two keys, since all of them are dead
-  before ``backward`` runs.
+- ``scratch0`` and ``scratch1`` (``workspace.SCRATCH``): the loss/alignment
+  stage's temporaries, at most (n, max(feat_dim, k)) each: the TCE and
+  softmax gradients, the fit's (k, n) buffer and its other per-point
+  arrays, the loss temporaries and the per-term gradients. All of them are
+  dead before ``backward`` runs, which takes no workspace key.
 
 Aliasing rule: an array returned on a shared workspace is valid until the
 next call that takes its key. A ``ForwardCache`` lasts until the next
-``forward``, and ``backward`` reuses only its own buffers, so it may
-follow the ``forward`` whose cache it reads. A posterior or a loss
-gradient lasts until the next step or loss call on that workspace.
+``forward`` or until ``backward`` reads it, whichever comes first: after
+``backward`` its ``features`` and hidden activations hold gradients, and
+only its ``inputs``, ``logits`` and ``probs`` are still the forward's.
+The gradients ``backward`` reads may not share memory with the arrays it
+overwrites. A posterior or a loss gradient lasts until the next step or
+loss call on that workspace.
 
 Checkpoint container (binary, little-endian):
 
@@ -58,7 +63,7 @@ import numpy as np
 
 from .bank import MemoryBank
 from .errors import DimensionMismatch, NonFiniteOutput, ParseError, ShapeMismatch, StaleCache
-from .workspace import SCRATCH, Workspace
+from .workspace import Workspace
 
 MAGIC = b"DGNCK001"
 ADAM_BETA1 = 0.9
@@ -162,7 +167,10 @@ def softmax_backward(dP: np.ndarray, P: np.ndarray, out: np.ndarray | None = Non
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """Everything the backward pass needs, plus the network outputs."""
+    """Everything the backward pass needs, plus the network outputs.
+
+    ``backward`` overwrites ``features`` and ``acts`` with their gradients,
+    so a cache serves one backward pass, after any reads of its features."""
 
     inputs: np.ndarray                   # (n, d_in)
     acts: tuple[np.ndarray, ...]         # rectified output per hidden layer
@@ -210,14 +218,20 @@ def backward(
     cache: ForwardCache,
     d_features: np.ndarray,
     d_logits: np.ndarray,
-    workspace: Workspace | None = None,
 ) -> ModelParams:
     """Exact reverse-mode gradients for all parameters.
 
     Accumulates the feature-path gradient (alignment losses, already
     chained through normalization) and the logit-path gradient (head
-    losses). Returns a ModelParams-shaped gradient container; the
-    per-point gradients in between live in ``workspace``.
+    losses). Returns a ModelParams-shaped gradient container.
+
+    The per-point gradients in between are formed in the cache's own
+    buffers: each layer's upstream gradient overwrites the activation it is
+    the gradient of (``features``, then each hidden activation once its
+    rectifier mask and the weight gradient of the layer above are taken),
+    so the cache is dead after this call. ``d_features`` or ``d_logits``
+    that may share memory with ``features`` or a hidden activation raises
+    StaleCache, as does a cache that does not match the parameters.
     """
     d_features = np.asarray(d_features, dtype=np.float64)
     d_logits = np.asarray(d_logits, dtype=np.float64)
@@ -234,29 +248,29 @@ def backward(
             f"upstream gradients {d_features.shape}/{d_logits.shape} do not match "
             f"the cached batch of {n} points"
         )
-    ws = Workspace() if workspace is None else workspace
+    overwritten = (cache.features, *cache.acts)
+    if any(np.may_share_memory(g, a) for g in (d_features, d_logits) for a in overwritten):
+        raise StaleCache("an upstream gradient shares memory with the activations "
+                         "backward overwrites")
 
     d_head = d_logits.T @ cache.features
-    # dz of each layer is formed in place in its upstream-gradient buffer;
-    # two buffers alternate so a layer's input gradient never overwrites
-    # it. Float addition commutes exactly, so the sum below is bitwise
+    # Float addition commutes exactly, so the sum below is bitwise
     # d_features + d_logits @ head.
-    dz = ws.take(SCRATCH[0], n, params.feature_dim)
-    np.matmul(d_logits, params.head_weights, out=dz)
+    dz = np.matmul(d_logits, params.head_weights, out=cache.features)
     dz += d_features
 
     below = (cache.inputs, *cache.acts)
     grads: list[np.ndarray | None] = [None] * (2 * num_layers)
     grads.append(d_head)
+    mask = None
     for i in range(num_layers - 1, -1, -1):
-        if i < num_layers - 1:
-            dz *= cache.acts[i] > 0
+        if mask is not None:
+            dz *= mask
         grads[2 * i] = dz.T @ below[i]
         grads[2 * i + 1] = dz.sum(axis=0)
         if i:
-            w = params.layer_weights[i]
-            key = SCRATCH[(num_layers - i) % 2]
-            dz = np.matmul(dz, w, out=ws.take(key, n, w.shape[1]))
+            mask = below[i] > 0
+            dz = np.matmul(dz, params.layer_weights[i], out=below[i])
     return ModelParams.from_tensors(grads)
 
 

@@ -270,7 +270,7 @@ def train_step(
     total = tce_val + vmf_val + dis_val + con_val
     report = StepReport(tce_val, vmf_val, dis_val, con_val, total, em_iters, degenerate)
     predictions = np.argmax(cache.probs, axis=1)
-    grads = network.backward(params, cache, d_features, d_logits, ws)
+    grads = network.backward(params, cache, d_features, d_logits)
     if cfg.optimizer == "adam":
         if opt_state is None:
             opt_state = network.init_adam_state(params)
@@ -317,8 +317,10 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     head predictions, each before its step's update, are added into one
     confusion count as they come. Only the validation scenes are forwarded
     again, after the epoch, for ``val_miou``. Both score head-only
-    predictions (the clustering stage is never run at inference). A
-    diverging step or evaluation ends the fit in NonFiniteOutput naming
+    predictions (the clustering stage is never run at inference). Every
+    step and evaluation shares one ``Workspace``, built for the largest
+    training or validation scene, so each of its buffers is allocated once.
+    A diverging step or evaluation ends the fit in NonFiniteOutput naming
     the epoch and scene.
     """
     dataset = list(dataset)
@@ -342,7 +344,9 @@ def fit(dataset, cfg: TrainConfig) -> FitResult:
     prototype_bank = bank_mod.empty_bank(num_classes, cfg.feat_dim, cfg.bank_momentum)
 
     reports: list[EpochReport] = []
-    workspace = network.Workspace()
+    workspace = network.Workspace(max(s.num_points for s in dataset))
+    for key in SCRATCH:  # at the width the first aligned step would grow them to
+        workspace.take(key, 0, max(cfg.feat_dim, num_classes))
     opt_state = None
     for epoch in range(cfg.epochs):
         # += in step order, not sum(), whose rounding differs across Pythons

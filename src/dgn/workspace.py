@@ -8,29 +8,35 @@ from __future__ import annotations
 
 import numpy as np
 
-# The two keys backward alternates its per-layer gradients in. The alignment
-# stage (the EM fit and the losses) borrows them for its temporaries, which
-# are dead before backward runs.
-SCRATCH = ("grad0", "grad1")
+# The two keys the loss/alignment stage (the TCE gradient, the EM fit and the
+# alignment losses) borrows for its temporaries, which are dead before
+# ``network.backward`` runs.
+SCRATCH = ("scratch0", "scratch1")
 
 
 class Workspace:
     """Scratch arrays reused across calls.
 
-    Each key owns one flat float64 buffer that grows to the largest
-    request seen; ``take`` returns a C-contiguous (rows, cols) view of its
-    leading part, so batches of any size and width share it.
+    Each key owns one flat float64 buffer. Every ``take`` is point-major:
+    ``rows`` counts points, and a (k, n) array is taken as (n, k) and
+    reshaped. A key's buffer holds at least ``points`` rows at the width of
+    each take, so on a workspace built for the largest scene of a run a
+    buffer is replaced only by a wider take, never by a larger scene;
+    ``take`` returns a C-contiguous (rows, cols) view of its leading part,
+    so batches of any size and width share it. ``Workspace()`` grows each
+    buffer to the largest request seen.
     """
 
-    def __init__(self):
+    def __init__(self, points: int = 0):
+        self.points = points
         self._buffers: dict[str, np.ndarray] = {}
 
     def take(self, key: str, rows: int, cols: int) -> np.ndarray:
-        size = rows * cols
         buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
-        return buf[:size].reshape(rows, cols)
+        need = max(rows, self.points) * cols
+        if buf is None or buf.size < need:
+            buf = self._buffers[key] = np.empty(need)
+        return buf[:rows * cols].reshape(rows, cols)
 
     def zeros(self, key: str, rows: int, cols: int) -> np.ndarray:
         """``take``, filled with 0.0."""

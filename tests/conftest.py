@@ -25,11 +25,13 @@ def perturb_direction(rng, u, angle):
 
 
 def stale_workspace(size=1 << 16):
-    """A workspace whose every key of an aligned training step already holds
-    a larger buffer of nan, so that a call reading a buffer before it has
-    written all of it gives other bits than a call without a workspace."""
+    """A workspace whose every key of an aligned training step (the network's
+    of up to three layers among them) already holds a larger buffer of nan,
+    so that a call reading a buffer before it has written all of it gives
+    other bits than a call without a workspace."""
     ws = Workspace()
-    for key in (*SCRATCH, "input", "unit", "posterior", "twice", "d_features", "d_logits"):
+    for key in (*SCRATCH, "input", "act0", "act1", "act2", "logits", "probs", "unit",
+                "posterior", "twice", "d_features", "d_logits"):
         ws.take(key, 1, size).fill(np.nan)
     return ws
 

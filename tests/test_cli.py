@@ -567,6 +567,40 @@ def _old_cluster(X, variant, k, seed, labels):
     return result.assignment, result.posterior
 
 
+def _old_kmeanspp_init(X, k, seed):
+    """`cli._kmeanspp_init` before its distances shared one buffer: a fresh
+    difference, square and sum per center."""
+    rng = np.random.default_rng(seed)
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    dists = np.sum((X - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = float(dists.sum())
+        if total <= 0:
+            centers[c] = X[rng.integers(n)]
+        else:
+            centers[c] = X[rng.choice(n, p=dists / total)]
+        dists = np.minimum(dists, np.sum((X - centers[c]) ** 2, axis=1))
+    return centers
+
+
+@pytest.mark.parametrize("rows", ["raw", "unit", "repeated"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_kmeanspp_init_equals_the_allocating_form(rows, seed):
+    # ~4k rows of mixed magnitudes, their unit rows, and one repeated row
+    # (every distance 0, so each center falls back to a uniform draw)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((4099, 7)) * 10.0 ** rng.integers(-3, 4, size=(4099, 1))
+    if rows == "unit":
+        X = movmf.normalize_rows(X)
+    elif rows == "repeated":
+        X = np.repeat(X[:1], 4099, axis=0)
+    for k in (1, 3, 8):
+        got = cli._kmeanspp_init(X, k, seed)
+        assert np.array_equal(got.view(np.uint64), _old_kmeanspp_init(X, k, seed).view(np.uint64))
+
+
 def _cluster_input(tmp_path, labeled):
     scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=4))
     X = scene.network_input()

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stale_workspace
 from dgn import network
 from dgn.bank import MemoryBank, empty_bank
 from dgn.errors import DgnError, DimensionMismatch, ParseError, ShapeMismatch, StaleCache
@@ -182,12 +184,13 @@ def _reference_backward(params, x, pre_acts, d_features, d_logits):
 
 def test_shared_workspace_matches_allocating_reference():
     # batches shrink and grow, and two models of different widths share
-    # the buffers, so a stale row or a wrongly shaped view would show
+    # a workspace whose buffers start as nan, so a stale row, a wrongly
+    # shaped view or a gradient formed in the wrong buffer would show
     models = [
         network.init_params([7, 32, 32, 16], num_classes=8, seed=4),
         network.init_params([7, 12, 5], num_classes=3, seed=5),
     ]
-    ws = network.Workspace()
+    ws = stale_workspace()
     rng = np.random.default_rng(4)
     for step, n in enumerate((50, 20, 80, 20, 0, 33)):
         params = models[step % 2]
@@ -199,11 +202,52 @@ def test_shared_workspace_matches_allocating_reference():
         np.testing.assert_array_equal(cache.features, features)
         np.testing.assert_array_equal(cache.logits, logits)
         np.testing.assert_array_equal(cache.probs, probs)
-        grads = network.backward(params, cache, d_feat, d_logit, ws)
+        grads = network.backward(params, cache, d_feat, d_logit)
         got = (*grads.layer_weights, *grads.layer_biases, grads.head_weights)
         want = _reference_backward(params, x, pre_acts, d_feat, d_logit)
         for g, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(g, w)
+
+
+def test_backward_on_a_used_workspace_allocates_less_than_one_hidden_array():
+    # the per-layer gradients are formed in the cache's activations, so
+    # backward takes no workspace key and allocates only its rectifier
+    # masks and the parameter-sized gradients
+    params = network.init_params([7, 32, 32, 16], num_classes=8, seed=4)
+    rng = np.random.default_rng(5)
+    n = 4000
+    x = rng.standard_normal((n, 7))
+    d_feat = rng.standard_normal((n, 16))
+    d_logit = rng.standard_normal((n, 8))
+    ws = network.Workspace(n)
+    network.backward(params, network.forward(params, x, ws), d_feat, d_logit)
+    buffers = dict(ws._buffers)
+    cache = network.forward(params, x, ws)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        network.backward(params, cache, d_feat, d_logit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < n * 32 * 8
+    assert ws._buffers.keys() == buffers.keys()
+    assert all(ws._buffers[key] is buf for key, buf in buffers.items())
+
+
+@pytest.mark.parametrize("alias", ["features", "hidden"])
+def test_backward_rejects_an_upstream_gradient_sharing_the_cache(rng, alias):
+    # backward overwrites the features and the hidden activations, so an
+    # upstream gradient read from them would give wrong gradients
+    params = network.init_params([3, 6, 4], 2, seed=0)
+    cache = network.forward(params, rng.standard_normal((5, 3)))
+    d_features, d_logits = np.zeros((5, 4)), np.zeros((5, 2))
+    if alias == "features":
+        d_features = cache.features
+    else:
+        d_logits = cache.acts[0][:, 2:4]
+    with pytest.raises(StaleCache, match="shares memory"):
+        network.backward(params, cache, d_features, d_logits)
 
 
 def test_backward_stale_cache_layer_count(rng):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dgn import data, errors, network, trainer
 from dgn import bank as bank_mod
 from dgn.errors import DgnError, InvalidGrid
+from dgn.workspace import SCRATCH
 
 
 def _scenes(count=5):
@@ -129,6 +130,64 @@ def test_an_aligned_step_on_a_used_workspace_allocates_less_than_one_feature_arr
         tracemalloc.stop()
     assert step.report.em_iters > 0
     assert peak - start < scene.num_points * cfg.feat_dim * 8
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_train_steps_on_a_sized_workspace_equal_steps_on_a_growing_one(alignment):
+    # a workspace built for the largest scene hands out the leading rows of
+    # buffers longer than the scene, which must not change a bit
+    big = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=4))
+    scenes = [_subset(big, n, seed) for seed, n in enumerate((50, 20, 80, 33))]
+    cfg = _cfg(alignment=alignment)
+    params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 3, seed=cfg.seed)
+    prototypes = bank_mod.empty_bank(3, cfg.feat_dim, cfg.bank_momentum)
+    growing = sized = trainer.StepResult(params, prototypes, None, None)
+    growing_ws, sized_ws = network.Workspace(), network.Workspace(80)
+    for epoch in (0, 1, 2):  # warmup, then aligned
+        for scene in scenes:
+            growing = trainer.train_step(scene, growing.params, growing.bank, cfg, epoch,
+                                         growing.opt_state, growing_ws)
+            sized = trainer.train_step(scene, sized.params, sized.bank, cfg, epoch,
+                                       sized.opt_state, sized_ws)
+            for x, y in zip(_param_arrays(growing.params), _param_arrays(sized.params),
+                            strict=True):
+                np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(growing.bank.prototypes, sized.bank.prototypes)
+            assert growing.report == sized.report
+            np.testing.assert_array_equal(growing.predictions, sized.predictions)
+    assert sized.report.em_iters > 0
+
+
+@pytest.mark.parametrize("larger", ["train", "val"])
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_fit_allocates_each_workspace_buffer_once(monkeypatch, alignment, larger):
+    # a later training or validation scene is larger than the first, and the
+    # aligned steps after the warmup take wider scratch arrays (feat_dim 4 >
+    # 3 classes); the fit's workspace is built for both, so no step or
+    # evaluation replaces a buffer that an earlier step took
+    big = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(40, 50), seed=4))
+    sizes = (40, 60, 120, 50) if larger == "train" else (40, 60, 50, 120)
+    scenes = [_subset(big, n, seed) for seed, n in enumerate(sizes)]
+    cfg = _cfg(alignment=alignment, val_fraction=0.25)
+    snapshots, workspaces = [], []
+    step = trainer.train_step
+
+    def recording_step(*args):
+        result = step(*args)
+        workspaces.append(args[-1])
+        snapshots.append(dict(args[-1]._buffers))
+        return result
+
+    monkeypatch.setattr(trainer, "train_step", recording_step)
+    result = trainer.fit(scenes, cfg)
+    assert result.reports[-1].em_iters > 0
+    assert len(snapshots) == cfg.epochs * 3
+    assert all(ws is workspaces[0] for ws in workspaces)
+    # the last snapshot is the workspace after the last evaluation
+    snapshots.append(dict(workspaces[0]._buffers))
+    for earlier, later in zip(snapshots, snapshots[1:]):
+        assert all(later[key] is buf for key, buf in earlier.items())
+    assert {*SCRATCH, "input", "act0", "unit", "posterior"} <= snapshots[-1].keys()
 
 
 def test_train_miou_is_the_head_miou_of_the_epochs_own_steps():
