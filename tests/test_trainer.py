@@ -85,28 +85,32 @@ def _subset(scene, n, seed):
 @pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
 def test_train_steps_on_one_shared_workspace_equal_steps_on_fresh_ones(alignment):
     # the scenes shrink and grow, so each step finds the buffers that the
-    # network, the fit and the losses of a step of another size left behind
+    # network, the fit and the losses of a step of another size left behind;
+    # a workspace built for the largest scene (80 points) hands out the
+    # leading rows of longer buffers instead
     big = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=4))
     scenes = [_subset(big, n, seed) for seed, n in enumerate((50, 20, 80, 33))]
     cfg = _cfg(alignment=alignment)
     params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 3, seed=cfg.seed)
     prototypes = bank_mod.empty_bank(3, cfg.feat_dim, cfg.bank_momentum)
-    fresh = shared = trainer.StepResult(params, prototypes, None, None)
-    ws = network.Workspace()
+    fresh = trainer.StepResult(params, prototypes, None, None)
+    workspaces = [network.Workspace(), network.Workspace(80)]
+    shared = [fresh] * len(workspaces)
     for epoch in (0, 1, 2):  # warmup, then aligned
         for scene in scenes:
             fresh = trainer.train_step(scene, fresh.params, fresh.bank, cfg, epoch,
                                        fresh.opt_state)
-            shared = trainer.train_step(scene, shared.params, shared.bank, cfg, epoch,
-                                        shared.opt_state, ws)
-            for x, y in zip(_param_arrays(fresh.params), _param_arrays(shared.params),
-                            strict=True):
-                np.testing.assert_array_equal(x, y)
-            np.testing.assert_array_equal(fresh.bank.prototypes, shared.bank.prototypes)
-            np.testing.assert_array_equal(fresh.bank.seen, shared.bank.seen)
-            assert fresh.report == shared.report
-            np.testing.assert_array_equal(fresh.predictions, shared.predictions)
-    assert shared.report.em_iters > 0
+            for i, ws in enumerate(workspaces):
+                step = shared[i] = trainer.train_step(scene, shared[i].params, shared[i].bank,
+                                                      cfg, epoch, shared[i].opt_state, ws)
+                for x, y in zip(_param_arrays(fresh.params), _param_arrays(step.params),
+                                strict=True):
+                    np.testing.assert_array_equal(x, y)
+                np.testing.assert_array_equal(fresh.bank.prototypes, step.bank.prototypes)
+                np.testing.assert_array_equal(fresh.bank.seen, step.bank.seen)
+                assert fresh.report == step.report
+                np.testing.assert_array_equal(fresh.predictions, step.predictions)
+    assert fresh.report.em_iters > 0
 
 
 @pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
@@ -130,32 +134,6 @@ def test_an_aligned_step_on_a_used_workspace_allocates_less_than_one_feature_arr
         tracemalloc.stop()
     assert step.report.em_iters > 0
     assert peak - start < scene.num_points * cfg.feat_dim * 8
-
-
-@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
-def test_train_steps_on_a_sized_workspace_equal_steps_on_a_growing_one(alignment):
-    # a workspace built for the largest scene hands out the leading rows of
-    # buffers longer than the scene, which must not change a bit
-    big = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(30, 40), seed=4))
-    scenes = [_subset(big, n, seed) for seed, n in enumerate((50, 20, 80, 33))]
-    cfg = _cfg(alignment=alignment)
-    params = network.init_params([7, *cfg.hidden_dims, cfg.feat_dim], 3, seed=cfg.seed)
-    prototypes = bank_mod.empty_bank(3, cfg.feat_dim, cfg.bank_momentum)
-    growing = sized = trainer.StepResult(params, prototypes, None, None)
-    growing_ws, sized_ws = network.Workspace(), network.Workspace(80)
-    for epoch in (0, 1, 2):  # warmup, then aligned
-        for scene in scenes:
-            growing = trainer.train_step(scene, growing.params, growing.bank, cfg, epoch,
-                                         growing.opt_state, growing_ws)
-            sized = trainer.train_step(scene, sized.params, sized.bank, cfg, epoch,
-                                       sized.opt_state, sized_ws)
-            for x, y in zip(_param_arrays(growing.params), _param_arrays(sized.params),
-                            strict=True):
-                np.testing.assert_array_equal(x, y)
-            np.testing.assert_array_equal(growing.bank.prototypes, sized.bank.prototypes)
-            assert growing.report == sized.report
-            np.testing.assert_array_equal(growing.predictions, sized.predictions)
-    assert sized.report.em_iters > 0
 
 
 @pytest.mark.parametrize("larger", ["train", "val"])
