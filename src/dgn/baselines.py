@@ -3,10 +3,11 @@ of ``movmf`` in the distribution-comparison runs: its EM, posterior and
 alignment loss.
 
 ``gmm_em`` passes its E and M steps to ``movmf._run_em``, the one EM
-loop of both mixture families. Its E step runs cluster-major through the
-softmax it shares with moVMF EM (see the "Layout" notes of ``movmf``),
-on buffers taken once per fit from the caller's workspace: the (n, k)
-squared distances, a (k, n) score buffer and the (n, k) posterior.
+loop of both mixture families. Its E step is ``movmf._softmax_rows``,
+the one row softmax of moVMF EM and the segment head (see the "Layout"
+notes of ``movmf``), on buffers taken once per fit from the caller's
+workspace: the (n, k) squared distances, a (k, n) score buffer and the
+(n, k) posterior.
 ||f||^2 and 2F are computed once per fit. The loop iterates on the raw
 weights, means and variances; ``GMMParams`` validates them once, when
 the fit returns. Every
@@ -24,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _blocks, _check_weights,
-                    _log_weights, _run_em, _softmax_columns)
+from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _check_weights, _log_weights,
+                    _run_em, _softmax_rows, _sum_columns)
 from .workspace import SCRATCH, Workspace
 
 VARIANCE_FLOOR = 1e-6
@@ -119,23 +120,14 @@ def gmm_posterior(sq: np.ndarray, params: GMMParams, scratch: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """Responsibilities from the (n, k) squared distances ``sq`` of the
     points to ``params.means``, written into the (n, k) ``out``: computed in
-    log space with the max over components subtracted, on the caller's
-    (k, n) ``scratch`` buffer as ``movmf`` does. ``params`` is a GMMParams
-    or the unvalidated arrays of the same names ``gmm_em`` iterates on."""
+    log space with the max over components subtracted, by
+    ``movmf._softmax_rows`` on the caller's (k, n) ``scratch`` buffer.
+    ``params`` is a GMMParams or the unvalidated arrays of the same names
+    ``gmm_em`` iterates on."""
     log_norms = _gmm_log_norms(_log_weights(params.weights), params)[:, None]
     variances = params.variances[:, None]
-    for b in _blocks(sq.shape[0]):
-        _gmm_scores(sq[b].T, log_norms, variances, out=scratch[:, b])
-    _softmax_columns(scratch)
-    np.copyto(out, scratch.T)
-    return out
-
-
-def _scatter_sums(prod: np.ndarray) -> np.ndarray:
-    """The column sums of the (n, k) ``prod``, bitwise ``prod.sum(axis=0)``:
-    at k >= 2 numpy adds each column point after point, as ``einsum``
-    does, but faster; at k = 1 it adds the one contiguous column pairwise."""
-    return prod.sum(axis=0) if prod.shape[1] == 1 else np.einsum("ic->c", prod)
+    return _softmax_rows(sq, scratch, out,
+                         lambda s, p: _gmm_scores(s, log_norms, variances, out=p))
 
 
 def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
@@ -192,7 +184,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
         # the next E step scores against these means, so it reuses sq
         _sq_dists(F, means, sq, f_terms)
         # q is read no more before the next E step overwrites it
-        scatter = _scatter_sums(np.multiply(q, sq, out=q))
+        scatter = _sum_columns(np.multiply(q, sq, out=q))
         variances = np.divide(scatter, d * mass, out=state.variances.copy(), where=alive)
         np.maximum(variances, VARIANCE_FLOOR, out=variances, where=alive)
         shift = float(np.max(np.linalg.norm(means - state.means, axis=1)))

@@ -63,6 +63,16 @@ def real(token: str) -> float:
     return float(token)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the 1-d ``values``, as ``np.unique``
+    gives them, by sort and compare: numpy 2.4's ``np.unique`` imports
+    ``numpy.ma`` on its first call, 14-18 ms and 1.2 MiB per process."""
+    values = np.sort(values)
+    keep = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 @dataclass(frozen=True)
 class SparseLabels:
     """Indices of annotated points and their classes."""
@@ -79,7 +89,7 @@ class SparseLabels:
             raise LengthMismatch(
                 f"indices {indices.shape} vs classes {classes.shape}"
             )
-        if indices.size and np.unique(indices).size != indices.size:
+        if _distinct(indices).size != indices.size:
             raise ValueError("annotated indices must be distinct")
         if np.any(indices < 0):
             raise ValueError("annotated indices must be nonnegative")
@@ -349,7 +359,8 @@ def _parse_rows(path, lines, row, fault, check=None, first_line=1, count=None,
     lines, as ``loadtxt`` does."""
     # loadtxt allocates rows of ``row``'s width before it parses one, so the
     # width a header claims is trusted only once the first line has it
-    if count is None or (len(lines) == count and not (count and fault(lines[0]))):
+    if count is None or (len(lines) == count
+                         and (not count or len(lines[0].split()) == _num_fields(row))):
         records = _loadtxt(lines, row, ascii_text)
         if (records is not None and (count is None or len(records) == count)
                 and not (check and check(records))):
@@ -364,12 +375,16 @@ def _parse_rows(path, lines, row, fault, check=None, first_line=1, count=None,
     raise ParseError(path, line_no + 1, "unexpected end of file")
 
 
+def _num_fields(row: np.dtype) -> int:
+    return row.itemsize // 8  # every field is an 8-byte number
+
+
 def _fields_fault(row: np.dtype, width_reason: str, check=None):
     """The ``fault`` of a line of ``row``'s fields: another count (``width_reason``
     formatted with ``got``), a malformed number, or ``check``'s reason."""
     def fault(line):
         got = len(line.split())
-        if got != row.itemsize // 8:  # every field is an 8-byte number
+        if got != _num_fields(row):
             return width_reason.format(got=got)
         record = _loadtxt([line], row, line.isascii())
         return "malformed number" if record is None else check and check(record)

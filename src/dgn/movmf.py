@@ -7,44 +7,47 @@ objectives, so it is never computed. All computation is float64 and
 log-space where overflow is possible.
 
 Layout. Both mixture families, this moVMF and the isotropic GMM of
-``baselines``, run in ``_run_em``, the one EM loop. Their E step is
-computed cluster-major, on one (k, n) buffer with a row per cluster, so
-the max over clusters, ``exp``, the sum over clusters and the division
+``baselines``, run in ``_run_em``, the one EM loop. Every row softmax
+of ``dgn``, the E step of both families and the segment head's
+(``network.softmax``), is ``_softmax_rows``: it moves the (n, k) scores
+into one (k, n) buffer with a row per class or cluster, so that the max
+over them, ``exp``, the sum over them and the division
 (``_softmax_columns``) are operations on whole rows of n points rather
-than reductions over rows of k. Each result is bitwise equal to the
-point-major (n, k) form (the (n, k) scores, then the row softmax):
+than reductions over rows of k, and copies the result back into an
+(n, k) array. Each result is bitwise equal to the point-major (n, k)
+form (the (n, k) scores, then the row softmax):
 
 - the scores are first written point-major by the same BLAS call as the
   point-major form, and the op that finishes them moves them into the
-  (k, n) buffer, 4096 points at a time (``_blocks``). moVMF: ``V @
+  (k, n) buffer, 4096 points at a time (``_BLOCK``). moVMF: ``V @
   means.T``, scaled by kappa, then the add of log(alpha_c). GMM: the
   squared distances ``baselines._sq_dists`` (``2F @ means.T``), then
   ``0.5 * sq``, divided by var_c and subtracted from
   log w_c - (d/2) log(2 pi var_c), the same elementwise ops in the same
-  order. ``means @ V.T`` and ``P @ V`` are not used: with OpenBLAS they
-  differ in the last bit for some shapes;
+  order. The head: the logits, copied. ``means @ V.T`` and ``P @ V`` are
+  not used: with OpenBLAS they differ in the last bit for some shapes;
 - the sum over the k rows adds them in the order numpy adds the k
   entries of one row (``Q.sum(axis=1)``): left to right below 8 rows,
   as ``np.add.reduce(P, axis=0)`` adds them; from 8 to 128 rows, eight
   strided accumulators r_j (rows j, j+8, ...) combined as
   ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover rows one by
   one; above 128 rows, numpy's pairwise split;
-- the M step reads the posterior back in the (n, k) layout, so ``Q.T @ V``
-  is the same BLAS call, and the weights are column sums taken point
-  after point, as ``Q.mean(axis=0)`` takes them (``np.einsum("ic->c",
-  Q)``). The GMM variance numerators are ``(q * sq).sum(axis=0)`` with
-  the product in a buffer, taken as ``np.einsum("ic->c", ...)`` at
-  k >= 2, where it is bitwise equal and faster (numpy sums the one column
-  of k = 1 pairwise); ``np.einsum("ic,ic->c", q, sq)`` is not bitwise
-  equal to it.
+- the M step reads the posterior in the (n, k) layout, so ``Q.T @ V`` is
+  the same BLAS call, and the weights are column sums taken point after
+  point, as ``Q.mean(axis=0)`` takes them (``np.einsum("ic->c", Q)``).
+  The GMM variance numerators ``(q * sq).sum(axis=0)``, with the product
+  in a buffer, and the network's bias gradients ``dz.sum(axis=0)`` are
+  taken by ``_sum_columns``: ``np.einsum("ic->c", ...)`` at k >= 2, where
+  it is bitwise equal and faster (numpy sums the one column of k = 1
+  pairwise); ``np.einsum("ic,ic->c", q, sq)`` is not bitwise equal to it.
 
 The loop iterates on raw arrays: weights, means and, for the GMM,
 variances. Its (n, k) and (k, n) buffers are taken once per fit from the
 caller's workspace (fresh arrays without one), and hard EM writes its
-one-hot posterior into the (n, k) one. ``MoVMFParams`` or
-``baselines.GMMParams`` is built, and validated, once, when the fit
-returns. The only check inside the loop is the E step's: all-zero or nan
-weights raise ``DegenerateRow``.
+one-hot posterior into the (n, k) one with ``one_hot(..., out=)``.
+``MoVMFParams`` or ``baselines.GMMParams`` is built, and validated, once,
+when the fit returns. The only check inside the loop is the E step's:
+all-zero or nan weights raise ``DegenerateRow``.
 """
 
 from __future__ import annotations
@@ -234,10 +237,11 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
     return s
 
 
-def _blocks(n: int):
-    """Slices of ``_BLOCK`` points covering n: a (n, k) -> (k, n) transpose
-    taken one block at a time stays in cache."""
-    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+def _sum_columns(A: np.ndarray) -> np.ndarray:
+    """The column sums of the (n, k) ``A``, bitwise ``A.sum(axis=0)``: at
+    k >= 2 numpy adds each column point after point, as ``einsum`` does,
+    but faster; at k = 1 it adds the one contiguous column pairwise."""
+    return A.sum(axis=0) if A.shape[1] == 1 else np.einsum("ic->c", A)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -257,31 +261,38 @@ def _softmax_columns(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _posterior_kn(
-    V: np.ndarray,
-    means: np.ndarray,
-    kappa: float,
-    alphas: np.ndarray,
-    scratch: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """The (k, n) posterior of the points V under (alphas, kappa, means),
-    written into ``out``; ``scratch`` is an (n, k) buffer for the scores.
+def _softmax_rows(S: np.ndarray, P: np.ndarray, out: np.ndarray,
+                  score=lambda s, p: np.copyto(p, s)) -> np.ndarray:
+    """The row softmax of the (n, k) scores S, written into the (n, k)
+    ``out`` (which may be S) through the (k, n) buffer P. Each block of
+    points is moved into P by ``score(S[b].T, P[:, b])``, a plain copy
+    unless a caller's last elementwise op on the scores is the move;
+    ``_softmax_columns`` then takes the softmax of P, which is copied into
+    ``out``. The one softmax of the segment head and both E steps."""
+    for i in range(0, S.shape[0], _BLOCK):   # a block's transpose stays in cache
+        score(S[i:i + _BLOCK].T, P[:, i:i + _BLOCK])
+    np.copyto(out, _softmax_columns(P).T)
+    return out
+
+
+def _posterior(V: np.ndarray, means: np.ndarray, kappa: float, alphas: np.ndarray,
+               P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (n, k) posterior of the points V under (alphas, kappa, means),
+    written into ``out``, which first holds the scores; P is the (k, n)
+    buffer of ``_softmax_rows``.
 
     Computed in log space with the max over clusters subtracted. With
-    kappa = 0 every column equals the (renormalized) weights exactly.
+    kappa = 0 every row equals the (renormalized) weights exactly.
     """
     total = float(alphas.sum())
     if not (alphas > 0).any() or total <= 0:
         raise DegenerateRow("all mixture weights are zero")
     if kappa == 0.0:
-        out[...] = (alphas / total)[:, None]
+        out[...] = alphas / total
         return out
     log_alphas = _log_weights(alphas)[:, None]
-    S = _scores(V, means, kappa, out=scratch)
-    for b in _blocks(S.shape[0]):
-        np.add(S[b].T, log_alphas, out=out[:, b])
-    return _softmax_columns(out)
+    S = _scores(V, means, kappa, out=out)
+    return _softmax_rows(S, P, out, lambda s, p: np.add(s, log_alphas, out=p))
 
 
 def log_scores(V: np.ndarray, theta: MoVMFParams, out: np.ndarray | None = None) -> np.ndarray:
@@ -315,11 +326,14 @@ def movmf_objective(
     return float(per_point.sum())
 
 
-def one_hot(labels: np.ndarray, num_clusters: int) -> np.ndarray:
-    """Row-stochastic one-hot matrix for a hard assignment."""
+def one_hot(labels: np.ndarray, num_clusters: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-stochastic one-hot matrix for a hard assignment, written into
+    the (n, num_clusters) ``out`` or a fresh array."""
     labels = np.asarray(labels)
-    out = np.zeros((labels.shape[0], num_clusters))
-    out[np.arange(labels.shape[0]), labels] = 1.0
+    n = labels.shape[0]
+    out = np.empty((n, num_clusters)) if out is None else out
+    out.fill(0.0)
+    out[np.arange(n), labels] = 1.0
     return out
 
 
@@ -366,19 +380,12 @@ def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool,
     ws = Workspace() if workspace is None else workspace
     Q = ws.take("posterior", n, k)   # the scores, then the posterior the M step reads
     P = ws.take(SCRATCH[0], n, k).reshape(k, n)   # the posterior, cluster-major
-    if hard:
-        flat_Q = Q.reshape(-1)
-        row_starts = np.arange(0, n * k, k)   # where each point's row of Q starts
 
     def e_step(state) -> np.ndarray:
         alphas, means = state
-        _posterior_kn(V, means, kappa, alphas, Q, P)
+        _posterior(V, means, kappa, alphas, P, Q)
         if hard:
-            # one_hot into Q; numpy's argmax takes the first nan of a column
-            Q.fill(0.0)
-            flat_Q[row_starts + np.argmax(P, axis=0)] = 1.0
-        else:
-            np.copyto(Q, P.T)
+            one_hot(np.argmax(Q, axis=1), k, out=Q)   # the first nan of a row wins
         return Q
 
     def m_step(Q: np.ndarray, state):

@@ -27,7 +27,9 @@ forward's own buffers. The keys of one step:
   stage's temporaries, at most (n, max(feat_dim, k)) each: the TCE and
   softmax gradients, the fit's (k, n) buffer and its other per-point
   arrays, the loss temporaries and the per-term gradients. All of them are
-  dead before ``backward`` runs, which takes no workspace key.
+  dead before ``backward`` runs, which takes no workspace key. ``forward``'s
+  softmax borrows ``scratch0`` as its (k, n) buffer, dead when ``forward``
+  returns.
 
 Aliasing rule: an array returned on a shared workspace is valid until the
 next call that takes its key. A ``ForwardCache`` lasts until the next
@@ -63,7 +65,8 @@ import numpy as np
 
 from .bank import MemoryBank
 from .errors import DimensionMismatch, NonFiniteOutput, ParseError, ShapeMismatch, StaleCache
-from .workspace import Workspace
+from .movmf import _softmax_rows, _sum_columns
+from .workspace import SCRATCH, Workspace
 
 MAGIC = b"DGNCK001"
 ADAM_BETA1 = 0.9
@@ -146,15 +149,15 @@ def init_params(layer_dims, num_classes: int, seed: int) -> ModelParams:
     return ModelParams.from_tensors(tensors)
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax(
+    logits: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Row softmax with max subtraction, written into ``out`` (which may be
-    ``logits`` itself) or a fresh array."""
-    # row max column by column: over k columns this is several times
-    # faster than a row reduce, and max is exact
-    z = np.subtract(logits, np.maximum.reduce(tuple(logits.T))[:, None], out=out)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+    ``logits`` itself) or a fresh array, by ``movmf._softmax_rows`` on the
+    (k, n) ``scratch`` buffer (a fresh one when omitted)."""
+    n, k = logits.shape
+    P = np.empty((k, n)) if scratch is None else scratch
+    return _softmax_rows(logits, P, np.empty((n, k)) if out is None else out)
 
 
 def softmax_backward(dP: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -207,7 +210,8 @@ def forward(
                 acts.append(a)
         k = params.num_classes
         logits = np.matmul(a, params.head_weights.T, out=ws.take("logits", n, k))
-        probs = softmax(logits, out=ws.take("probs", n, k))
+        scratch = ws.take(SCRATCH[0], n, k).reshape(k, n)
+        probs = softmax(logits, ws.take("probs", n, k), scratch)
     if not np.isfinite(probs).all():
         raise NonFiniteOutput("the network's outputs are not finite")
     return ForwardCache(x, tuple(acts), a, logits, probs)
@@ -267,7 +271,7 @@ def backward(
         if mask is not None:
             dz *= mask
         grads[2 * i] = dz.T @ below[i]
-        grads[2 * i + 1] = dz.sum(axis=0)
+        grads[2 * i + 1] = _sum_columns(dz)
         if i:
             mask = below[i] > 0
             dz = np.matmul(dz, params.layer_weights[i], out=below[i])

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import baselines, losses, movmf, network
-from .data import (SceneBatch, confusion, integer, iou_from_confusion, miou, real,
-                   sample_sparse_labels, with_sparse)
+from .data import (SceneBatch, _distinct, confusion, integer, iou_from_confusion, miou,
+                   real, sample_sparse_labels, with_sparse)
 from .errors import DimensionMismatch, InvalidGrid, NonFiniteOutput
 from .workers import ordered_map
 from .workspace import SCRATCH
@@ -262,7 +262,7 @@ def train_step(
         if cfg.use_con:
             con_val, grad = losses.con_loss(cache.probs, Q, ws)
             d_logits += grad
-        present = np.unique(labels.classes)
+        present = _distinct(labels.classes)
         # a gmm mean at the origin has no direction to store
         present = present[np.linalg.norm(means[present], axis=1) > 0.5]
         prototype_bank = bank_mod.update_bank(prototype_bank, means, present)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stale_workspace
-from dgn import baselines, cli
+from dgn import baselines, cli, movmf
 from dgn.errors import DimensionMismatch, NonUnitInput
 from dgn.movmf import EMConfig, EMResult, normalize_rows
 
@@ -334,15 +334,17 @@ def test_gmm_posterior_bitwise_equals_point_major(rng, k):
     assert np.array_equal(out, want)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("k", range(1, 41))
 @pytest.mark.parametrize("n", [7, 100, 4100])
 def test_scatter_sums_are_numpys_column_sums(k, n):
-    # numpy adds a column of a (n, k >= 2) array point after point, as einsum
-    # does, but the one column of a (n, 1) array pairwise, which einsum does
-    # not: at n = 100 this data tells the two apart
+    # movmf._sum_columns takes the GMM's scatter sums (k components) and the
+    # network's bias gradients (k = a layer's width). numpy adds a column of
+    # a (n, k >= 2) array point after point, as einsum does, but the one
+    # column of a (n, 1) array pairwise, which einsum does not: at n = 100
+    # this data tells the two apart
     rng = np.random.default_rng(k)
     prod = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, k))
-    assert np.array_equal(baselines._scatter_sums(prod), prod.sum(axis=0))
+    assert np.array_equal(movmf._sum_columns(prod), prod.sum(axis=0))
     if (n, k) == (100, 1):
         assert not np.array_equal(np.einsum("ic->c", prod), prod.sum(axis=0))
 

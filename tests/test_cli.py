@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import struct
@@ -406,6 +407,31 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_train_explain_and_gen_data_do_not_load_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma on its first call, 14-18 ms a process
+    scenes, config = tmp_path / "data", tmp_path / "train.cfg"
+    assert cli.main(["gen-data", "--out", str(scenes), "--scenes", "4", "--classes", "3",
+                     "--points", "20:30", "--seed", "5"]) == cli.EXIT_OK
+    config.write_text("epochs = 2\nwarmup_epochs = 1\nem_iters = 2\nlabel_rate = 0.2\n")
+    commands = [
+        ["train", "--config", str(config), "--data", str(scenes), "--out", str(tmp_path / "o")],
+        ["explain", "--config", str(config), "--scene", str(scenes / "scene_003.dgn"),
+         "--checkpoint", str(tmp_path / "o" / "model.ckpt"), "--out", str(tmp_path / "e")],
+        # one scene: generated in this process, not in a forked worker
+        ["gen-data", "--out", str(tmp_path / "one"), "--scenes", "1"],
+    ]
+    src = os.path.dirname(os.path.dirname(dgn.__file__))
+    probe = ("import json, sys\nfrom dgn import cli\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    assert cli.main(argv) == 0\n"
+             "    print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True)
+    assert [line for line in out.stdout.splitlines() if line in ("True", "False")] == [
+        "False"] * 3
 
 
 def test_train_is_bitwise_repeatable_across_processes(tmp_path):

@@ -294,6 +294,18 @@ def test_loadtxt_is_called_in_data_only():
     assert callers == ["data.py"]
 
 
+def test_a_valid_scene_with_a_trailer_takes_two_loadtxt_calls(tmp_path, monkeypatch):
+    # one for the rows and one for the trailer: before the first, line 1 is
+    # checked only for its field count, and is parsed with the rest
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), data.gen_scene(_spec()))
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(a) or loadtxt(*a, **kw))
+    data.read_scene(str(path))
+    assert len(calls) == 2
+
+
 def test_truncated_file_parse_error(tmp_path):
     scene = data.gen_scene(_spec())
     path = tmp_path / "scene.dgn"

@@ -152,9 +152,8 @@ def posterior(V, theta):
     V = np.asarray(V, dtype=np.float64)
     movmf._check_dims(V, theta)
     n, k = V.shape[0], theta.num_clusters
-    P = movmf._posterior_kn(V, theta.means, theta.kappa, theta.alphas,
-                            np.empty((n, k)), np.empty((k, n)))
-    return np.ascontiguousarray(P.T)
+    return movmf._posterior(V, theta.means, theta.kappa, theta.alphas,
+                            np.empty((k, n)), np.empty((n, k)))
 
 
 def reference_posterior(V, theta):
@@ -402,6 +401,13 @@ def test_objective_hand_derived_two_clusters():
     expected = 0.5 * (math.log(0.5) + 10) + 0.5 * (math.log(0.5) - 10)
     assert movmf.movmf_objective(v, q, theta) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(math.log(0.5), abs=1e-12)
+
+
+def test_one_hot_into_a_used_buffer_equals_a_fresh_one(rng):
+    labels = rng.integers(0, 5, 300)
+    out = np.full((300, 5), np.nan)
+    assert movmf.one_hot(labels, 5, out=out) is out
+    assert out.tobytes() == movmf.one_hot(labels, 5).tobytes()
 
 
 def test_objective_one_hot_equals_hard_objective_bitwise(rng):

@@ -75,6 +75,50 @@ def test_softmax_stable_at_large_logits(rng):
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
+def point_major_softmax(logits, out=None, scratch=None):
+    """The point-major row softmax ``network.softmax`` replaced, the oracle
+    of its bits: the row max taken column by column, ``exp``, and each row
+    divided by its own sum. ``scratch`` is not used."""
+    z = np.subtract(logits, np.maximum.reduce(tuple(logits.T))[:, None], out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _scaled_logits(n, k):
+    rng = np.random.default_rng(n * 1000 + k)
+    return rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 129])
+@pytest.mark.parametrize("n", [300, 3 * 4096 + 1234])
+def test_softmax_is_bitwise_the_point_major_form(n, k):
+    # n below one 4096-point block, and past a block edge; k on either side
+    # of each of numpy's pairwise-sum thresholds (8 and 128 entries)
+    logits = _scaled_logits(n, k)
+    want = point_major_softmax(logits)
+    assert _same_bits(network.softmax(logits), want)
+    scratch = np.full((k, n), np.nan)
+    assert network.softmax(logits, logits, scratch) is logits
+    assert _same_bits(logits, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9])
+def test_softmax_of_rows_holding_inf_or_nan_is_bitwise_the_point_major_form(k):
+    logits = _scaled_logits(5000, k)
+    logits[3, 0] = np.inf
+    logits[10, -1] = -np.inf
+    logits[4097, k // 2] = np.nan
+    logits[20] = -np.inf
+    logits[30] = np.inf
+    logits[4500, 0] = -np.nan
+    with np.errstate(invalid="ignore"):
+        want = point_major_softmax(logits)
+        got = network.softmax(logits)
+    assert np.isnan(got[[3, 20, 30, 4097, 4500]]).all()
+    assert _same_bits(got, want)
+
+
 # ---------------------------------------------------------------------------
 # backward
 

@@ -1,15 +1,17 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgn import data, errors, network, trainer
+from dgn import data, errors, movmf, network, trainer
 from dgn import bank as bank_mod
 from dgn.errors import DgnError, InvalidGrid
 from dgn.workspace import SCRATCH
+from test_network import point_major_softmax
 
 
 def _scenes(count=5):
@@ -42,6 +44,39 @@ def test_fit_twice_gives_identical_checkpoint_and_reports(tmp_path, alignment):
     for path, result in zip(paths, (first, second)):
         network.save_checkpoint(str(path), result.params, result.bank)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _scattered_one_hot(labels, num_clusters, out):
+    # the hard E step's one-hot before movmf.one_hot took ``out``: a scatter
+    # into the flat posterior at each point's row start plus its label
+    out.fill(0.0)
+    out.reshape(-1)[np.arange(0, out.size, num_clusters) + labels] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+def test_fit_gives_the_bits_of_the_point_major_softmax_one_hot_and_bias_sums(
+        monkeypatch, alignment):
+    scenes = _scenes()
+    cfg = _cfg(alignment=alignment)
+    new = trainer.fit(scenes, cfg)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(network, "softmax", counted("softmax", point_major_softmax))
+    monkeypatch.setattr(network, "_sum_columns", counted("sum", lambda dz: dz.sum(axis=0)))
+    monkeypatch.setattr(movmf, "one_hot", counted("one_hot", _scattered_one_hot))
+    old = trainer.fit(scenes, cfg)
+    assert calls["softmax"] and calls["sum"]
+    assert bool(calls["one_hot"]) == (alignment == "hard")
+    assert new.reports == old.reports
+    for x, y in zip(_param_arrays(new.params), _param_arrays(old.params), strict=True):
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("epoch", [0, 1])
