@@ -5,14 +5,13 @@ alignment loss.
 ``gmm_em`` passes its E and M steps to ``movmf._run_em``, the one EM
 loop of both mixture families. Its E step is ``movmf._softmax_rows``,
 the one row softmax of moVMF EM and the segment head (see the "Layout"
-notes of ``movmf``), on buffers taken once per fit from the caller's
-workspace: the (n, k) squared distances, a (k, n) score buffer and the
-(n, k) posterior.
-||f||^2 and 2F are computed once per fit. The loop iterates on the raw
-weights, means and variances; ``GMMParams`` validates them once, when
-the fit returns. Every
-output is bitwise equal to the point-major loop that scores fresh (n, k)
-arrays on every pass. Weights and variances start shared, so with
+notes of ``movmf``), which scores one block of points at a time from the
+(n, k) squared distances into the (n, k) posterior. Both are taken once
+per fit from the caller's workspace, as are ||f||^2 and 2F, computed
+once per fit. The loop iterates on the raw weights, means and
+variances; ``GMMParams`` validates them once, when the fit returns.
+Every output is bitwise equal to the point-major loop that scores fresh
+(n, k) arrays on every pass. Weights and variances start shared, so with
 ``max_iters = 0`` the assignment is each point's nearest init mean by
 squared distance: ``dgn cluster --variant proto-euclid``.
 """
@@ -116,18 +115,16 @@ def _gmm_floored_scores(F: np.ndarray, params: GMMParams, out: np.ndarray | None
     return _gmm_scores(sq, _gmm_log_norms(log_w, params), params.variances, out=sq)
 
 
-def gmm_posterior(sq: np.ndarray, params: GMMParams, scratch: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
+def gmm_posterior(sq: np.ndarray, params: GMMParams, out: np.ndarray) -> np.ndarray:
     """Responsibilities from the (n, k) squared distances ``sq`` of the
     points to ``params.means``, written into the (n, k) ``out``: computed in
     log space with the max over components subtracted, by
-    ``movmf._softmax_rows`` on the caller's (k, n) ``scratch`` buffer.
+    ``movmf._softmax_rows``, which scores one block of points at a time.
     ``params`` is a GMMParams or the unvalidated arrays of the same names
     ``gmm_em`` iterates on."""
     log_norms = _gmm_log_norms(_log_weights(params.weights), params)[:, None]
     variances = params.variances[:, None]
-    return _softmax_rows(sq, scratch, out,
-                         lambda s, p: _gmm_scores(s, log_norms, variances, out=p))
+    return _softmax_rows(sq, out, lambda s, p: _gmm_scores(s, log_norms, variances, out=p))
 
 
 def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
@@ -168,7 +165,6 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
     state = _GMMArrays(np.full(k, 1.0 / k), init_means,
                        np.full(k, max(spread, VARIANCE_FLOOR)))
 
-    P = ws.take(SCRATCH[0], n, k).reshape(k, n)   # the E step's log scores, cluster-major
     q = ws.take("posterior", n, k)     # the posterior the M step reads
 
     def m_step(q: np.ndarray, state: _GMMArrays):
@@ -190,7 +186,7 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
         shift = float(np.max(np.linalg.norm(means - state.means, axis=1)))
         return _GMMArrays(weights / weights.sum(), means, variances), shift, dead
 
-    return _run_em(state, lambda s: gmm_posterior(sq, s, P, q), m_step,
+    return _run_em(state, lambda s: gmm_posterior(sq, s, q), m_step,
                    lambda s: GMMParams(*s), cfg)
 
 

@@ -67,7 +67,7 @@ TRAINED_CONFIG = "config.txt"
 # row to its nearest init centre: by squared distance, or by cosine
 CLUSTER_VARIANTS = {**trainer.FAMILIES, "proto-euclid": trainer.FAMILIES["gmm"],
                     "proto-cosine": trainer.FAMILIES["hard"]}
-_ROWS_PER_WRITE = 4096
+_ROWS_PER_WRITE = 1024
 
 
 def _write_lines(path: str, lines) -> None:
@@ -85,11 +85,12 @@ def _report_line(report: trainer.EpochReport) -> str:
     return " ".join(f"{k}={_fmt6(v) if isinstance(v, float) else v}" for k, v in values)
 
 
-def _write_rows(path: str, matrix: np.ndarray) -> None:
-    """One line per row of ``matrix``, each value as ``_fmt6`` prints it (a
-    lone newline for no rows); formatted and written 4096 rows at a time,
-    so the text of the whole matrix is never held."""
-    row = " ".join(["%.6g"] * matrix.shape[1])
+def _write_rows(path: str, matrix: np.ndarray, value: str = "%.6g") -> None:
+    """One line per row of ``matrix``, each entry formatted by ``value``
+    (``"%.6g"``, as ``_fmt6`` prints it, or ``"%d"``; a lone newline for
+    no rows); formatted and written 1024 rows at a time, so the text of
+    the whole matrix is never held."""
+    row = " ".join([value] * matrix.shape[1])
     with open(path, "w") as fh:
         if not matrix.shape[0]:
             fh.write("\n")
@@ -101,25 +102,30 @@ def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means++-style seeding on squared Euclidean distance.
 
     Each point's squared distance to a new center takes the ops of
-    ``np.sum((X - c) ** 2, axis=1)`` in one reused (n, d) buffer."""
+    ``np.sum((X - c) ** 2, axis=1)``, ``movmf._BLOCK`` rows at a time in
+    one reused (block, d) buffer, and lowers the point's running minimum."""
     rng = np.random.default_rng(seed)
     n = X.shape[0]
+    block = movmf._BLOCK
     centers = np.empty((k, X.shape[1]))
-    buf = np.empty_like(X)
+    buf = np.empty((min(n, block), X.shape[1]))
+    dists = np.full(n, np.inf)   # the first center's distances replace every inf
 
-    def sq_dists(center):
-        np.square(np.subtract(X, center, out=buf), out=buf)
-        return np.add.reduce(buf, axis=1)
+    def nearer(center):
+        for i in range(0, n, block):
+            diff = np.subtract(X[i:i + block], center, out=buf[:min(block, n - i)])
+            sq = np.add.reduce(np.square(diff, out=diff), axis=1)
+            np.minimum(dists[i:i + block], sq, out=dists[i:i + block])
 
     centers[0] = X[rng.integers(n)]
-    dists = sq_dists(centers[0])
+    nearer(centers[0])
     for c in range(1, k):
         total = float(dists.sum())
         if total <= 0:
             centers[c] = X[rng.integers(n)]
         else:
             centers[c] = X[rng.choice(n, p=dists / total)]
-        np.minimum(dists, sq_dists(centers[c]), out=dists)
+        nearer(centers[c])
     return centers
 
 
@@ -166,9 +172,11 @@ def cmd_cluster(args) -> int:
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the matrix overflows in clustering: {exc}") from None
 
-    posterior = movmf.one_hot(result.assignment, k) if proto else result.posterior
+    posterior = result.posterior
+    if proto:   # the fit's posterior is dead, so the one-hot overwrites it
+        movmf.one_hot(result.assignment, k, out=posterior)
     prefix = args.out_prefix or args.input
-    _write_lines(prefix + ".assignments", map(str, result.assignment.tolist()))
+    _write_rows(prefix + ".assignments", result.assignment[:, None], "%d")
     _write_rows(prefix + ".posteriors", posterior)
     print(f"wrote {prefix}.assignments and {prefix}.posteriors")
     return EXIT_OK

@@ -9,22 +9,24 @@ log-space where overflow is possible.
 Layout. Both mixture families, this moVMF and the isotropic GMM of
 ``baselines``, run in ``_run_em``, the one EM loop. Every row softmax
 of ``dgn``, the E step of both families and the segment head's
-(``network.softmax``), is ``_softmax_rows``: it moves the (n, k) scores
-into one (k, n) buffer with a row per class or cluster, so that the max
-over them, ``exp``, the sum over them and the division
-(``_softmax_columns``) are operations on whole rows of n points rather
-than reductions over rows of k, and copies the result back into an
-(n, k) array. Each result is bitwise equal to the point-major (n, k)
-form (the (n, k) scores, then the row softmax):
+(``network.softmax``), is ``_softmax_rows``. It works on 4096 points
+at a time (``_BLOCK``): it moves a block's (n, k) scores into one
+(k, min(n, 4096)) buffer with a row per class or cluster, so that the
+max over them, ``exp``, the sum over them and the division
+(``_softmax_columns``) are operations on whole rows of the block's
+points rather than reductions over rows of k, and copies the block's
+result back into the (n, k) output. The buffer (256 KiB at k = 8) stays
+in cache, and no (k, n) copy of the scores is held. Each result is
+bitwise equal to the point-major (n, k) form (the (n, k) scores, then
+the row softmax), at any block edge:
 
 - the scores are first written point-major by the same BLAS call as the
-  point-major form, and the op that finishes them moves them into the
-  (k, n) buffer, 4096 points at a time (``_BLOCK``). moVMF: ``V @
-  means.T``, scaled by kappa, then the add of log(alpha_c). GMM: the
-  squared distances ``baselines._sq_dists`` (``2F @ means.T``), then
-  ``0.5 * sq``, divided by var_c and subtracted from
-  log w_c - (d/2) log(2 pi var_c), the same elementwise ops in the same
-  order. The head: the logits, copied. ``means @ V.T`` and ``P @ V`` are
+  point-major form, and the op that finishes them moves each block of
+  them into the buffer. moVMF: ``V @ means.T``, scaled by kappa, then
+  the add of log(alpha_c). GMM: the squared distances
+  ``baselines._sq_dists`` (``2F @ means.T``), then ``0.5 * sq``, divided
+  by var_c and subtracted from log w_c - (d/2) log(2 pi var_c), the same
+  elementwise ops in the same order. The head: the logits, copied. ``means @ V.T`` and ``P @ V`` are
   not used: with OpenBLAS they differ in the last bit for some shapes;
 - the sum over the k rows adds them in the order numpy adds the k
   entries of one row (``Q.sum(axis=1)``): left to right below 8 rows,
@@ -42,9 +44,9 @@ form (the (n, k) scores, then the row softmax):
   pairwise); ``np.einsum("ic,ic->c", q, sq)`` is not bitwise equal to it.
 
 The loop iterates on raw arrays: weights, means and, for the GMM,
-variances. Its (n, k) and (k, n) buffers are taken once per fit from the
-caller's workspace (fresh arrays without one), and hard EM writes its
-one-hot posterior into the (n, k) one with ``one_hot(..., out=)``.
+variances. Its (n, k) posterior is taken once per fit from the caller's
+workspace (a fresh array without one), and hard EM writes its one-hot
+posterior into it with ``one_hot(..., out=)``.
 ``MoVMFParams`` or ``baselines.GMMParams`` is built, and validated, once,
 when the fit returns. The only check inside the loop is the E step's:
 all-zero or nan weights raise ``DegenerateRow``.
@@ -63,12 +65,12 @@ from .errors import (
     NonUnitInput,
     ZeroVectorRow,
 )
-from .workspace import SCRATCH, Workspace
+from .workspace import Workspace
 
 UNIT_ATOL = 1e-9
 ZERO_NORM = 1e-12
 ALPHA_FLOOR = 1e-12
-_BLOCK = 4096   # points per block of a (n, k) <-> (k, n) transpose
+_BLOCK = 4096   # points per block of a row softmax
 
 
 def unit_rows(
@@ -261,25 +263,28 @@ def _softmax_columns(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _softmax_rows(S: np.ndarray, P: np.ndarray, out: np.ndarray,
+def _softmax_rows(S: np.ndarray, out: np.ndarray,
                   score=lambda s, p: np.copyto(p, s)) -> np.ndarray:
     """The row softmax of the (n, k) scores S, written into the (n, k)
-    ``out`` (which may be S) through the (k, n) buffer P. Each block of
-    points is moved into P by ``score(S[b].T, P[:, b])``, a plain copy
-    unless a caller's last elementwise op on the scores is the move;
-    ``_softmax_columns`` then takes the softmax of P, which is copied into
-    ``out``. The one softmax of the segment head and both E steps."""
-    for i in range(0, S.shape[0], _BLOCK):   # a block's transpose stays in cache
-        score(S[i:i + _BLOCK].T, P[:, i:i + _BLOCK])
-    np.copyto(out, _softmax_columns(P).T)
+    ``out`` (which may be S), ``_BLOCK`` points at a time through one
+    (k, min(n, _BLOCK)) buffer. Each block of points is moved into the
+    buffer by ``score(S[b].T, block)``, a plain copy unless a caller's last
+    elementwise op on the scores is the move; ``_softmax_columns`` takes
+    the block's softmax, which is copied into ``out[b]``. The one softmax
+    of the segment head and both E steps."""
+    n = S.shape[0]
+    P = np.empty((S.shape[1], min(n, _BLOCK)))
+    for i in range(0, n, _BLOCK):   # a block's working set stays in cache
+        block = P[:, :min(_BLOCK, n - i)]
+        score(S[i:i + _BLOCK].T, block)
+        np.copyto(out[i:i + _BLOCK], _softmax_columns(block).T)
     return out
 
 
 def _posterior(V: np.ndarray, means: np.ndarray, kappa: float, alphas: np.ndarray,
-               P: np.ndarray, out: np.ndarray) -> np.ndarray:
+               out: np.ndarray) -> np.ndarray:
     """The (n, k) posterior of the points V under (alphas, kappa, means),
-    written into ``out``, which first holds the scores; P is the (k, n)
-    buffer of ``_softmax_rows``.
+    written into ``out``, which first holds the scores.
 
     Computed in log space with the max over clusters subtracted. With
     kappa = 0 every row equals the (renormalized) weights exactly.
@@ -292,7 +297,7 @@ def _posterior(V: np.ndarray, means: np.ndarray, kappa: float, alphas: np.ndarra
         return out
     log_alphas = _log_weights(alphas)[:, None]
     S = _scores(V, means, kappa, out=out)
-    return _softmax_rows(S, P, out, lambda s, p: np.add(s, log_alphas, out=p))
+    return _softmax_rows(S, out, lambda s, p: np.add(s, log_alphas, out=p))
 
 
 def log_scores(V: np.ndarray, theta: MoVMFParams, out: np.ndarray | None = None) -> np.ndarray:
@@ -379,11 +384,10 @@ def _movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig, hard: bool,
     kappa = cfg.kappa
     ws = Workspace() if workspace is None else workspace
     Q = ws.take("posterior", n, k)   # the scores, then the posterior the M step reads
-    P = ws.take(SCRATCH[0], n, k).reshape(k, n)   # the posterior, cluster-major
 
     def e_step(state) -> np.ndarray:
         alphas, means = state
-        _posterior(V, means, kappa, alphas, P, Q)
+        _posterior(V, means, kappa, alphas, Q)
         if hard:
             one_hot(np.argmax(Q, axis=1), k, out=Q)   # the first nan of a row wins
         return Q

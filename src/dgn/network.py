@@ -25,11 +25,9 @@ forward's own buffers. The keys of one step:
   summed loss gradients that ``backward`` reads;
 - ``scratch0`` and ``scratch1`` (``workspace.SCRATCH``): the loss/alignment
   stage's temporaries, at most (n, max(feat_dim, k)) each: the TCE and
-  softmax gradients, the fit's (k, n) buffer and its other per-point
-  arrays, the loss temporaries and the per-term gradients. All of them are
-  dead before ``backward`` runs, which takes no workspace key. ``forward``'s
-  softmax borrows ``scratch0`` as its (k, n) buffer, dead when ``forward``
-  returns.
+  softmax gradients, the fit's per-point arrays, the loss temporaries and
+  the per-term gradients. All of them are dead before ``backward`` runs,
+  which takes no workspace key, and ``forward`` takes neither.
 
 Aliasing rule: an array returned on a shared workspace is valid until the
 next call that takes its key. A ``ForwardCache`` lasts until the next
@@ -66,7 +64,7 @@ import numpy as np
 from .bank import MemoryBank
 from .errors import DimensionMismatch, NonFiniteOutput, ParseError, ShapeMismatch, StaleCache
 from .movmf import _softmax_rows, _sum_columns
-from .workspace import SCRATCH, Workspace
+from .workspace import Workspace
 
 MAGIC = b"DGNCK001"
 ADAM_BETA1 = 0.9
@@ -149,15 +147,10 @@ def init_params(layer_dims, num_classes: int, seed: int) -> ModelParams:
     return ModelParams.from_tensors(tensors)
 
 
-def softmax(
-    logits: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row softmax with max subtraction, written into ``out`` (which may be
-    ``logits`` itself) or a fresh array, by ``movmf._softmax_rows`` on the
-    (k, n) ``scratch`` buffer (a fresh one when omitted)."""
-    n, k = logits.shape
-    P = np.empty((k, n)) if scratch is None else scratch
-    return _softmax_rows(logits, P, np.empty((n, k)) if out is None else out)
+    ``logits`` itself) or a fresh array, by ``movmf._softmax_rows``."""
+    return _softmax_rows(logits, np.empty(logits.shape) if out is None else out)
 
 
 def softmax_backward(dP: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -210,8 +203,7 @@ def forward(
                 acts.append(a)
         k = params.num_classes
         logits = np.matmul(a, params.head_weights.T, out=ws.take("logits", n, k))
-        scratch = ws.take(SCRATCH[0], n, k).reshape(k, n)
-        probs = softmax(logits, ws.take("probs", n, k), scratch)
+        probs = softmax(logits, ws.take("probs", n, k))
     if not np.isfinite(probs).all():
         raise NonFiniteOutput("the network's outputs are not finite")
     return ForwardCache(x, tuple(acts), a, logits, probs)

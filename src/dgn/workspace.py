@@ -18,10 +18,10 @@ class Workspace:
     """Scratch arrays reused across calls.
 
     Each key owns one flat float64 buffer. Every ``take`` is point-major:
-    ``rows`` counts points, and a (k, n) array is taken as (n, k) and
-    reshaped. A key's buffer holds at least ``points`` rows at the width of
-    each take, so on a workspace built for the largest scene of a run a
-    buffer is replaced only by a wider take, never by a larger scene;
+    ``rows`` counts points. A key's buffer holds at least ``points`` rows at
+    the width of each take, so on a workspace built for the largest scene
+    of a run a buffer is replaced only by a wider take, never by a larger
+    scene;
     ``take`` returns a C-contiguous (rows, cols) view of its leading part,
     so batches of any size and width share it. ``Workspace()`` grows each
     buffer to the largest request seen.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def test_gmm_m_step_improves_expected_objective(seed):
     init = F[rng.choice(80, size=3, replace=False)]
     before = baselines.gmm_em(F, init, EMConfig(1, 0.0, 0.0))
     q = baselines.gmm_posterior(baselines._sq_dists(F, before.params.means), before.params,
-                                np.empty((3, 80)), np.empty((80, 3)))
+                                np.empty((80, 3)))
     after = baselines.gmm_em(F, init, EMConfig(2, 0.0, 0.0))
     assert gmm_expected_objective(F, q, after.params) >= (
         gmm_expected_objective(F, q, before.params) - 1e-9
@@ -322,16 +323,20 @@ def test_gmm_em_bitwise_with_nan_row(max_iters):
 
 @pytest.mark.parametrize("k", [1, 3, 8, 12, 17])
 def test_gmm_posterior_bitwise_equals_point_major(rng, k):
-    F = 2.0 * rng.standard_normal((4500, 6))
     params = baselines.GMMParams(
         rng.dirichlet(np.ones(k)), rng.standard_normal((k, 6)), rng.uniform(0.5, 4.0, k)
     )
-    sq = baselines._sq_dists(F, params.means)
-    assert np.array_equal(sq, reference_sq_dists(F, params.means))
-    want = reference_gmm_posterior(sq, params)
-    out = np.empty((4500, k))
-    assert baselines.gmm_posterior(sq, params, np.empty((k, 4500)), out) is out
-    assert np.array_equal(out, want)
+    # n on either side of one and two 4096-point softmax blocks
+    for n in (4095, 4096, 4097, 4500, 8193):
+        F = 2.0 * rng.standard_normal((n, 6))
+        sq = baselines._sq_dists(F, params.means)
+        assert np.array_equal(sq, reference_sq_dists(F, params.means))
+        want = reference_gmm_posterior(sq, params)
+        out = np.empty((n, k))
+        assert baselines.gmm_posterior(sq, params, out) is out
+        assert np.array_equal(out, want)
+        assert baselines.gmm_posterior(sq, params, sq) is sq   # in place: out is S
+        assert np.array_equal(sq, want)
 
 
 @pytest.mark.parametrize("k", range(1, 41))
@@ -363,6 +368,29 @@ def test_gmm_em_gives_the_same_bits_with_a_stale_workspace():
 
 # ---------------------------------------------------------------------------
 # GMM alignment loss
+
+@pytest.mark.parametrize("family", ["soft", "gmm"])
+def test_em_holds_no_second_n_by_k_array(family):
+    # the E step's row softmax works on one block of points at a time, so
+    # past the arrays a fit holds by design (the (n, k) posterior; for the
+    # GMM also its (n, k) squared distances, 2F, the deviations and
+    # ||f||^2) the traced peak stays below one more (n, k) array
+    n, d, k = 80_000, 7, 8
+    rng = np.random.default_rng(0)
+    F = rng.standard_normal((n, d))
+    init = F[rng.choice(n, k, replace=False)]
+    if family == "soft":
+        X, init, fit, held = normalize_rows(F), normalize_rows(init), movmf.soft_movmf_em, 0
+    else:
+        X, fit, held = F, baselines.gmm_em, (2 * n * d + n * k + n) * 8
+    tracemalloc.start()
+    try:
+        result = fit(X, init, EMConfig(2, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - result.posterior.nbytes - held < n * k * 8
+
 
 def test_gmm_nll_loss_gives_the_allocating_forms_bits_with_or_without_a_workspace(rng):
     n, d, k = 300, 4, 3

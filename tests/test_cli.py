@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,10 +534,10 @@ def test_format_rows_special_values():
     assert _format_rows(matrix).split("\n")[0] == "nan inf -inf -0 0"
 
 
-@pytest.mark.parametrize("rows", [0, 1, 4096, 4097, 9000])
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 4096, 4097, 9000])
 def test_write_rows_equals_whole_matrix_writer(tmp_path, rows):
-    # blocks of 4096 rows: none, a partial one, exactly one, one and a
-    # row, and three
+    # blocks of 1024 rows: none, a partial one, exactly one, one and a
+    # row, and several
     matrix = np.random.default_rng(rows).standard_normal((rows, 3)) ** 3
     path = tmp_path / "rows.txt"
     cli._write_rows(str(path), matrix)
@@ -549,6 +550,25 @@ def test_write_rows_equals_whole_matrix_writer_on_narrow_matrices(tmp_path, shap
     path = tmp_path / "rows.txt"
     cli._write_rows(str(path), matrix)
     assert path.read_bytes() == _old_lines(_old_format_rows(matrix))
+
+
+def _old_write_assignments(path, assignment):
+    """The `.assignments` writer before it streamed: the whole file as one
+    string."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(map(str, assignment.tolist())) + "\n")
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 4097])
+def test_write_rows_of_assignments_equals_the_whole_file_writer(tmp_path, rows):
+    # one `%d` column, written 1024 rows at a time: a partial block, one
+    # block on either side of its edge, and several
+    assignment = np.random.default_rng(rows).integers(0, 300, rows)
+    assignment[:5] = np.array([-(2**63), 2**63 - 1, -1, 0, 10**12])[:rows]
+    cli._write_rows(str(tmp_path / "new"), assignment[:, None], "%d")
+    _old_write_assignments(tmp_path / "old", assignment)
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    assert (tmp_path / "new").read_text() == "\n".join(map(str, assignment)) + "\n"
 
 
 def _old_cluster(X, variant, k, seed, labels):
@@ -674,6 +694,27 @@ def test_cluster_outputs_equal_per_value_writers_on_4097_rows_of_one_class(tmp_p
     assert (tmp_path / "out.posteriors").read_bytes() == _old_lines(_old_format_rows(posterior))
 
 
+def test_soft_cluster_peaks_within_2_mib_of_its_live_data(tmp_path):
+    # the raw matrix is freed once its unit rows are made, and neither the
+    # seeding, the E step nor the writers hold a whole-matrix temporary, so
+    # the traced peak of a soft `dgn cluster` stays within 2 MiB of the
+    # unit rows and the posterior
+    n, d, k = 40_000, 7, 8
+    path = tmp_path / "big.txt"
+    np.savetxt(path, np.random.default_rng(5).standard_normal((n, d)), fmt="%.17g")
+    _, _, args = _cluster_input(tmp_path, labeled=False)
+    assert cli.main(["cluster", *args, "--out-prefix", str(tmp_path / "warm")]) == cli.EXIT_OK
+    tracemalloc.start()
+    try:
+        code = cli.main(["cluster", str(path), "--classes", str(k), "--iters", "2",
+                         "--out-prefix", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < (n * d + n * k) * 8 + 2 * 2**20
+
+
 @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
 @pytest.mark.parametrize("variant", cli.CLUSTER_VARIANTS)
 def test_cluster_zero_row_exit_code(tmp_path, capsys, variant, labeled):
@@ -712,8 +753,16 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
         flags, em = [*flags, "--kappa", "5"], {**em, "kappa": 5.0}
     if variant in _PROTO_FAMILY:
         flags, em = [], {"em_iters": 0}
-    written = []
-    monkeypatch.setattr(cli, "_write_rows", lambda path, matrix: written.append(matrix))
+    written, write_rows = [], cli._write_rows
+
+    def capture_posteriors(path, matrix, *value):
+        # the posteriors are kept, the assignments written
+        if path.endswith(".posteriors"):
+            written.append(matrix)
+        else:
+            write_rows(path, matrix, *value)
+
+    monkeypatch.setattr(cli, "_write_rows", capture_posteriors)
     code = cli.main(["cluster", *args, "--variant", variant, *flags,
                      "--out-prefix", str(tmp_path / "out")])
     assert code == cli.EXIT_OK

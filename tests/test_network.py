@@ -75,10 +75,10 @@ def test_softmax_stable_at_large_logits(rng):
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
-def point_major_softmax(logits, out=None, scratch=None):
+def point_major_softmax(logits, out=None):
     """The point-major row softmax ``network.softmax`` replaced, the oracle
     of its bits: the row max taken column by column, ``exp``, and each row
-    divided by its own sum. ``scratch`` is not used."""
+    divided by its own sum."""
     z = np.subtract(logits, np.maximum.reduce(tuple(logits.T))[:, None], out=out)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
@@ -91,15 +91,15 @@ def _scaled_logits(n, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 129])
-@pytest.mark.parametrize("n", [300, 3 * 4096 + 1234])
+@pytest.mark.parametrize("n", [300, 4095, 4096, 4097, 8193, 3 * 4096 + 1234])
 def test_softmax_is_bitwise_the_point_major_form(n, k):
-    # n below one 4096-point block, and past a block edge; k on either side
-    # of each of numpy's pairwise-sum thresholds (8 and 128 entries)
+    # n below one 4096-point block, at and past a block edge (a last block
+    # of one point); k on either side of each of numpy's pairwise-sum
+    # thresholds (8 and 128 entries)
     logits = _scaled_logits(n, k)
     want = point_major_softmax(logits)
     assert _same_bits(network.softmax(logits), want)
-    scratch = np.full((k, n), np.nan)
-    assert network.softmax(logits, logits, scratch) is logits
+    assert network.softmax(logits, logits) is logits
     assert _same_bits(logits, want)
 
 
