@@ -366,9 +366,6 @@ def test_gmm_em_gives_the_same_bits_with_a_stale_workspace():
         want.iterations, want.converged, want.degenerate)
 
 
-# ---------------------------------------------------------------------------
-# GMM alignment loss
-
 @pytest.mark.parametrize("family", ["soft", "gmm"])
 def test_em_holds_no_second_n_by_k_array(family):
     # the E step's row softmax works on one block of points at a time, so
@@ -391,6 +388,9 @@ def test_em_holds_no_second_n_by_k_array(family):
         tracemalloc.stop()
     assert peak - result.posterior.nbytes - held < n * k * 8
 
+
+# ---------------------------------------------------------------------------
+# GMM alignment loss
 
 def test_gmm_nll_loss_gives_the_allocating_forms_bits_with_or_without_a_workspace(rng):
     n, d, k = 300, 4, 3
