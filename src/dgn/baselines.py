@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import (ALPHA_FLOOR, EMConfig, EMResult, _check_weights, _log_weights,
+from .movmf import (_BLOCK, ALPHA_FLOOR, EMConfig, EMResult, _check_weights, _log_weights,
                     _run_em, _softmax_rows, _sum_columns)
 from .workspace import SCRATCH, Workspace
 
@@ -88,6 +88,21 @@ def _sq_dists(
     out = np.matmul(twice, means.T, out=out)
     np.subtract(norms, out, out=out)
     out += np.einsum("kd,kd->k", means, means)
+    return out
+
+
+def _nearest_sq_dists(X: np.ndarray, means: np.ndarray, nearest: np.ndarray, out: np.ndarray,
+                      buf: np.ndarray) -> np.ndarray:
+    """``np.sum((X - means[nearest]) ** 2, axis=1)`` by the same ops, written
+    into the (n,) ``out``: ``_BLOCK`` rows at a time in the (min(n, _BLOCK),
+    d) ``buf``, so no (n, d) array is held."""
+    n = X.shape[0]
+    for i in range(0, n, _BLOCK):
+        # the indices are in range, and mode="clip" writes them without a copy
+        dev = np.take(means, nearest[i:i + _BLOCK], axis=0, out=buf[:min(_BLOCK, n - i)],
+                      mode="clip")
+        np.subtract(X[i:i + _BLOCK], dev, out=dev)
+        np.add.reduce(np.square(dev, out=dev), axis=1, out=out[i:i + _BLOCK])
     return out
 
 
@@ -156,12 +171,9 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
     ws = Workspace() if workspace is None else workspace
     f_terms = _f_terms(F, ws.take("twice", n, d))
     sq = _sq_dists(F, init_means, ws.take(SCRATCH[1], n, k), f_terms)
-    nearest = np.argmin(sq, axis=1)
-    # the squared deviations, in the buffer the E step takes next; argmin's
-    # indices are in range, and mode="clip" writes them without a copy
-    dev = np.take(init_means, nearest, axis=0, out=ws.take(SCRATCH[0], n, d), mode="clip")
-    np.subtract(F, dev, out=dev)
-    spread = float(np.mean(np.sum(np.square(dev, out=dev), axis=1))) / d
+    sq_devs = _nearest_sq_dists(F, init_means, np.argmin(sq, axis=1), np.empty(n),
+                                ws.take(SCRATCH[0], min(n, _BLOCK), d))
+    spread = float(np.mean(sq_devs)) / d
     state = _GMMArrays(np.full(k, 1.0 / k), init_means,
                        np.full(k, max(spread, VARIANCE_FLOOR)))
 

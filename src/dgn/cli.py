@@ -30,13 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bank as bank_mod
-from . import movmf, network, trainer
+from . import baselines, movmf, network, trainer
 from .data import (
     SceneSpec,
     SparseLabels,
-    _format_rows,
     _read_labels,
     _read_matrix,
+    _write_rows,
     gen_scene,
     integer,
     miou,
@@ -67,7 +67,6 @@ TRAINED_CONFIG = "config.txt"
 # row to its nearest init centre: by squared distance, or by cosine
 CLUSTER_VARIANTS = {**trainer.FAMILIES, "proto-euclid": trainer.FAMILIES["gmm"],
                     "proto-cosine": trainer.FAMILIES["hard"]}
-_ROWS_PER_WRITE = 1024
 
 
 def _write_lines(path: str, lines) -> None:
@@ -85,47 +84,25 @@ def _report_line(report: trainer.EpochReport) -> str:
     return " ".join(f"{k}={_fmt6(v) if isinstance(v, float) else v}" for k, v in values)
 
 
-def _write_rows(path: str, matrix: np.ndarray, value: str = "%.6g") -> None:
-    """One line per row of ``matrix``, each entry formatted by ``value``
-    (``"%.6g"``, as ``_fmt6`` prints it, or ``"%d"``; a lone newline for
-    no rows); formatted and written 1024 rows at a time, so the text of
-    the whole matrix is never held."""
-    row = " ".join([value] * matrix.shape[1])
-    with open(path, "w") as fh:
-        if not matrix.shape[0]:
-            fh.write("\n")
-        for start in range(0, matrix.shape[0], _ROWS_PER_WRITE):
-            fh.write(_format_rows(matrix[start:start + _ROWS_PER_WRITE], row) + "\n")
-
-
 def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means++-style seeding on squared Euclidean distance.
 
-    Each point's squared distance to a new center takes the ops of
-    ``np.sum((X - c) ** 2, axis=1)``, ``movmf._BLOCK`` rows at a time in
-    one reused (block, d) buffer, and lowers the point's running minimum."""
+    Each point's squared distance to a new center, by
+    ``baselines._nearest_sq_dists``, lowers the point's running minimum."""
     rng = np.random.default_rng(seed)
-    n = X.shape[0]
-    block = movmf._BLOCK
-    centers = np.empty((k, X.shape[1]))
-    buf = np.empty((min(n, block), X.shape[1]))
+    n, d = X.shape
+    centers = np.empty((k, d))
+    buf, sq = np.empty((min(n, movmf._BLOCK), d)), np.empty(n)
+    first = np.broadcast_to(np.intp(0), n)  # every row is measured against one center
     dists = np.full(n, np.inf)   # the first center's distances replace every inf
-
-    def nearer(center):
-        for i in range(0, n, block):
-            diff = np.subtract(X[i:i + block], center, out=buf[:min(block, n - i)])
-            sq = np.add.reduce(np.square(diff, out=diff), axis=1)
-            np.minimum(dists[i:i + block], sq, out=dists[i:i + block])
-
-    centers[0] = X[rng.integers(n)]
-    nearer(centers[0])
-    for c in range(1, k):
+    for c in range(k):
         total = float(dists.sum())
-        if total <= 0:
-            centers[c] = X[rng.integers(n)]
-        else:
+        if c and total > 0:
             centers[c] = X[rng.choice(n, p=dists / total)]
-        nearer(centers[c])
+        else:
+            centers[c] = X[rng.integers(n)]
+        sq = baselines._nearest_sq_dists(X, centers[c:c + 1], first, sq, buf)
+        np.minimum(dists, sq, out=dists)
     return centers
 
 

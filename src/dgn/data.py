@@ -14,23 +14,26 @@ text tables of ``dgn``:
   per line, -1 = unlabeled;
 - posterior files (``dgn cluster``, ``dgn explain``): rows of ``%.6g`` floats.
 
-One grammar serves them. Fields are split on whitespace. A float is finite
-ASCII decimal; scenes write ``repr``, so round trips are lossless. An
-integer is ``[+-]?[0-9]+`` within int64: ``2.0``, ``1_0`` and non-ASCII
-digits are rejected. A scene splits its lines as ``str.splitlines`` does,
-and a blank line among its rows has no fields; matrix and label files are
-streamed with universal newlines and skip blank lines. One ``np.loadtxt``
-call parses each table; only when it fails, or a value is rejected, does
-a scan raise the ParseError of the first faulty line. ``integer`` and
-``real`` are the grammars of the other text inputs: header and trailer
-counts, config values and command-line arguments.
+One grammar serves them, and every table streams both ways: it is read
+line by line with universal newlines (LF, CRLF or CR ends a line) and
+written ``_ROWS_PER_WRITE`` rows at a time. Fields are split on
+whitespace. A float is finite ASCII decimal; scenes write ``repr``, so
+round trips are lossless. An integer is ``[+-]?[0-9]+`` within int64:
+``2.0``, ``1_0`` and non-ASCII digits are rejected. A blank line among
+a scene's rows or pairs has no fields; matrix and label files skip them.
+One ``np.loadtxt`` call parses each table; only when it fails, or a
+value is rejected, does a scan of the file raise the ParseError of the
+first faulty line. ``integer`` and ``real`` are the grammars of the other
+text inputs: header and trailer counts, config values and arguments.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +43,7 @@ from .errors import DimensionMismatch, EmptyScene, LengthMismatch, ParseError
 
 GEOMETRIES = ("gaussian_blobs", "planar_patches", "mixed")
 EXTRA_FEATURE_DIM = 4  # normal-like direction (3) + height (1)
+_ROWS_PER_WRITE = 1024  # rows of a text table formatted by one %
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _REAL = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
 
@@ -309,22 +313,38 @@ def _format_rows(matrix: np.ndarray, row_format: str) -> str:
     return "\n".join([row_format] * matrix.shape[0]) % tuple(matrix.ravel().tolist())
 
 
+def _write_blocks(fh, matrix: np.ndarray, row_format: str) -> None:
+    # a line per row, ``_format_rows`` of _ROWS_PER_WRITE rows at a time
+    for start in range(0, matrix.shape[0], _ROWS_PER_WRITE):
+        fh.write(_format_rows(matrix[start:start + _ROWS_PER_WRITE], row_format) + "\n")
+
+
+def _write_rows(path: str, matrix: np.ndarray, value: str = "%.6g") -> None:
+    """One line per row of ``matrix``, each entry formatted by ``value``
+    (``"%.6g"`` or ``"%d"``; a lone newline for no rows)."""
+    with open(path, "w") as fh:
+        _write_blocks(fh, matrix, " ".join([value] * matrix.shape[1]))
+        if not matrix.shape[0]:
+            fh.write("\n")
+
+
 def write_scene(path: str, scene: SceneBatch) -> None:
     """Write a scene in the dgn/1 text format, including the sparse trailer.
 
     Floats go through ``%r``, which is ``repr`` of the Python float, and
     labels through ``%d`` (labels are exact in float64). The coordinates
     and the extra features are joined by one space each side, so rows
-    without extra features carry two spaces before the label.
+    without extra features carry two spaces before the label. The rows
+    and the trailer's pairs are written by ``_write_blocks``.
     """
     d_extra = scene.extra_feats.shape[1]
     table = np.hstack([scene.coords, scene.extra_feats, scene.gt_labels[:, None]])
     pairs = np.column_stack([scene.sparse.indices, scene.sparse.classes])
-    text = [f"dgn/1 {scene.num_points} {d_extra} {scene.num_classes}",
-            _format_rows(table, "%r %r %r " + " ".join(["%r"] * d_extra) + " %d"),
-            f"sparse {scene.sparse.size}", _format_rows(pairs, "%d %d")]
     with open(path, "w") as fh:
-        fh.write("\n".join(filter(None, text)) + "\n")  # a table without rows has no line
+        fh.write(f"dgn/1 {scene.num_points} {d_extra} {scene.num_classes}\n")
+        _write_blocks(fh, table, "%r %r %r " + " ".join(["%r"] * d_extra) + " %d")
+        fh.write(f"sparse {scene.sparse.size}\n")
+        _write_blocks(fh, pairs, "%d %d")
 
 
 def _ascii(line: str) -> str:
@@ -334,40 +354,40 @@ def _ascii(line: str) -> str:
     return line if line.isascii() else " ".join(line.split()).encode("ascii", "replace").decode()
 
 
-def _loadtxt(lines, row: np.dtype, ascii_text: bool = False) -> np.ndarray | None:
+def _loadtxt(lines, row: np.dtype) -> np.ndarray | None:
     """``np.loadtxt`` of ``lines`` as records of dtype ``row`` (as a matrix
-    for a plain dtype), or None when it cannot read them. ``ascii_text``
-    says that every line is ASCII, so none needs ``_ascii``."""
+    for a plain dtype), or None when it cannot read them."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # on no rows or blank lines only
-            return np.loadtxt(lines if ascii_text else map(_ascii, lines), dtype=row,
-                              comments=None, ndmin=1 if row.names else 2)
+            return np.loadtxt(map(_ascii, lines), dtype=row, comments=None,
+                              ndmin=1 if row.names else 2)
     except ValueError:
         return None
 
 
-def _parse_rows(path, lines, row, fault, check=None, first_line=1, count=None,
-                ascii_text=False):
-    """The ``count`` records of dtype ``row`` in ``lines`` (a list, or a
-    text file open at its start, from line ``first_line``), by one
-    ``_loadtxt`` call (``ascii_text`` as there). ``check(records)`` is the
-    reason for the first record it rejects, or None. If the call fails,
-    finds another count, or ``check`` rejects a record, a scan raises the
-    ParseError of the first line ``fault(line)`` gives a reason for. With
-    ``count`` None, any number of records is due and the scan skips blank
-    lines, as ``loadtxt`` does."""
+def _parse_rows(path, fh, row, fault, check=None, first_line=1, count=None):
+    """The ``count`` records of dtype ``row`` on the next lines of the text
+    file ``fh``, from line ``first_line``, by one ``_loadtxt`` call.
+    ``check(records)`` is the reason for the first record it rejects, or
+    None. If the call fails, finds another count, or ``check`` rejects a
+    record, ``fh`` is read again and a scan raises the ParseError of the
+    first line ``fault(line)`` gives a reason for. With ``count`` None, the
+    rest of the file is due and the scan skips blank lines, as ``loadtxt``
+    does."""
+    stop = None if count is None else min(count, sys.maxsize)  # the largest islice takes
+    lines = itertools.islice(fh, stop)
     # loadtxt allocates rows of ``row``'s width before it parses one, so the
     # width a header claims is trusted only once the first line has it
-    if count is None or (len(lines) == count
-                         and (not count or len(lines[0].split()) == _num_fields(row))):
-        records = _loadtxt(lines, row, ascii_text)
+    head = list(itertools.islice(lines, 1 if count else 0))
+    if not head or len(head[0].split()) == row.itemsize // 8:  # 8 bytes a field
+        records = _loadtxt(itertools.chain(head, lines), row)
         if (records is not None and (count is None or len(records) == count)
                 and not (check and check(records))):
             return records
-    if not isinstance(lines, list):
-        lines.seek(0)  # a file is scanned as it is read, never held
+    fh.seek(0)  # the table is scanned as it is read again, never held
     line_no = first_line - 1
+    lines = itertools.islice(itertools.islice(fh, line_no, None), stop)
     for line_no, line in enumerate(lines, start=first_line):
         reason = fault(line) if count is not None or line.strip() else None
         if reason:
@@ -375,18 +395,14 @@ def _parse_rows(path, lines, row, fault, check=None, first_line=1, count=None,
     raise ParseError(path, line_no + 1, "unexpected end of file")
 
 
-def _num_fields(row: np.dtype) -> int:
-    return row.itemsize // 8  # every field is an 8-byte number
-
-
 def _fields_fault(row: np.dtype, width_reason: str, check=None):
     """The ``fault`` of a line of ``row``'s fields: another count (``width_reason``
     formatted with ``got``), a malformed number, or ``check``'s reason."""
     def fault(line):
         got = len(line.split())
-        if got != _num_fields(row):
+        if got != row.itemsize // 8:
             return width_reason.format(got=got)
-        record = _loadtxt([line], row, line.isascii())
+        record = _loadtxt([line], row)
         return "malformed number" if record is None else check and check(record)
 
     return fault
@@ -435,58 +451,53 @@ def _read_labels(path: str, n: int) -> np.ndarray:
 def read_scene(path: str) -> SceneBatch:
     """Parse a dgn/1 scene file; raises ParseError with a line number."""
     with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    ascii_text = text.isascii()  # O(1) on a str: its storage records it
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "dgn/1":
-        raise ParseError(path, 1, "expected header 'dgn/1 n d_extra num_classes'")
-    try:
-        n, d_extra, num_classes = (integer(tok) for tok in head[1:])
-    except ValueError:
-        raise ParseError(path, 1, "header counts must be integers") from None
-    if n < 1 or d_extra < 0 or num_classes < 1:
-        raise ParseError(path, 1, "header counts out of range")
-
-    body = np.dtype([("coords", np.float64, (3,)), ("feats", np.float64, (d_extra,)),
-                     ("label", np.int64)])
-
-    def check_rows(records):
-        labels = records["label"]
-        finite = np.isfinite(records["coords"]).all(axis=1)
-        finite &= np.isfinite(records["feats"]).all(axis=1)
-        bad = np.flatnonzero(~finite | (labels < -1) | (labels >= num_classes))
-        if not bad.size:
-            return None
-        first = int(bad[0])
-        return "non-finite number" if not finite[first] else f"label {labels[first]} out of range"
-
-    fault = _fields_fault(body, f"expected {3 + d_extra + 1} fields, got {{got}}", check_rows)
-    rows = _parse_rows(path, lines[1 : n + 1], body, fault, check_rows, first_line=2, count=n,
-                       ascii_text=ascii_text)
-    coords, feats, labels = rows["coords"], rows["feats"], rows["label"]
-
-    cursor = n + 1
-    if cursor < len(lines) and lines[cursor].strip():
-        toks = lines[cursor].split()
-        if len(toks) != 2 or toks[0] != "sparse":
-            raise ParseError(path, cursor + 1, "expected 'sparse m' trailer")
+        header = fh.readline()
+        if not header:
+            raise ParseError(path, 1, "empty file")
+        head = header.split()
+        if len(head) != 4 or head[0] != "dgn/1":
+            raise ParseError(path, 1, "expected header 'dgn/1 n d_extra num_classes'")
         try:
-            m = integer(toks[1])
+            n, d_extra, num_classes = (integer(tok) for tok in head[1:])
         except ValueError:
-            raise ParseError(path, cursor + 1, "sparse count must be an integer") from None
-        if m < 0:
-            raise ParseError(path, cursor + 1, "sparse count out of range")
-        pair = np.dtype([("index", np.int64), ("class", np.int64)])
-        pairs = _parse_rows(path, lines[cursor + 1 : cursor + 1 + m], pair,
-                            _fields_fault(pair, "expected 'index class'"),
-                            first_line=cursor + 2, count=m, ascii_text=ascii_text)
-        sparse = SparseLabels(pairs["index"], pairs["class"])
-    else:
-        keep = labels >= 0
-        sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
+            raise ParseError(path, 1, "header counts must be integers") from None
+        if n < 1 or d_extra < 0 or num_classes < 1:
+            raise ParseError(path, 1, "header counts out of range")
+
+        body = np.dtype([("coords", np.float64, (3,)), ("feats", np.float64, (d_extra,)),
+                         ("label", np.int64)])
+
+        def check_rows(records):
+            labels = records["label"]
+            finite = np.isfinite(records["coords"]).all(axis=1)
+            finite &= np.isfinite(records["feats"]).all(axis=1)
+            bad = np.flatnonzero(~finite | (labels < -1) | (labels >= num_classes))
+            if not bad.size:
+                return None
+            first = int(bad[0])
+            return f"label {labels[first]} out of range" if finite[first] else "non-finite number"
+
+        fault = _fields_fault(body, f"expected {3 + d_extra + 1} fields, got {{got}}", check_rows)
+        rows = _parse_rows(path, fh, body, fault, check_rows, first_line=2, count=n)
+        coords, feats, labels = rows["coords"], rows["feats"], rows["label"]
+
+        toks = fh.readline().split()
+        if toks:
+            if len(toks) != 2 or toks[0] != "sparse":
+                raise ParseError(path, n + 2, "expected 'sparse m' trailer")
+            try:
+                m = integer(toks[1])
+            except ValueError:
+                raise ParseError(path, n + 2, "sparse count must be an integer") from None
+            if m < 0:
+                raise ParseError(path, n + 2, "sparse count out of range")
+            pair = np.dtype([("index", np.int64), ("class", np.int64)])
+            pairs = _parse_rows(path, fh, pair, _fields_fault(pair, "expected 'index class'"),
+                                first_line=n + 3, count=m)
+            sparse = SparseLabels(pairs["index"], pairs["class"])
+        else:
+            keep = labels >= 0
+            sparse = SparseLabels(np.flatnonzero(keep), labels[keep])
 
     try:
         return SceneBatch(coords, feats, labels, sparse, num_classes)

@@ -252,6 +252,20 @@ def test_write_scene_random_scenes_equal_per_row_writer(tmp_path):
         _assert_same_bytes_as_old_writer(tmp_path, _random_scene(rng))
 
 
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1023, 1024, 1025, 4097)
+                                  for m in (0, 1024, 1025) if m <= n])
+def test_write_scene_equals_per_row_writer_at_block_edges(tmp_path, n, m):
+    # rows and pairs go out 1024 to a block: one short of a block, exactly
+    # one, one and a row, and several
+    rng = np.random.default_rng(n + m)
+    indices = np.sort(rng.choice(n, size=m, replace=False))
+    labels = rng.integers(0, 5, size=n)
+    labels[np.setdiff1d(np.arange(n), indices)[::3]] = -1   # unlabeled, outside the trailer
+    scene = data.SceneBatch(rng.standard_normal((n, 3)) ** 3, rng.standard_normal((n, 4)),
+                            labels, data.SparseLabels(indices, labels[indices]), 5)
+    _assert_same_bytes_as_old_writer(tmp_path, scene)
+
+
 def _hstack_write_scene(path, scene):
     # write_scene before its body and trailer went through data._format_rows:
     # one hstack table and one % per row
@@ -287,11 +301,12 @@ def test_write_scene_equals_per_row_format_writer(tmp_path, d_extra, sparse):
 
 
 def test_loadtxt_is_called_in_data_only():
-    # data is the one reader of text tables
+    # data is the one reader and the one formatter of text tables
     package = Path(data.__file__).parent
-    callers = [path.name for path in sorted(package.glob("*.py"))
-               if "loadtxt" in path.read_text(encoding="utf-8")]
-    assert callers == ["data.py"]
+    for name in ("loadtxt", "_format_rows"):
+        callers = [path.name for path in sorted(package.glob("*.py"))
+                   if name in path.read_text(encoding="utf-8")]
+        assert callers == ["data.py"], name
 
 
 def test_a_valid_scene_with_a_trailer_takes_two_loadtxt_calls(tmp_path, monkeypatch):
@@ -544,19 +559,73 @@ def test_sparse_count_is_one_integer_grammar(tmp_path, token):
     assert err.value.line == line and err.value.exit_code == 2
 
 
-def test_read_scene_hands_the_lines_of_an_ascii_file_to_numpy_as_they_are(tmp_path,
-                                                                          monkeypatch):
-    scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(20, 30), seed=3))
-    scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.2, seed=3))
+def _large_scene():
+    # about 20k points, as many as a train-large scene
+    scene = data.gen_scene(data.SceneSpec(num_classes=8, points_per_class=(2400, 2600), seed=3))
+    return data.with_sparse(scene, data.sample_sparse_labels(scene, 0.1, seed=3))
+
+
+def _scene_nbytes(scene):
+    arrays = (scene.coords, scene.extra_feats, scene.gt_labels, scene.sparse.indices,
+              scene.sparse.classes)
+    return sum(array.nbytes for array in arrays)
+
+
+def test_read_scene_holds_the_scene_and_not_its_text(tmp_path):
+    # the file is read line by line: the traced peak stays within 1 MB of
+    # the arrays of the scene it returns, well below the 2.9 MB of text
     path = str(tmp_path / "scene.dgn")
-    data.write_scene(path, scene)
-    want = data.read_scene(path)
-    monkeypatch.setattr(data, "_ascii", lambda line: pytest.fail("_ascii ran on an ASCII file"))
-    got = data.read_scene(path)
+    data.write_scene(path, _large_scene())
+    tracemalloc.start()
+    try:
+        scene = data.read_scene(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scene.num_points > 19_000
+    assert peak < _scene_nbytes(scene) + 1e6
+
+
+def test_write_scene_holds_its_table_and_not_its_text(tmp_path):
+    # the rows and pairs are formatted 1024 to a string
+    scene = _large_scene()
+    table_nbytes = scene.num_points * (3 + scene.extra_feats.shape[1] + 1) * 8
+    pairs_nbytes = scene.sparse.size * 2 * 8
+    path = str(tmp_path / "scene.dgn")
+    tracemalloc.start()
+    try:
+        data.write_scene(path, scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_nbytes + pairs_nbytes + 1e6
+
+
+def test_a_cr_only_scene_parses(tmp_path):
+    # the CRLF case is test_crlf_file_parses
+    scene = data.with_sparse(data.gen_scene(_spec()), data.SparseLabels([4, 1], [0, 0]))
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    loaded = data.read_scene(str(path))
     for name in ("coords", "extra_feats", "gt_labels"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert np.array_equal(got.sparse.indices, want.sparse.indices)
-    assert np.array_equal(got.sparse.classes, want.sparse.classes)
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(scene, name))
+    np.testing.assert_array_equal(loaded.sparse.indices, scene.sparse.indices)
+
+
+@pytest.mark.parametrize("brk", ["\f", "\v", "\x85", "\u2028"],
+                         ids=["form-feed", "vertical-tab", "next-line", "line-separator"])
+def test_only_a_universal_newline_ends_a_scene_line(tmp_path, brk):
+    # str.splitlines also breaks lines at these, a scene file does not: its
+    # rows separated by one are all on line 2
+    scene = data.gen_scene(_spec())
+    path = tmp_path / "scene.dgn"
+    data.write_scene(str(path), scene)
+    head, *rows = path.read_text().splitlines()
+    path.write_text(head + "\n" + brk.join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="expected 8 fields") as err:
+        data.read_scene(str(path))
+    assert err.value.line == 2 and err.value.exit_code == 2
 
 
 def test_an_integer_field_with_a_non_ascii_character_is_malformed(tmp_path):
