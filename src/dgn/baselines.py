@@ -91,18 +91,19 @@ def _sq_dists(
     return out
 
 
-def _nearest_sq_dists(X: np.ndarray, means: np.ndarray, nearest: np.ndarray, out: np.ndarray,
-                      buf: np.ndarray) -> np.ndarray:
-    """``np.sum((X - means[nearest]) ** 2, axis=1)`` by the same ops, written
-    into the (n,) ``out``: ``_BLOCK`` rows at a time in the (min(n, _BLOCK),
-    d) ``buf``, so no (n, d) array is held."""
+def _lower_sq_dists(X: np.ndarray, means: np.ndarray, nearest: np.ndarray, out: np.ndarray,
+                    buf: np.ndarray) -> np.ndarray:
+    """Lower the (n,) ``out`` to ``np.sum((X - means[nearest]) ** 2, axis=1)``
+    where that is smaller, by the same ops: ``_BLOCK`` rows at a time in the
+    (min(n, _BLOCK), d) ``buf``, so no (n, d) array is held."""
     n = X.shape[0]
     for i in range(0, n, _BLOCK):
         # the indices are in range, and mode="clip" writes them without a copy
         dev = np.take(means, nearest[i:i + _BLOCK], axis=0, out=buf[:min(_BLOCK, n - i)],
                       mode="clip")
         np.subtract(X[i:i + _BLOCK], dev, out=dev)
-        np.add.reduce(np.square(dev, out=dev), axis=1, out=out[i:i + _BLOCK])
+        sq = np.add.reduce(np.square(dev, out=dev), axis=1)
+        np.minimum(out[i:i + _BLOCK], sq, out=out[i:i + _BLOCK])
     return out
 
 
@@ -171,8 +172,8 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
     ws = Workspace() if workspace is None else workspace
     f_terms = _f_terms(F, ws.take("twice", n, d))
     sq = _sq_dists(F, init_means, ws.take(SCRATCH[1], n, k), f_terms)
-    sq_devs = _nearest_sq_dists(F, init_means, np.argmin(sq, axis=1), np.empty(n),
-                                ws.take(SCRATCH[0], min(n, _BLOCK), d))
+    sq_devs = _lower_sq_dists(F, init_means, np.argmin(sq, axis=1), np.full(n, np.inf),
+                              ws.take(SCRATCH[0], min(n, _BLOCK), d))
     spread = float(np.mean(sq_devs)) / d
     state = _GMMArrays(np.full(k, 1.0 / k), init_means,
                        np.full(k, max(spread, VARIANCE_FLOOR)))

@@ -87,12 +87,12 @@ def _report_line(report: trainer.EpochReport) -> str:
 def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means++-style seeding on squared Euclidean distance.
 
-    Each point's squared distance to a new center, by
-    ``baselines._nearest_sq_dists``, lowers the point's running minimum."""
+    Each new center lowers each point's running minimum squared distance
+    by ``baselines._lower_sq_dists``."""
     rng = np.random.default_rng(seed)
     n, d = X.shape
     centers = np.empty((k, d))
-    buf, sq = np.empty((min(n, movmf._BLOCK), d)), np.empty(n)
+    buf = np.empty((min(n, movmf._BLOCK), d))
     first = np.broadcast_to(np.intp(0), n)  # every row is measured against one center
     dists = np.full(n, np.inf)   # the first center's distances replace every inf
     for c in range(k):
@@ -101,8 +101,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
             centers[c] = X[rng.choice(n, p=dists / total)]
         else:
             centers[c] = X[rng.integers(n)]
-        sq = baselines._nearest_sq_dists(X, centers[c:c + 1], first, sq, buf)
-        np.minimum(dists, sq, out=dists)
+        baselines._lower_sq_dists(X, centers[c:c + 1], first, dists, buf)
     return centers
 
 

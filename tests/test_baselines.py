@@ -368,25 +368,26 @@ def test_gmm_em_gives_the_same_bits_with_a_stale_workspace():
 
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
 @pytest.mark.parametrize("d", [1, 7, 33])
-def test_nearest_sq_dists_equals_the_whole_array_sum(n, d):
-    # gmm_em's initial variance and the k-means++ seeding of `dgn cluster`
-    # take it block by block; each row's sum is the allocating form's bits
+def test_lower_sq_dists_equals_the_whole_array_minimum(n, d):
+    # gmm_em's initial variance (from inf) and the k-means++ seeding of
+    # `dgn cluster` take it block by block: the allocating form's bits
     rng = np.random.default_rng(n + d)
     X, means = rng.standard_normal((n, d)) ** 3, rng.standard_normal((5, d))
     nearest = rng.integers(0, 5, n)
-    got = baselines._nearest_sq_dists(X, means, nearest, np.empty(n),
-                                      np.empty((min(n, movmf._BLOCK), d)))
     want = np.sum((X - means[nearest]) ** 2, axis=1)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    buf = np.empty((min(n, movmf._BLOCK), d))
+    for start in (np.full(n, np.inf), rng.permutation(want)):
+        got = baselines._lower_sq_dists(X, means, nearest, start.copy(), buf)
+        assert np.array_equal(got.view(np.uint64), np.minimum(start, want).view(np.uint64))
 
 
 @pytest.mark.parametrize("family", ["soft", "gmm"])
 def test_em_holds_no_second_n_by_k_array(family):
     # the E step's row softmax works on one block of points at a time, so
     # past the arrays a fit holds by design (the (n, k) posterior; for the
-    # GMM also its (n, k) squared distances, 2F, ||f||^2 and the (n,) sums
-    # of the squared deviations, which are taken a block at a time) the
-    # traced peak stays below one more (n, k) array
+    # GMM also its (n, k) squared distances, 2F, ||f||^2 and the (n,)
+    # squared deviations, which are taken a block at a time) the traced
+    # peak stays below one more (n, k) array
     n, d, k = 80_000, 7, 8
     rng = np.random.default_rng(0)
     F = rng.standard_normal((n, d))

@@ -573,7 +573,7 @@ def _scene_nbytes(scene):
 
 def test_read_scene_holds_the_scene_and_not_its_text(tmp_path):
     # the file is read line by line: the traced peak stays within 1 MB of
-    # the arrays of the scene it returns, well below the 2.9 MB of text
+    # the arrays of the scene it returns, well below its 2.8 MB of text
     path = str(tmp_path / "scene.dgn")
     data.write_scene(path, _large_scene())
     tracemalloc.start()
