@@ -694,6 +694,19 @@ def test_empty_prediction_rejected():
         data.miou(np.empty(0, dtype=int), np.empty(0, dtype=int), 2)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("dgn/1 99999999999999999999 1 2\n1 2 3 4 0\n", 3),
+    ("dgn/1 1 1 2\n1 2 3 4 0\nsparse 99999999999999999999\n0 0\n", 5),
+], ids=["rows", "pairs"])
+def test_a_count_past_the_largest_index_ends_at_the_end_of_the_file(tmp_path, text, line):
+    # no file has sys.maxsize lines, the most itertools.islice reads
+    path = tmp_path / "huge.dgn"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="unexpected end of file") as err:
+        data.read_scene(str(path))
+    assert err.value.line == line
+
+
 def test_a_header_width_is_not_allocated_before_a_line_has_it(tmp_path):
     # a 24-byte file that claims a million extra features per row
     path = tmp_path / "wide.dgn"
