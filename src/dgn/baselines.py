@@ -146,8 +146,8 @@ def gmm_posterior(sq: np.ndarray, params: GMMParams, out: np.ndarray) -> np.ndar
 def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
            workspace: Workspace | None = None) -> EMResult:
     """EM for an isotropic GMM, run by ``movmf._run_em``, the loop of the
-    moVMF fits: the same iteration budget, ``tol`` stop, tie-break and
-    held components. The shift is the largest Euclidean move of a mean.
+    moVMF fits: the same iteration budget, ``tol`` stop and held
+    components. The shift is the largest Euclidean move of a mean.
 
     Weights start uniform; the initial per-component variance is the mean
     squared deviation from the init means divided by d. Variances are

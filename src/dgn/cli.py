@@ -148,12 +148,12 @@ def cmd_cluster(args) -> int:
     except FloatingPointError as exc:
         raise NonFiniteOutput(f"the matrix overflows in clustering: {exc}") from None
 
-    posterior = result.posterior
+    assignment = np.argmax(result.posterior, axis=1)   # ties to the lowest index
     if proto:   # the fit's posterior is dead, so the one-hot overwrites it
-        movmf.one_hot(result.assignment, k, out=posterior)
+        movmf.one_hot(assignment, k, out=result.posterior)
     prefix = args.out_prefix or args.input
-    _write_rows(prefix + ".assignments", result.assignment[:, None], "%d")
-    _write_rows(prefix + ".posteriors", posterior)
+    _write_rows(prefix + ".assignments", assignment[:, None], "%d")
+    _write_rows(prefix + ".posteriors", result.posterior)
     print(f"wrote {prefix}.assignments and {prefix}.posteriors")
     return EXIT_OK
 
@@ -296,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster a matrix file")
     p.add_argument("input", help="text matrix, one row of floats per line")
     p.add_argument("--variant", choices=CLUSTER_VARIANTS, default="soft",
-                   help="soft or hard moVMF EM on the unit rows, gmm: isotropic GMM EM "
-                   "on the rows; proto-cosine and proto-euclid: the nearest init centre "
-                   "under the hard moVMF or GMM family's own score, with no EM "
-                   "(default soft)")
+                   help="soft or hard moVMF EM on the unit rows (hard is a clustering "
+                   "variant only, not a training alignment), gmm: isotropic GMM EM on "
+                   "the rows; proto-cosine and proto-euclid: the nearest init centre under "
+                   "the hard moVMF or GMM family's own score, with no EM (default soft)")
     p.add_argument("--classes", type=integer, required=True)
     p.add_argument("--kappa", type=real, help="shared moVMF concentration, soft and "
                    f"hard only (default {movmf.EMConfig.kappa:g})")

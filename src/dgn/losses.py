@@ -126,10 +126,10 @@ def dis_loss_through_means(
     Each mean is the Q-weighted normalized sum of the normalized features,
     given as ``movmf.unit_rows`` splits them (unit rows V and norms), with
     Q constant, so the gradient reaches the raw features through the mean
-    directions. A cluster whose weighted sum vanished, such as an empty
-    hard-EM cluster, keeps its row of the fit's (k, d) unit ``means``, as
-    the EM's M step does, and that row is a constant that passes no
-    gradient. Returns (value, gradient wrt features).
+    directions. A cluster whose weighted sum vanished, such as a gmm
+    component whose posterior mass underflowed, keeps its row of the fit's
+    (k, d) unit ``means``, as the EM's M step does: a constant that passes
+    no gradient. Returns (value, gradient wrt features).
     """
     Q = np.asarray(Q, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)

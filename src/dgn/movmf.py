@@ -185,11 +185,10 @@ class EMConfig:
 
 @dataclass(frozen=True)
 class EMResult:
-    """Posterior, hard assignment, fitted parameters, and run diagnostics
-    of one EM fit: a moVMF here, an isotropic GMM in ``baselines.gmm_em``."""
+    """Posterior, fitted parameters and run diagnostics of one EM fit (a moVMF
+    here, an isotropic GMM in ``baselines.gmm_em``); only ``dgn cluster`` takes its argmax."""
 
     posterior: np.ndarray       # (n, k) row-stochastic, C-contiguous
-    assignment: np.ndarray      # (n,) argmax of posterior, ties to lowest index
     params: MoVMFParams         # baselines.GMMParams from gmm_em
     iterations: int
     converged: bool
@@ -351,8 +350,7 @@ def _run_em(state, e_step, m_step, build, cfg: EMConfig) -> EMResult:
     the next state, the shift of the means and the (k,) mask of the clusters
     it held. ``build(state)`` makes the validated params, once, when the
     loop ends. The loop stops after ``cfg.max_iters`` M steps or at a shift
-    below ``cfg.tol`` and returns the E step at the last state with its row
-    argmax."""
+    below ``cfg.tol`` and returns the E step at the last state."""
     held = np.False_
     iterations = 0
     converged = False
@@ -363,8 +361,7 @@ def _run_em(state, e_step, m_step, build, cfg: EMConfig) -> EMResult:
         if shift < cfg.tol:
             converged = True
             break
-    Q = e_step(state)
-    return EMResult(Q, np.argmax(Q, axis=1), build(state), iterations, converged,
+    return EMResult(e_step(state), build(state), iterations, converged,
                     tuple(np.flatnonzero(held).tolist()))
 
 
@@ -420,8 +417,8 @@ def soft_movmf_em(V: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
     M step re-estimates weights and mean directions from posterior-weighted
     sums. Stops after ``cfg.max_iters`` iterations or when the largest
     per-cluster mean rotation drops below ``cfg.tol`` (measured as
-    1 - cos(angle)). With max_iters = 0 the returned posterior and
-    assignment are evaluated at the initialization and means are unchanged.
+    1 - cos(angle)). With max_iters = 0 the returned posterior is
+    evaluated at the initialization and means are unchanged.
 
     The posterior is taken from ``workspace`` (a fresh one when omitted),
     as are the fit's other per-point arrays (see ``network``).

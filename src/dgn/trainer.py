@@ -13,6 +13,7 @@ Inference uses only the segment head (never the clustering stage).
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 from dataclasses import dataclass
 
@@ -33,12 +34,12 @@ OPTIMIZERS = ("adam", "sgd")
 class Family:
     """A mixture family: the one labeled/bank ``init``, EM ``fit`` (its result
     and unit mean directions for the bank) and alignment ``loss`` of
-    ``train_step``, ``explain`` and ``dgn cluster``. A Euclidean family (an
-    isotropic GMM, no kappa) fits the raw features, a spherical one (a moVMF,
-    shared kappa) their unit rows: ``unit`` is ``movmf.unit_rows``' (rows,
-    norms). ``em`` names the EM in ``baselines`` or ``movmf``. Every layer
-    function is looked up at call time, so a wrapped binding is the one
-    called, and ``workspace`` goes on to the EM and the loss unchanged."""
+    ``train_step``, ``explain`` and ``dgn cluster`` (hard: cluster only). A
+    Euclidean family (an isotropic GMM, no kappa) fits the raw features, a
+    spherical one (a moVMF, shared kappa) their unit rows: ``unit`` is
+    ``movmf.unit_rows``' (rows, norms); ``em`` names the EM in ``baselines``
+    or ``movmf``. Every layer function is looked up at call time, so a wrapped
+    binding is the one called, and ``workspace`` goes on to the EM and loss."""
 
     euclidean: bool
     em: str
@@ -63,7 +64,8 @@ class Family:
 FAMILIES = {"soft": Family(euclidean=False, em="soft_movmf_em"),
             "hard": Family(euclidean=False, em="hard_movmf_em"),
             "gmm": Family(euclidean=True, em="gmm_em")}
-ALIGNMENTS = tuple(FAMILIES)
+# hard's one-hot CON targets train worse than TCE alone: it is a `dgn cluster` family only
+ALIGNMENTS = ("soft", "gmm")
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,9 @@ class TrainConfig:
     ``fit`` scores its ``val_miou`` after each epoch, while ``train_miou``
     is the head mIoU of the epoch's own steps, each before its update.
 
-    ``alignment`` names the mixture family fitted to each scene's features
-    after warmup; ``FAMILIES`` is the one place the families are defined.
-    ``gmm`` has no concentration and rejects a ``kappa`` other than the default.
+    ``alignment`` names the family fitted to each scene's features after
+    warmup, soft or gmm; ``FAMILIES``' hard is for ``dgn cluster`` only.
+    gmm has no concentration and rejects a ``kappa`` other than the default.
     ``use_vmf`` adds the family's alignment loss, ``use_dis`` the separation
     of the posterior-weighted mean directions and ``use_con`` the
     cross-entropy from the posterior to the head; each backpropagates into
@@ -116,7 +118,7 @@ class TrainConfig:
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}")
         if FAMILIES[self.alignment].euclidean and self.kappa != movmf.EMConfig.kappa:
-            raise ValueError("kappa applies to the moVMF alignments (soft, hard), not gmm")
+            raise ValueError("kappa applies to the soft alignment, not gmm")
         if self.feat_dim < 1 or any(width < 1 for width in self.hidden_dims):
             raise ValueError("feat_dim and every hidden_dims width must be >= 1")
         if self.epochs < 0 or self.warmup_epochs < 0 or self.em_iters < 0:
@@ -490,8 +492,9 @@ def _parse_value(name: str, raw: str):
 
 
 def parse_config_text(text: str, path: str = "<config>") -> TrainConfig:
+    """``key = value`` lines to a TrainConfig; a line ends only at LF, CRLF or CR."""
     overrides = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

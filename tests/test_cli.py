@@ -35,7 +35,7 @@ def test_ablate_seed_param_is_a_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text",
     ["hidden_dims = 0", "hidden_dims = 8, 0", "feat_dim = 0", "feat_dim = -1",
-     "alignment = proto_euclid", "alignment = proto_cosine",
+     "alignment = proto_euclid", "alignment = proto_cosine", "alignment = hard",
      "dis_grad_mode = frozen_means", "em_variant = hard", "alignment = movmf",
      "alignment = gmm\nkappa = 50", "kappa = nan", "lr = inf", "em_tol = nan", "seed = -1",
      "epochs = 1_0", "warmup_epochs = \u0663", "hidden_dims = 1_0", "lr = 0.00_3",
@@ -376,17 +376,16 @@ def test_eval_rejects_a_bad_prediction_file(tmp_path, capsys, text, code, messag
     assert message in err and "Traceback" not in err
 
 
-def test_ablate_compares_the_three_families(tmp_path, capsys):
+def test_ablate_compares_the_training_families(tmp_path, capsys):
     _write_scenes(tmp_path, count=3, points_per_class=(10, 12))
     (tmp_path / "base.cfg").write_text("epochs = 2\nwarmup_epochs = 1\nlabel_rate = 0.2\n"
                                        "hidden_dims = 4\nfeat_dim = 3\n")
     out = tmp_path / "table.txt"
     code = cli.main(["ablate", "--config", str(tmp_path / "base.cfg"), "--data", str(tmp_path),
-                     "--param", "alignment", "--values", "soft,hard,gmm", "--out", str(out)])
+                     "--param", "alignment", "--values", "soft,gmm", "--out", str(out)])
     assert code == cli.EXIT_OK
     rows = out.read_text().splitlines()
-    assert [row.split()[0] for row in rows] == [
-        "alignment=soft", "alignment=hard", "alignment=gmm"]
+    assert [row.split()[0] for row in rows] == ["alignment=soft", "alignment=gmm"]
 
 
 def test_import_does_not_load_a_process_pool():
@@ -610,7 +609,7 @@ def _old_cluster(X, variant, k, seed, labels):
             diffs = X[:, None, :] - euclidean_init()[None, :, :]
             assignment = np.argmin(np.einsum("nkd,nkd->nk", diffs, diffs), axis=1)
         return assignment, movmf.one_hot(assignment, k)
-    return result.assignment, result.posterior
+    return np.argmax(result.posterior, axis=1), result.posterior
 
 
 def _old_kmeanspp_init(X, k, seed):
@@ -737,22 +736,21 @@ _PROTO_FAMILY = {"proto-euclid": "gmm", "proto-cosine": "hard"}
 
 
 @pytest.mark.parametrize("variant, iters", [
-    *((variant, iters) for variant in trainer.ALIGNMENTS for iters in (0, 7)),
+    *((variant, iters) for variant in trainer.FAMILIES for iters in (0, 7)),
     *((variant, 0) for variant in _PROTO_FAMILY)])
 def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant, iters):
     # `dgn cluster` fits through the family's init and fit in trainer.FAMILIES,
     # the dispatch train_step and explain use: on the same rows, labels, empty
     # bank, seed and EM settings the command writes the dispatch's fit bit for
-    # bit, at the init (hard EM soon forgets it) and after EM; a proto-*
-    # variant writes the one-hot assignment of its family's fit at the init
+    # bit, at the init (hard EM soon forgets it) and after EM, and its argmax;
+    # a proto-* variant writes the one-hot argmax of its family's fit at the init
     X, labels, args = _cluster_input(tmp_path, labeled=True)
-    alignment = _PROTO_FAMILY.get(variant, variant)
-    family = trainer.FAMILIES[alignment]
-    flags, em = ["--iters", str(iters), "--tol", "0"], {"em_iters": iters, "em_tol": 0.0}
+    family = trainer.FAMILIES[_PROTO_FAMILY.get(variant, variant)]
+    flags, em = ["--iters", str(iters), "--tol", "0"], {"max_iters": iters, "tol": 0.0}
     if not family.euclidean:
         flags, em = [*flags, "--kappa", "5"], {**em, "kappa": 5.0}
     if variant in _PROTO_FAMILY:
-        flags, em = [], {"em_iters": 0}
+        flags, em = [], {"max_iters": 0}
     written, write_rows = [], cli._write_rows
 
     def capture_posteriors(path, matrix, *value):
@@ -769,17 +767,16 @@ def test_cluster_posterior_equals_the_trainer_fit(tmp_path, monkeypatch, variant
 
     keep = labels >= 0
     sparse = data.SparseLabels(np.flatnonzero(keep), labels[keep])
-    cfg = trainer.TrainConfig(alignment=alignment, seed=2, **em)
     fresh = bank_mod.empty_bank(3, X.shape[1])
     unit = movmf.unit_rows(X)
-    init = family.init(X, unit, sparse, fresh, cfg.seed)
-    result = family.fit(X, unit, init, trainer._em_config(cfg))[0]
+    init = family.init(X, unit, sparse, fresh, 2)
+    result = family.fit(X, unit, init, movmf.EMConfig(**em))[0]
     assert result.iterations == iters
-    posterior = movmf.one_hot(result.assignment, 3) if variant in _PROTO_FAMILY else (
-        result.posterior)
+    assignment = np.argmax(result.posterior, axis=1)
+    posterior = movmf.one_hot(assignment, 3) if variant in _PROTO_FAMILY else result.posterior
     assert np.array_equal(written[0].view(np.uint64), posterior.view(np.uint64))
     assignments = (tmp_path / "out.assignments").read_text().split()
-    assert assignments == [str(c) for c in result.assignment.tolist()]
+    assert assignments == [str(c) for c in assignment.tolist()]
 
 
 @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
@@ -856,11 +853,12 @@ _FAMILY_LAYERS = {
 }
 
 
-@pytest.mark.parametrize("alignment", trainer.ALIGNMENTS)
+@pytest.mark.parametrize("alignment", trainer.FAMILIES)
 def test_each_family_calls_only_its_own_layer_functions(tmp_path, monkeypatch, alignment):
     # the families look their layer functions up by module attribute at call
     # time, so a wrapped binding (as the bench tracer installs) sees every call
-    # of an aligned train_step, explain and `dgn cluster`
+    # of `dgn cluster` and, for a training alignment, of an aligned train_step
+    # and explain
     calls = []
     for module, names in [(movmf, ("soft_movmf_em", "hard_movmf_em")),
                           (baselines, ("gmm_em", "gmm_nll_loss")), (losses, ("vmf_loss",)),
@@ -871,7 +869,15 @@ def test_each_family_calls_only_its_own_layer_functions(tmp_path, monkeypatch, a
                                 calls.append(name) or real(*a, **kw))
     em, init, loss = _FAMILY_LAYERS[alignment]
     fit_calls = sorted([em, *init])
+    _, _, args = _cluster_input(tmp_path, labeled=True)
+    code = cli.main(["cluster", *args, "--variant", alignment,
+                     "--out-prefix", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert sorted(calls) == fit_calls
+    if alignment not in trainer.ALIGNMENTS:
+        return
 
+    calls.clear()
     scene = data.gen_scene(data.SceneSpec(num_classes=3, points_per_class=(20, 30), seed=1))
     scene = data.with_sparse(scene, data.sample_sparse_labels(scene, 0.1, seed=1))
     cfg = trainer.TrainConfig(alignment=alignment, warmup_epochs=0, em_iters=3,
@@ -881,12 +887,6 @@ def test_each_family_calls_only_its_own_layer_functions(tmp_path, monkeypatch, a
     assert sorted(calls) == sorted([*fit_calls, loss])
     calls.clear()
     trainer.explain(scene, params, cfg)
-    assert sorted(calls) == fit_calls
-    calls.clear()
-    _, _, args = _cluster_input(tmp_path, labeled=True)
-    code = cli.main(["cluster", *args, "--variant", alignment,
-                     "--out-prefix", str(tmp_path / "out")])
-    assert code == cli.EXIT_OK
     assert sorted(calls) == fit_calls
 
 
@@ -1028,7 +1028,6 @@ def test_explain_without_config_fits_the_family_the_checkpoint_was_trained_with(
 
 
 @pytest.mark.parametrize("text, name, given, trained", [
-    ("alignment = hard", "alignment", "hard", "soft"),
     ("kappa = 1", "kappa", "1.0", "10.0"),
     ("alignment = gmm", "alignment", "gmm", "soft"),
 ])
@@ -1048,6 +1047,30 @@ def test_explain_with_a_config_the_checkpoint_was_not_trained_with_exits_2(
         f"error: --config sets {name} = {given}, but the checkpoint was trained with "
         f"{trained} ({out / cli.TRAINED_CONFIG})\n")
     assert not (tmp_path / "post.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "explain-saved", "explain-config"])
+def test_alignment_hard_exits_2_in_ablate_and_explain(tmp_path, capsys, command):
+    # hard is a `dgn cluster` variant only: a sweep or a config naming it ends
+    # before any fit, as does explaining a checkpoint whose saved config names
+    # it (`dgn train` is in test_train_rejects_bad_config_with_exit_2)
+    out, scene = _train_tiny(tmp_path, "")
+    hard = tmp_path / "hard.cfg"
+    hard.write_text("alignment = hard\n")
+    target = tmp_path / "target"
+    argv = {
+        "ablate": ["ablate", "--data", str(tmp_path / "data"), "--param", "alignment",
+                   "--values", "soft,hard", "--out", str(target)],
+        "explain-saved": ["explain", "--scene", scene, "--checkpoint", str(out / "model.ckpt"),
+                          "--out", str(target)],
+    }
+    argv["explain-config"] = [*argv["explain-saved"], "--config", str(hard)]
+    if command == "explain-saved":
+        (out / cli.TRAINED_CONFIG).write_text("alignment = hard\n")
+    capsys.readouterr()
+    assert cli.main(argv[command]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: alignment must be one of {trainer.ALIGNMENTS}\n"
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("classes", [3, 8])

@@ -215,10 +215,9 @@ def reference_em(V, init_means, cfg, hard):
             converged = True
             break
     q = reference_posterior(V, theta)
-    labels = np.argmax(q, axis=1)
     if hard:
-        q = movmf.one_hot(labels, k)
-    return movmf.EMResult(q, labels, theta, iterations, converged, tuple(sorted(degenerate)))
+        q = movmf.one_hot(np.argmax(q, axis=1), k)
+    return movmf.EMResult(q, theta, iterations, converged, tuple(sorted(degenerate)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +437,6 @@ def test_soft_em_zero_iters_returns_init(rng):
     np.testing.assert_allclose(res.params.alphas, 1.0 / 3.0, atol=1e-15)
     expected_q = posterior(V, res.params)
     np.testing.assert_array_equal(res.posterior, expected_q)
-    np.testing.assert_array_equal(res.assignment, np.argmax(expected_q, axis=1))
     assert res.iterations == 0 and not res.converged
 
 
@@ -499,8 +497,9 @@ def test_hard_em_matches_soft_on_separable_data(rng):
     cfg = movmf.EMConfig(30, 1e-10, 40.0)
     soft = movmf.soft_movmf_em(V, init, cfg)
     hard = movmf.hard_movmf_em(V, init, cfg)
-    np.testing.assert_array_equal(soft.assignment, hard.assignment)
-    assert np.array_equal(hard.posterior, movmf.one_hot(hard.assignment, 2))
+    labels = np.argmax(hard.posterior, axis=1)
+    np.testing.assert_array_equal(np.argmax(soft.posterior, axis=1), labels)
+    assert np.array_equal(hard.posterior, movmf.one_hot(labels, 2))
 
 
 def test_hard_em_tie_breaks_to_lower_index():
@@ -511,7 +510,7 @@ def test_hard_em_tie_breaks_to_lower_index():
         [np.sqrt(0.5), -np.sqrt(0.5)],
     ])
     res = movmf.hard_movmf_em(V, init, movmf.EMConfig(0, 1e-9, 10.0))
-    assert res.assignment[0] == 0
+    assert res.posterior.tolist() == [[1.0, 0.0]]
 
 
 def test_hard_em_empty_cluster_flagged(rng):
@@ -544,7 +543,6 @@ def assert_same_fit(V, init, cfg, variant):
         return got
     assert got.posterior.flags.c_contiguous and got.posterior.shape == want.posterior.shape
     assert np.array_equal(got.posterior, want.posterior, equal_nan=True)
-    assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.params.alphas, want.params.alphas, equal_nan=True)
     assert np.array_equal(got.params.means, want.params.means, equal_nan=True)
     assert got.iterations == want.iterations
@@ -621,10 +619,6 @@ def test_every_fit_keeps_the_contract_of_the_one_em_loop(fit):
     assert np.array_equal(start.params.means, init)
     stop = fit(V, init, movmf.EMConfig(50, 1e6, 10.0))
     assert stop.iterations == 1 and stop.converged
-    full = fit(V, init, movmf.EMConfig(5, 0.0, 10.0))
-    for res in (start, stop, full):
-        want = np.argmax(res.posterior, axis=1)
-        assert res.assignment.dtype == want.dtype and np.array_equal(res.assignment, want)
     # a nan row is held by no cluster; soft EM runs it at kappa 0, since
     # above 0 its nan weights end the fit in DegenerateRow
     V[9] = np.nan
@@ -815,7 +809,6 @@ def test_em_gives_the_same_bits_with_a_stale_workspace(rng, run):
     want = run(V, init, cfg)
     got = run(V, init, cfg, stale_workspace())
     assert np.array_equal(got.posterior, want.posterior)
-    assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.params.alphas, want.params.alphas)
     assert np.array_equal(got.params.means, want.params.means)
     assert (got.iterations, got.converged, got.degenerate) == (
