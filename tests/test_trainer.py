@@ -510,11 +510,12 @@ def test_a_config_line_ends_at_lf_crlf_or_cr(text):
     assert (cfg.epochs, cfg.warmup_epochs) == (3, 1)
 
 
-@pytest.mark.parametrize("text, raw", [("epochs = 3\x0cwarmup_epochs = 1\n", "3\x0cwarmup_epochs = 1"),
-                                       ("epochs = 3\x85bogus", "3\x85bogus")],
-                         ids=["form-feed", "next-line"])
+@pytest.mark.parametrize("text, raw", [
+    ("epochs = 3\x0cwarmup_epochs = 1\n", "3\x0cwarmup_epochs = 1"),
+    ("epochs = 3\x85bogus", "3\x85bogus"),
+], ids=["form-feed", "next-line"])
 def test_no_other_break_ends_a_config_line(text, raw):
-    # str.splitlines would end a line at both, as no table line ends
+    # str.splitlines ends a line at both; a table line ends at neither
     with pytest.raises(ValueError) as err:
         trainer.parse_config_text(text, "x.cfg")
     assert str(err.value) == f"x.cfg:1: invalid integer: {raw!r}"
