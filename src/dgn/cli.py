@@ -3,16 +3,16 @@
 Subcommands: cluster, train, ablate, explain, gen-data, eval. Every
 command takes all randomness from --seed (or the config seed) and writes
 deterministic, diffable text tables (see ``dgn.data``). Exit codes: 0
-success, 2 parse or configuration errors (say, a checkpoint whose bank is
-not its head's shape, an ablate grid that holds out no validation scene,
-or an explain --config whose alignment or kappa is not the one the
-checkpoint was trained with), 3 dimension or data errors (say, explaining
-a scene whose class count is not the checkpoint head's, or clustering
-fewer rows than --classes with --variant gmm or proto-euclid), running out of
-memory (say, for widths that cannot be allocated), a worker that dies
-(WorkerDied: say, killed for memory) and values that overflow
-(NonFiniteOutput: a diverged run, an overflowing checkpoint or a cluster
-matrix), 1 internal errors.
+success, 2 parse or configuration errors (say, a checkpoint whose layer
+shapes do not chain or whose bank is not its head's shape, an ablate
+grid that holds out no validation scene, or an explain --config whose
+alignment or kappa is not the one the checkpoint was trained with), 3
+dimension or data errors (say, explaining a scene whose class count is
+not the checkpoint head's, or clustering fewer rows than --classes with
+--variant gmm or proto-euclid), running out of memory (say, for widths
+that cannot be allocated), a worker that dies (WorkerDied: say, killed
+for memory) and values that overflow (NonFiniteOutput: a diverged run,
+an overflowing checkpoint or a cluster matrix), 1 internal errors.
 Each error ends in one line on stderr.
 
 gen-data (one task per scene) and ablate (one task per fit) run their

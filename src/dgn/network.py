@@ -48,9 +48,11 @@ Checkpoint container (binary, little-endian):
     u8      bank flag (0 = absent)
     [u32 x2 bank shape, f64 momentum, u8 x k seen flags, f64 prototypes]
 
-The bank shape is the head shape (num_classes, feat_dim), and the bank
-holds what ``MemoryBank`` accepts: a checkpoint whose bank is not is a
-ParseError at the bank shape's offset.
+Each shape's ``in`` (the head's feat_dim) is the ``out`` of the layer
+before it: a checkpoint whose shapes do not chain is a ParseError at the
+first shape that breaks the chain. The bank shape is the head shape
+(num_classes, feat_dim), and the bank holds what ``MemoryBank`` accepts:
+a checkpoint whose bank is not is a ParseError at the bank shape's offset.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class ModelParams:
 
     The same container is reused for gradients (entries then hold the
     partial derivatives in matching positions). ``tensors`` is the one
-    order that init, backward, the optimizers and the checkpoint walk.
+    order that init, backward, Adam and the checkpoint walk.
     """
 
     layer_weights: tuple[np.ndarray, ...]  # each (out, in)
@@ -278,15 +280,6 @@ def _check_grad_shapes(tensors: tuple, grads: tuple) -> None:
         raise ShapeMismatch(f"gradient shapes {got} != parameter shapes {want}")
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
-    """params - lr * grads, as a new immutable snapshot."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    flat_p, flat_g = params.tensors, grads.tensors
-    _check_grad_shapes(flat_p, flat_g)
-    return ModelParams.from_tensors([p - lr * g for p, g in zip(flat_p, flat_g)])
-
-
 @dataclass(frozen=True)
 class AdamState:
     """Adam's step count and its first and second moments, each one flat
@@ -398,8 +391,16 @@ def load_checkpoint(path: str) -> tuple[ModelParams, MemoryBank | None]:
     (num_layers,) = r.u32()
     if num_layers < 1 or num_layers > 1024:
         raise ParseError(str(path), r.offset, f"implausible layer count {num_layers}")
-    shapes = [r.u32(2) for _ in range(num_layers)]
-    head_shape = r.u32(2)
+    # (out, in) per layer, then the head's (num_classes, feat_dim): each takes
+    # the outputs of the one before
+    matrices = [r.u32(2) for _ in range(num_layers + 1)]
+    for i in range(1, num_layers + 1):
+        if matrices[i][1] != matrices[i - 1][0]:
+            name = "head" if i == num_layers else f"layer {i}"
+            raise ParseError(str(path), len(MAGIC) + 4 + 8 * i,
+                             f"{name} shape {matrices[i]} does not take layer {i - 1}'s "
+                             f"{matrices[i - 1][0]} outputs")
+    *shapes, head_shape = matrices
     # the shapes of ModelParams.tensors: (out, in) and (out,) per layer, then the head
     tensor_shapes = [s for w in shapes for s in (w, w[:1])] + [head_shape]
     params = ModelParams.from_tensors([r.f64_array(s) for s in tensor_shapes])

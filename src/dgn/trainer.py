@@ -5,7 +5,7 @@ The alignment stage is gated behind a warmup during which only the
 truncated cross-entropy contributes. Per step: forward, normalize
 features, initialize the configured family from labeled means and the
 memory bank, run at most ``em_iters`` EM iterations (fewer only once the
-means move less than ``em_tol``), then take one optimizer step on the
+means move less than ``em_tol``), then take one Adam step on the
 enabled losses with the clustering outputs held constant.
 Inference uses only the segment head (never the clustering stage).
 """
@@ -26,8 +26,6 @@ from .data import (SceneBatch, _distinct, confusion, integer, iou_from_confusion
 from .errors import DimensionMismatch, InvalidGrid, NonFiniteOutput
 from .workers import ordered_map
 from .workspace import SCRATCH
-
-OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,12 @@ ALIGNMENTS = ("soft", "gmm")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All knobs for one training run. Defaults follow the reference
-    operating point: ``movmf.EMConfig``'s EM settings, beta 0.8. ``fit``
-    draws each training scene's labels at ``label_rate`` from its dense
-    ground truth and ignores the scene's ``sparse`` trailer, which only
-    ``explain`` reads. The last ``val_fraction`` of the scenes is held out:
+    """All knobs for one training run, which updates the network by Adam
+    at ``lr``. Defaults follow the reference operating point:
+    ``movmf.EMConfig``'s EM settings, beta 0.8. ``fit`` draws each
+    training scene's labels at ``label_rate`` from its dense ground truth
+    and ignores the scene's ``sparse`` trailer, which only ``explain``
+    reads. The last ``val_fraction`` of the scenes is held out:
     ``fit`` scores its ``val_miou`` after each epoch, while ``train_miou``
     is the head mIoU of the epoch's own steps, each before its update.
 
@@ -103,7 +102,6 @@ class TrainConfig:
     use_con: bool = True
     seed: int = 0
     alignment: str = "soft"
-    optimizer: str = "adam"
     bank_momentum: float = 0.9
     hidden_dims: tuple[int, ...] = (32, 32)
     feat_dim: int = 16
@@ -113,8 +111,6 @@ class TrainConfig:
         for name, spec in _CONFIG_FIELDS.items():
             if spec.type == "float" and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}")
         if FAMILIES[self.alignment].euclidean and self.kappa != movmf.EMConfig.kappa:
@@ -273,12 +269,9 @@ def train_step(
     report = StepReport(tce_val, vmf_val, dis_val, con_val, total, em_iters, degenerate)
     predictions = np.argmax(cache.probs, axis=1)
     grads = network.backward(params, cache, d_features, d_logits)
-    if cfg.optimizer == "adam":
-        if opt_state is None:
-            opt_state = network.init_adam_state(params)
-        new_params, opt_state = network.adam_step(params, grads, opt_state, cfg.lr)
-    else:
-        new_params = network.sgd_step(params, grads, cfg.lr)
+    if opt_state is None:
+        opt_state = network.init_adam_state(params)
+    new_params, opt_state = network.adam_step(params, grads, opt_state, cfg.lr)
     return StepResult(new_params, prototype_bank, report, predictions, opt_state)
 
 
@@ -507,7 +500,10 @@ def parse_config_text(text: str, path: str = "<config>") -> TrainConfig:
             overrides[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return TrainConfig(**overrides)
+    try:
+        return TrainConfig(**overrides)
+    except ValueError as exc:  # a check may span fields, so it names no line
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_config(cfg: TrainConfig) -> str:

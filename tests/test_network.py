@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import stale_workspace
 from dgn import network
 from dgn.bank import MemoryBank, empty_bank
-from dgn.errors import DgnError, DimensionMismatch, ParseError, ShapeMismatch, StaleCache
+from dgn.errors import DimensionMismatch, ParseError, ShapeMismatch, StaleCache
 
 
 def _single_layer_identity(k):
@@ -303,51 +304,6 @@ def test_backward_stale_cache_layer_count(rng):
 
 
 # ---------------------------------------------------------------------------
-# sgd
-
-def test_sgd_zero_grads_no_change():
-    params = network.init_params([3, 4], 2, seed=5)
-    zeros = network.ModelParams(
-        tuple(np.zeros_like(w) for w in params.layer_weights),
-        tuple(np.zeros_like(b) for b in params.layer_biases),
-        np.zeros_like(params.head_weights),
-    )
-    nxt = network.sgd_step(params, zeros, lr=0.5)
-    np.testing.assert_array_equal(nxt.layer_weights[0], params.layer_weights[0])
-    np.testing.assert_array_equal(nxt.head_weights, params.head_weights)
-
-
-def test_sgd_unit_lr_self_grad_gives_zero():
-    params = network.init_params([3, 4], 2, seed=6)
-    nxt = network.sgd_step(params, params, lr=1.0)
-    np.testing.assert_array_equal(nxt.layer_weights[0], 0.0)
-    np.testing.assert_array_equal(nxt.layer_biases[0], 0.0)
-    np.testing.assert_array_equal(nxt.head_weights, 0.0)
-
-
-def test_sgd_two_half_steps_equal_one_full():
-    params = network.init_params([2, 3], 2, seed=7)
-    grads = network.init_params([2, 3], 2, seed=8)
-    twice = network.sgd_step(network.sgd_step(params, grads, 0.05), grads, 0.05)
-    once = network.sgd_step(params, grads, 0.1)
-    np.testing.assert_allclose(twice.layer_weights[0], once.layer_weights[0], atol=1e-15)
-    np.testing.assert_allclose(twice.head_weights, once.head_weights, atol=1e-15)
-
-
-def test_sgd_shape_mismatch():
-    params = network.init_params([2, 3], 2, seed=0)
-    bad = network.init_params([2, 4], 2, seed=0)
-    with pytest.raises(ShapeMismatch):
-        network.sgd_step(params, bad, 0.1)
-
-
-def test_sgd_rejects_nonpositive_lr():
-    params = network.init_params([2, 3], 2, seed=0)
-    with pytest.raises(ValueError):
-        network.sgd_step(params, params, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # adam
 
 def reference_adam_step(params, grads, step, means, variances, lr):
@@ -471,13 +427,30 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_claiming_a_huge_layer_is_truncated(tmp_path):
-    # (2^32 - 1)^2 values: a fixed-width count would wrap and pass the bounds check
+    # (2^32 - 1)^2 values: a fixed-width count would wrap and pass the bounds check;
+    # the head takes the layer's 2^32 - 1 outputs, so the shapes chain
     path = tmp_path / "model.ckpt"
     network.save_checkpoint(str(path), network.init_params([4, 6], 3, seed=13))
     blob = bytearray(path.read_bytes())
-    blob[12:20] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+    blob[12:28] = struct.pack("<IIII", 2**32 - 1, 2**32 - 1, 3, 2**32 - 1)
     path.write_bytes(bytes(blob))
     with pytest.raises(ParseError, match=":28: truncated checkpoint"):
+        network.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("at, shape, message", [
+    (1, (6, 5), "layer 1 shape (6, 5) does not take layer 0's 6 outputs"),
+    (2, (3, 6), "head shape (3, 6) does not take layer 1's 5 outputs"),
+], ids=["layer", "head"])
+def test_checkpoint_whose_shapes_do_not_chain_is_a_parse_error_at_the_shape(
+        tmp_path, at, shape, message):
+    path = tmp_path / "model.ckpt"
+    network.save_checkpoint(str(path), network.init_params([4, 6, 5], 3, seed=0))
+    blob = bytearray(path.read_bytes())
+    offset = 12 + 8 * at  # the magic, the layer count, then one (out, in) per matrix
+    blob[offset:offset + 8] = struct.pack("<II", *shape)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{offset}: {message}')}$"):
         network.load_checkpoint(str(path))
 
 
@@ -501,7 +474,7 @@ def test_load_checkpoint_raises_only_typed_errors(
     path.write_bytes(bytes(blob[:cut]))
     try:
         network.load_checkpoint(str(path))
-    except (DgnError, ValueError, OSError):
+    except ParseError:
         pass
 
 
