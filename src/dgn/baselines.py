@@ -1,6 +1,7 @@
 """The isotropic Gaussian mixture, the Euclidean family beside the moVMF
 of ``movmf`` in the distribution-comparison runs: its EM, posterior and
-alignment loss.
+alignment loss. The loss is the posterior-weighted squared distance to the
+fitted means, per point: the variances shape only the EM's posterior.
 
 ``gmm_em`` passes its E and M steps to ``movmf._run_em``, the one EM
 loop of both mixture families. Its E step is ``movmf._softmax_rows``,
@@ -24,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .movmf import (_BLOCK, ALPHA_FLOOR, EMConfig, EMResult, _check_weights, _log_weights,
-                    _run_em, _softmax_rows, _sum_columns)
+from .movmf import (_BLOCK, EMConfig, EMResult, _check_weights, _log_weights, _run_em,
+                    _softmax_rows, _sum_columns)
 from .workspace import SCRATCH, Workspace
 
 VARIANCE_FLOOR = 1e-6
@@ -122,15 +123,6 @@ def _gmm_scores(sq, log_norms, variances, out=None) -> np.ndarray:
     return np.subtract(log_norms, out, out=out)
 
 
-def _gmm_floored_scores(F: np.ndarray, params: GMMParams, out: np.ndarray | None = None,
-                        twice: np.ndarray | None = None) -> np.ndarray:
-    # weight log floored at 1e-12 so one-hot Q at a dead component stays
-    # finite; the (n, k) scores go into ``out`` and 2F into ``twice`` when given
-    log_w = np.log(np.maximum(params.weights, ALPHA_FLOOR))
-    sq = _sq_dists(F, params.means, out, _f_terms(F, twice))
-    return _gmm_scores(sq, _gmm_log_norms(log_w, params), params.variances, out=sq)
-
-
 def gmm_posterior(sq: np.ndarray, params: GMMParams, out: np.ndarray) -> np.ndarray:
     """Responsibilities from the (n, k) squared distances ``sq`` of the
     points to ``params.means``, written into the (n, k) ``out``: computed in
@@ -206,12 +198,14 @@ def gmm_em(F: np.ndarray, init_means: np.ndarray, cfg: EMConfig,
 def gmm_nll_loss(
     F: np.ndarray, Q: np.ndarray, params: GMMParams, workspace: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
-    """Negative expected complete-data log-likelihood and its gradient wrt F.
+    """Euclidean alignment loss, the mean over points of the posterior-weighted
+    half squared distance to the means, 0.5 * sum_ic q_ic ||f_i - m_c||^2 / n,
+    and its gradient wrt F, (rowsum(Q) * F - Q @ means) / n.
 
-    Includes the Gaussian normalizers (variances differ per component), the
-    Euclidean counterpart of the spherical alignment loss. Q and the mixture
-    parameters are treated as constants. The gradient and the temporaries
-    are taken from ``workspace`` (a fresh one when omitted; see ``network``).
+    Only ``params.means`` is read: a pull scaled by 1/variance grows as EM
+    re-fits the variances to shrinking features, so the fit collapses. Q and
+    the means are treated as constants. The gradient and the temporaries are
+    taken from ``workspace`` (a fresh one when omitted; see ``network``).
     """
     F = np.asarray(F, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
@@ -222,10 +216,9 @@ def gmm_nll_loss(
     ws = Workspace() if workspace is None else workspace
     (n, d), k = F.shape, Q.shape[1]
     twice = ws.take("twice", n, d)
-    scores = _gmm_floored_scores(F, params, ws.take(SCRATCH[0], n, k), twice)
-    value = -float(np.multiply(Q, scores, out=scores).sum())
-    # d(-score)/dF_i = sum_c q_ic (f_i - m_c) / var_c
-    ratio = np.divide(Q, params.variances[None, :], out=scores)
-    grad = np.multiply(ratio.sum(axis=1)[:, None], F, out=ws.take(SCRATCH[1], n, d))
-    grad -= np.matmul(ratio, params.means, out=twice)
+    sq = _sq_dists(F, params.means, ws.take(SCRATCH[0], n, k), _f_terms(F, twice))
+    value = 0.5 * float(np.multiply(Q, sq, out=sq).sum()) / n
+    grad = np.multiply(Q.sum(axis=1)[:, None], F, out=ws.take(SCRATCH[1], n, d))
+    grad -= np.matmul(Q, params.means, out=twice)
+    grad /= n
     return value, grad

@@ -3,7 +3,9 @@
 Gradients are taken with respect to network outputs only: the clustering
 posterior, mixture parameters, and pseudo-label targets are constants by
 construction (the EM, at most ``em_iters`` iterations, ends before backprop).
-Probabilities and mixture weights are floored at 1e-12 inside logs.
+Probabilities and mixture weights are floored at 1e-12 inside logs. Every
+loss is a mean: TCE over the labeled points, vMF and CON over all points
+(as is ``baselines.gmm_nll_loss``), DIS over ordered pairs of clusters.
 
 Each loss takes its per-point gradient and temporaries from an optional
 trailing ``workspace`` (a fresh one when omitted), on the two keys the
@@ -84,8 +86,9 @@ def vmf_loss(
     theta: MoVMFParams,
     workspace: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Spherical alignment loss: the exact negation of ``movmf_objective``
-    evaluated on the row-normalized features.
+    """Spherical alignment loss: the negation of ``movmf_objective``
+    evaluated on the row-normalized features, divided by the number of
+    points n, so that it is a mean over points as TCE and CON are.
 
     Takes the features as ``movmf.unit_rows`` splits them, unit rows V and
     norms, so the gradient, wrt the features, flows through v = f / ||f||;
@@ -94,10 +97,10 @@ def vmf_loss(
     """
     ws = Workspace() if workspace is None else workspace
     n, k, d = len(V), theta.num_clusters, theta.dim
-    value = -movmf_objective(V, Q, theta, ws.take(SCRATCH[0], n, k))
-    # dL/dv_i = -kappa * sum_c q_ic u_c, then project through normalization
+    value = -movmf_objective(V, Q, theta, ws.take(SCRATCH[0], n, k)) / n
+    # dL/dv_i = -(kappa / n) * sum_c q_ic u_c, then project through normalization
     g = np.matmul(np.asarray(Q, dtype=np.float64), theta.means, out=ws.take(SCRATCH[0], n, d))
-    np.multiply(-theta.kappa, g, out=g)
+    np.multiply(-theta.kappa / n, g, out=g)
     return value, _through_unit(g, V, norms, ws.take(SCRATCH[1], n, d))
 
 

@@ -312,9 +312,7 @@ def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, lr: float
 ) -> tuple[ModelParams, AdamState]:
     """One Adam update. The per-parameter step is normalized by the
-    gradient's running scale as a whole, not per loss term: the sum-form
-    alignment losses still outweigh the mean-form supervised loss inside
-    that gradient, and one learning rate does not undo that.
+    gradient's running scale as a whole, not per loss term.
 
     Every operation is elementwise, so one pass over the flat parameter,
     gradient and moment vectors gives each entry the bits a pass per

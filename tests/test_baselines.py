@@ -21,8 +21,13 @@ def gmm_expected_objective(F, Q, params):
         raise DimensionMismatch(
             f"posterior {Q.shape} != ({F.shape[0]}, {params.num_clusters})"
         )
-    per_point = (Q * baselines._gmm_floored_scores(F, params)).sum(axis=1)
-    return float(per_point.sum())
+    # the weight log floored as the moVMF objective floors it, so one-hot Q
+    # at a dead component stays finite
+    log_norms = baselines._gmm_log_norms(np.log(np.maximum(params.weights, movmf.ALPHA_FLOOR)),
+                                         params)
+    scores = baselines._gmm_scores(baselines._sq_dists(F, params.means), log_norms,
+                                   params.variances)
+    return float((Q * scores).sum(axis=1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +417,8 @@ def test_gmm_nll_loss_gives_the_allocating_forms_bits_with_or_without_a_workspac
     Q = rng.dirichlet(np.ones(k), size=n)
     params = baselines.GMMParams(np.array([0.5, 0.5, 0.0]), rng.standard_normal((k, d)),
                                  np.array([0.5, 1.0, 3.0]))
-    want_value = -float((Q * baselines._gmm_floored_scores(F, params)).sum())
-    ratio = Q / params.variances[None, :]
-    want_grad = ratio.sum(axis=1)[:, None] * F - ratio @ params.means
+    want_value = 0.5 * float((Q * baselines._sq_dists(F, params.means)).sum()) / n
+    want_grad = (Q.sum(axis=1)[:, None] * F - Q @ params.means) / n
     for workspace in (None, stale_workspace()):
         value, grad = baselines.gmm_nll_loss(F, Q, params, workspace)
         assert value == want_value
@@ -425,8 +429,21 @@ def test_gmm_nll_at_component_mean():
     params = baselines.GMMParams(
         np.array([1.0]), np.zeros((1, d)), np.array([1.0])
     )
-    value, _ = baselines.gmm_nll_loss(np.zeros((1, d)), np.array([[1.0]]), params)
-    assert value == pytest.approx(0.5 * d * math.log(2.0 * math.pi), abs=1e-12)
+    value, grad = baselines.gmm_nll_loss(np.zeros((1, d)), np.array([[1.0]]), params)
+    assert value == 0.0
+    np.testing.assert_array_equal(grad, 0.0)
+
+
+def test_gmm_nll_is_a_per_point_half_squared_distance_that_ignores_the_variances():
+    F = np.array([[3.0, 4.0], [0.0, 0.0]])
+    Q = np.array([[0.5, 0.5], [1.0, 0.0]])
+    for variances in ([1.0, 1.0], [1e-6, 40.0]):
+        params = baselines.GMMParams(np.array([0.9, 0.1]), np.array([[0.0, 0.0], [3.0, 0.0]]),
+                                     np.array(variances))
+        value, grad = baselines.gmm_nll_loss(F, Q, params)
+        # (0.5 * 25 + 0.5 * 16) / 2 halved, and (f - the Q-weighted mean) / 2
+        assert value == pytest.approx(5.125, abs=1e-12)
+        np.testing.assert_allclose(grad, [[0.75, 2.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_gmm_nll_quadratic_term_scales():

@@ -1028,7 +1028,7 @@ def test_explain_without_config_fits_the_family_the_checkpoint_was_trained_with(
 
 
 @pytest.mark.parametrize("text, name, given, trained", [
-    ("kappa = 1", "kappa", "1.0", "10.0"),
+    ("kappa = 10", "kappa", "10.0", "1.0"),
     ("alignment = gmm", "alignment", "gmm", "soft"),
 ])
 def test_explain_with_a_config_the_checkpoint_was_not_trained_with_exits_2(

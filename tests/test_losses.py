@@ -174,7 +174,7 @@ def test_vmf_loss_is_exact_negation_of_objective(rng):
     theta = _theta(rng.dirichlet(np.ones(3)), 12.0, random_unit_rows(rng, 3, 6))
     Q = rng.dirichlet(np.ones(3), size=25)
     value, _ = losses.vmf_loss(*movmf.unit_rows(F), Q, theta)
-    assert value == -movmf.movmf_objective(movmf.normalize_rows(F), Q, theta)
+    assert value == -movmf.movmf_objective(movmf.normalize_rows(F), Q, theta) / 25
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -382,8 +382,9 @@ def _old_loss(name, F, P, Q, theta, labels):
     if name == "tce":
         return pce_loss(P, labels)
     if name == "vmf":
-        value = -float((Q * movmf.log_scores(V, theta)).sum(axis=1).sum())
-        return value, _old_through_unit(-theta.kappa * (Q @ theta.means), V, norms)
+        n = F.shape[0]
+        value = -float((Q * movmf.log_scores(V, theta)).sum(axis=1).sum()) / n
+        return value, _old_through_unit((-theta.kappa / n) * (Q @ theta.means), V, norms)
     if name == "dis":
         U, sum_norms = _old_unit_rows(Q.T @ V)
         dead = sum_norms[:, 0] <= movmf.ZERO_NORM
