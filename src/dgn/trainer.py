@@ -74,11 +74,12 @@ class TrainConfig:
     not ``EMConfig``'s 10: in training kappa scales the soft alignment loss,
     and at 10 its pull makes the fit score below TCE alone, while ``dgn
     cluster`` keeps 10, where kappa only sharpens the posterior. ``fit``
-    draws each training scene's labels at ``label_rate`` from its dense ground truth
-    and ignores the scene's ``sparse`` trailer, which only ``explain``
-    reads. The last ``val_fraction`` of the scenes is held out:
-    ``fit`` scores its ``val_miou`` after each epoch, while ``train_miou``
-    is the head mIoU of the epoch's own steps, each before its update.
+    draws each training scene's labels at ``label_rate`` from its dense
+    ground truth and ignores the scene's ``sparse`` trailer, which only
+    ``explain`` reads. The last ``val_fraction`` of the scenes is held
+    out: ``fit`` scores its ``val_miou`` after each epoch, while
+    ``train_miou`` is the head mIoU of the epoch's own steps, each before
+    its update.
 
     ``alignment`` names the family fitted to each scene's features after
     warmup, soft or gmm; ``FAMILIES``' hard is for ``dgn cluster`` only.

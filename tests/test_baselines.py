@@ -441,7 +441,8 @@ def test_gmm_nll_is_a_per_point_half_squared_distance_that_ignores_the_variances
         params = baselines.GMMParams(np.array([0.9, 0.1]), np.array([[0.0, 0.0], [3.0, 0.0]]),
                                      np.array(variances))
         value, grad = baselines.gmm_nll_loss(F, Q, params)
-        # (0.5 * 25 + 0.5 * 16) / 2 halved, and (f - the Q-weighted mean) / 2
+        # 0.5 * (0.5 * 25 + 0.5 * 16 + 0) over 2 points; the gradient is
+        # (f - the Q-weighted mean) / 2
         assert value == pytest.approx(5.125, abs=1e-12)
         np.testing.assert_allclose(grad, [[0.75, 2.0], [0.0, 0.0]], atol=1e-12)
 
